@@ -6,8 +6,9 @@ Run:  python3 demos/exact_cylinder_laws.py
 from fractions import Fraction
 
 from orbitlab import ball, cyclic, free_group, klein_four
+from orbitlab.actions import quotient_normalize
 from orbitlab.spaces import (GroupIndex, Space, enumerate_window,
-                             exact_distribution, quotient_normalize, sample)
+                             exact_distribution, sample)
 
 F2 = free_group("a", "b")
 K = klein_four()

@@ -11,12 +11,12 @@ Run:  python3 demos/increment_isomorphism.py
 import time
 
 from orbitlab import ball, cyclic, free_group, s3
-from orbitlab.actions import BernoulliShift
+from orbitlab.actions import BernoulliShift, diagonal_translate
 from orbitlab.constructions import (edge_increments, increment_family,
                                     increment_grouped_reports,
                                     increment_roundtrip_report,
                                     integrate_increments)
-from orbitlab.spaces import diagonal_translate, exact_distribution, sample
+from orbitlab.spaces import exact_distribution, sample
 
 F2 = free_group("a", "b")
 K = cyclic(2)

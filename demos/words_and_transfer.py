@@ -3,8 +3,8 @@
 Run:  python3 demos/words_and_transfer.py
 """
 
-from orbitlab import (ball, coset, cosets_ball, cyclic, factor_length, free_group,
-                      free_product, omega_transfer, r_map, transversal_words)
+from orbitlab import (ball, coset, cosets_ball, cyclic, free_group, free_product,
+                      omega_transfer, r_map, transversal_words)
 
 # The rank-2 free group, with each generator its own free factor.
 F2 = free_group("a", "b")
@@ -18,7 +18,7 @@ print("word-length balls in F2:",
 
 # The b-letter length counts multiplicities: b^2 a b has three b-letters.
 v = b ** 2 * a * b
-print(f"b-letter length of {v.tokens()}:", factor_length(v, parts="b"))
+print(f"b-letter length of {v.tokens()}:", v.length(parts="b"))
 
 # Canonical coset representatives for <b>\F2 strip the leading b-letters.
 c = coset(F2, "b", b ** 2 * a * b)

@@ -15,13 +15,13 @@ Subsystems:
 from .groups import (Alphabet, FiniteGroup, GroupTableError, cyclic, direct_power,
                      klein_four, load_group_table, s3, tuple_index)
 from .words import (BallNotFiniteError, Coset, GroupSpec, SpecMismatchError, Word,
-                    ball, coset, cosets_ball, extension_sphere, factor_length,
-                    free_group, free_product, multiply, omega_transfer, r_map,
-                    sphere, transversal_words)
+                    ball, coset, cosets_ball, extension_sphere, free_group,
+                    free_product, omega_transfer, r_map, sphere, transversal_words)
 from .spaces import (BudgetExceededError, Configuration, CosetIndex, GroupIndex,
                      IntIndex, MissingCoordinateError, ProductSpace, Space,
-                     derive_seed, exact_distribution, quotient_normalize, sample)
+                     derive_seed, exact_distribution, sample)
 from .verify import (FAIL, PASS, UNDETERMINED, UndeterminedError,
                      VerificationReport, WindowFunction)
+from .actions import quotient_normalize
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,8 +19,8 @@ from .spaces import (Configuration, CosetIndex, DEFAULT_BUDGET, GroupIndex,
                      derive_seed, sample_stream)
 from .spaces import BudgetExceededError
 from .verify import (FAIL, PASS, UndeterminedError, VerificationReport,
-                     WindowFunction, combine_reports, generation_check,
-                     independence_exact, independence_mc, timed)
+                     WindowFunction, combine_reports, family_window,
+                     generation_check, independence_exact, independence_mc, timed)
 from .words import GroupSpec, Word, omega_transfer, transversal_words
 
 
@@ -156,7 +156,20 @@ def left_translation_action(group: FiniteGroup) -> FiniteGroupAlphabetAction:
 # -- flattened views -----------------------------------------------------------
 
 
-class _RelocView(Configuration):
+class _ShiftedView(Configuration):
+    """A view that reads its base at the coordinate translated by u; its
+    window is the base window translated back by u^-1."""
+
+    def window(self) -> dict:
+        inv = self.u.inverse() if isinstance(self.u, Word) else -self.u
+        out = {}
+        for k in self.base.window():
+            c = self.space.index.translate(k, inv)
+            out[c] = self.value(c)
+        return out
+
+
+class _RelocView(_ShiftedView):
     """value(c) = base(c . u) for the index translation by u."""
 
     def __init__(self, space, base: Configuration, u):
@@ -168,21 +181,13 @@ class _RelocView(Configuration):
         c = self.space.index.canonicalize(coord)
         return self.base.value(self.space.index.translate(c, self.u))
 
-    def window(self) -> dict:
-        inv = self.u.inverse() if isinstance(self.u, Word) else -self.u
-        out = {}
-        for k in self.base.window():
-            c = self.space.index.translate(k, inv)
-            out[c] = self.value(c)
-        return out
-
     @property
     def point_key(self):
         return ("reloc", self.u if isinstance(self.u, int) else self.u.syllables,
                 self.base.point_key)
 
 
-class _TwistedView(Configuration):
+class _TwistedView(_ShiftedView):
     """value(c) = (t + base(c . u)) mod kappa."""
 
     def __init__(self, space, base: Configuration, u: Word, t: int):
@@ -196,20 +201,12 @@ class _TwistedView(Configuration):
         return (self.t + self.base.value(self.space.index.translate(c, self.u))) \
             % self.space.alphabet.size
 
-    def window(self) -> dict:
-        inv = self.u.inverse()
-        out = {}
-        for k in self.base.window():
-            c = self.space.index.translate(k, inv)
-            out[c] = self.value(c)
-        return out
-
     @property
     def point_key(self):
         return ("twisted", self.u.syllables, self.t, self.base.point_key)
 
 
-class _CoinducedView(Configuration):
+class _CoinducedView(_ShiftedView):
     """value(c) = inner(transfer(c, u)) applied to base(c . u)."""
 
     def __init__(self, space, base: Configuration, u: Word,
@@ -224,14 +221,6 @@ class _CoinducedView(Configuration):
         c = self.space.index.canonicalize(coord)
         lam = omega_transfer(c, self.u, self.r_mode)
         return self.inner.act(lam, self.base.value(c.translate(self.u)))
-
-    def window(self) -> dict:
-        inv = self.u.inverse()
-        out = {}
-        for k in self.base.window():
-            c = self.space.index.translate(k, inv)
-            out[c] = self.value(c)
-        return out
 
     @property
     def point_key(self):
@@ -266,6 +255,27 @@ def value_twist(x: Configuration, perm: Sequence[int]) -> Configuration:
     if isinstance(x, ProductConfiguration):
         raise TypeError("value twist on a product needs a per-slot action")
     return _ValueTwistView(x, perm)
+
+
+def diagonal_translate(x: Configuration, k: int) -> Configuration:
+    """Left-multiply every coordinate value by the group element k."""
+    group = x.space.alphabet
+    if not isinstance(group, FiniteGroup):
+        raise TypeError("diagonal translation needs a group-valued alphabet")
+    return value_twist(x, [group.mul(k, v) for v in range(group.size)])
+
+
+def quotient_normalize(x: Configuration, base_coord) -> Configuration:
+    """Canonical representative of the diagonal-translation orbit of x.
+
+    Left-multiplies every value by the inverse of the value at base_coord,
+    so the result has the identity there.  Idempotent and constant on
+    orbits of the diagonal left translation action.
+    """
+    group = x.space.alphabet
+    if not isinstance(group, FiniteGroup):
+        raise TypeError("quotient normalization needs a group-valued alphabet")
+    return diagonal_translate(x, group.inv(x.value(base_coord)))
 
 
 # -- actions -------------------------------------------------------------------
@@ -392,18 +402,6 @@ class DiagonalAction(Action):
     def apply(self, g, x: ProductConfiguration) -> ProductConfiguration:
         return ProductConfiguration(
             self.space, [a.apply(g, c) for a, c in zip(self.actions, x.components)])
-
-
-class DiagonalTranslation(Action):
-    """A finite group translating every coordinate value simultaneously."""
-
-    def __init__(self, alpha: FiniteGroupAlphabetAction, space: Space):
-        self.group_spec = None
-        self.alpha = alpha
-        self.space = space
-
-    def apply(self, k: int, x: Configuration) -> Configuration:
-        return value_twist(x, self.alpha.perms[k])
 
 
 class QuotientByDiagonal(Action):
@@ -577,11 +575,7 @@ def check_coinduced_characterization(
     family = [WindowFunction(t.tokens(), coords_of(t), rho.support,
                              (lambda y, t=t: rho.fn(action.apply(t, y))))
               for t in transversal]
-    window = []
-    for v in family:
-        for c in v.coords:
-            if c not in window:
-                window.append(c)
+    window = family_window(family)
 
     # 2. generation on the radius window
     sub2 = generation_check(action.space, family, window, reconstructor=reconstructor,

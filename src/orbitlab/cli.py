@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .actions import check_coinduced_characterization
+from .actions import (BernoulliShift, CoinducedAction, FiniteGroupAlphabetAction,
+                      SubgroupAlphabetAction, TwistedCosetShift,
+                      check_coinduced_characterization)
 from .cocycles import verify_identity, verify_inverse_pair
 from .constructions import (CylinderAction, FactorSetting, StarAction,
                             build_cylinder_oe, component_twist_system,
@@ -37,13 +39,14 @@ from .constructions import (CylinderAction, FactorSetting, StarAction,
                             section_report, star_conjugation_report,
                             star_injectivity_report, star_orbit_report,
                             star_relation_report)
-from .groups import FiniteGroup, GroupTableError, cyclic, klein_four, load_group_table, s3
+from .groups import (Alphabet, FiniteGroup, GroupTableError, cyclic, klein_four,
+                     load_group_table, s3)
 from .spaces import DEFAULT_BUDGET, derive_seed
 from .verify import (FAIL, PASS, UNDETERMINED, Selector, VerificationReport,
                      WindowFunction, combine_reports, coordinate_variable,
-                     independence_exact, independence_mc,
+                     family_window, independence_exact, independence_mc,
                      selector_independence_exact, worst_verdict)
-from .words import ball, coset, free_group
+from .words import ball, coset, free_group, free_product
 
 SCHEMA_VERSION = 1
 
@@ -137,19 +140,14 @@ def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
     if params["window_radius"] is not None:
         window = ball(spec, int(params["window_radius"]))
     else:
-        window = []
-        for v in family:
-            for c in v.coords:
-                if c not in window:
-                    window.append(c)
+        window = family_window(family)
     states = K.size ** len(window)
     mode = params["mode"]
     if mode == "auto":
         mode = "full" if states <= ctx.budget else "grouped"
+    shift = BernoulliShift(spec, K)
     subs = []
     if mode == "full":
-        from .actions import BernoulliShift
-        shift = BernoulliShift(spec, K)
         joint = independence_exact(shift.space, family, window=window,
                                    budget=ctx.budget,
                                    name="increment-joint-uniformity",
@@ -161,8 +159,6 @@ def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
                                             budget=ctx.budget)
         subs.append(combine_reports("increment-grouped-exact", grouped,
                                     parameters={"checks": len(grouped)}))
-        from .actions import BernoulliShift
-        shift = BernoulliShift(spec, K)
         subs.append(independence_mc(shift.space, family[:4], int(params["mc_samples"]),
                                     derive_seed(ctx.seed, "tb/mc"), ctx.quantile,
                                     name="increment-subfamily-mc"))
@@ -314,7 +310,6 @@ def _run_lemma_3(ctx: SuiteContext, params: dict) -> VerificationReport:
                                         min(samples, 10),
                                         derive_seed(ctx.seed, "l3/act")))
     # degenerate whole-space instance: the extension is the plain diagonal
-    from .actions import BernoulliShift
     f2 = free_group("a", "b")
     degenerate = degenerate_stable_oe(BernoulliShift(f2, cyclic(2)))
     subs.append(extension_distinctness_report(degenerate, ball(f2, 1), samples,
@@ -338,8 +333,6 @@ def _run_appendix_section(ctx: SuiteContext, params: dict) -> VerificationReport
         K = cyclic(int(order))
         subs.append(section_report(K, free_action_on_cosets(K, int(copies))))
     # negative control: a fixed point must be rejected with a witness
-    from .actions import FiniteGroupAlphabetAction
-    from .groups import Alphabet
     K = cyclic(2)
     alphabet = Alphabet(["p0", "p1", "p2"], label="3pts")
     nonfree = FiniteGroupAlphabetAction(K, alphabet, [(0, 1, 2), (1, 0, 2)])
@@ -389,8 +382,6 @@ def _run_lemma_indep(ctx: SuiteContext, params: dict) -> VerificationReport:
           "the three defining properties of a co-induced action",
           {"instance": "finite-factor", "kappa": 2, "radius": 2, "samples": None})
 def _run_characterization(ctx: SuiteContext, params: dict) -> VerificationReport:
-    from .actions import CoinducedAction, SubgroupAlphabetAction, TwistedCosetShift
-    from .words import free_product
     samples = int(params["samples"] or ctx.samples)
     radius = int(params["radius"])
     instance = params["instance"]
@@ -439,7 +430,6 @@ def _run_characterization(ctx: SuiteContext, params: dict) -> VerificationReport
           "a deliberately failing independence check (exit-code plumbing)",
           {})
 def _run_negative_control(ctx: SuiteContext, params: dict) -> VerificationReport:
-    from .actions import BernoulliShift
     f2 = free_group("a", "b")
     shift = BernoulliShift(f2, cyclic(2))
     v = coordinate_variable(shift.space, f2.identity(), "duplicated")

@@ -21,12 +21,12 @@ from typing import Callable, Sequence
 from .actions import (Action, BernoulliShift, CoinducedAction,
                       FiniteGroupAlphabetAction, FirstReturnOracle, IntShift,
                       QuotientByDiagonal, SubgroupAlphabetAction, TwistedCosetShift,
-                      left_translation_action, value_twist)
+                      left_translation_action, quotient_normalize, value_twist)
 from .cocycles import Cocycle, CocycleTarget, identity_cocycle
 from .groups import Alphabet, FiniteGroup, cyclic, direct_power, tuple_index
 from .spaces import (Configuration, DEFAULT_BUDGET, RecordingConfiguration,
                      SeededConfiguration, Space, agree_on, derive_seed,
-                     exact_distribution, quotient_normalize, sample, sample_stream)
+                     exact_distribution, sample, sample_stream)
 from .verify import (FAIL, PASS, UNDETERMINED, UndeterminedError,
                      VerificationReport, WindowFunction, combine_reports,
                      homogeneity_mc, independence_exact,
@@ -182,19 +182,6 @@ def increment_roundtrip_report(spec: GroupSpec, K: FiniteGroup, radius: int,
     return timed(VerificationReport(
         "increment-roundtrip", "exact", PASS, seed=seed,
         parameters={"radius": radius, "samples": samples}), started)
-
-
-def increment_uniformity_report(spec: GroupSpec, K: FiniteGroup, radius: int,
-                                budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Exact joint uniformity of the increment family over the full window."""
-    started = time.perf_counter()
-    shift = BernoulliShift(spec, K)
-    family = increment_family(spec, K, radius)
-    report = independence_exact(shift.space, family, budget=budget,
-                                name="increment-joint-uniformity",
-                                require_uniform=True)
-    report.parameters["radius"] = radius
-    return timed(report, started)
 
 
 def increment_grouped_reports(spec: GroupSpec, K: FiniteGroup, radius: int,
@@ -570,9 +557,6 @@ class StarAction(Action):
     def to_spec1(self, g: Word) -> Word:
         return self.spec1.word(g.tokens())
 
-    def to_spec0(self, g: Word) -> Word:
-        return self.spec0.word(g.tokens())
-
     def rho(self, y: Configuration) -> int:
         return y.value(self.base)
 
@@ -638,11 +622,6 @@ class StarAction(Action):
 
             entries[("f", self.lam1, l1)] = entry
         return Cocycle(self.dot, target, entries, "star-transport-inverse")
-
-    def star_pair_apply(self, pair: tuple, y: Configuration) -> Configuration:
-        """The star action of (word in G0, element of K)."""
-        w, k = pair
-        return value_twist(self.apply(w, y), self.system.actk.perms[k])
 
 
 def star_relation_report(star: StarAction, radius: int, samples: int,
@@ -799,17 +778,11 @@ def parenthesis_match(z: Configuration, target_symbol: int, max_radius: int,
 
 
 class Matcher:
-    """Orbit matchings between single-symbol cylinders of alphabet^Z.
+    """Orbit matchings between single-symbol cylinders of alphabet^Z by
+    balanced-parenthesis matching, cached per point."""
 
-    The shipped strategy is balanced-parenthesis matching; a user-supplied
-    table strategy maps (symbol, point) to offsets directly.
-    """
-
-    def __init__(self, scan_radius: int, strategy: str = "parenthesis",
-                 table: Callable | None = None):
+    def __init__(self, scan_radius: int):
         self.scan_radius = scan_radius
-        self.strategy = strategy
-        self.table = table
         self._cache: dict = {}
 
     def forward_offset(self, z: Configuration, symbol: int) -> int:
@@ -819,8 +792,7 @@ class Matcher:
         key = ("fwd", symbol, z.point_key)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self.table(z, symbol, False) if self.strategy == "table" else \
-                parenthesis_match(z, symbol, self.scan_radius)
+            hit = parenthesis_match(z, symbol, self.scan_radius)
             self._cache[key] = hit
         return hit
 
@@ -831,8 +803,7 @@ class Matcher:
         key = ("bwd", symbol, z.point_key)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self.table(z, symbol, True) if self.strategy == "table" else \
-                parenthesis_match(z, symbol, self.scan_radius, inverse=True)
+            hit = parenthesis_match(z, symbol, self.scan_radius, inverse=True)
             self._cache[key] = hit
         return hit
 
@@ -1316,8 +1287,7 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
     system = soe.system
     checked = undetermined = 0
     for s in range(samples):
-        x = system.sample_in_cylinder(derive_seed(seed, f"ext/{s}")) \
-            if hasattr(system, "sample_in_cylinder") else sample(system.space, s)
+        x = system.sample_in_cylinder(derive_seed(seed, f"ext/{s}"))
         cache: dict = {}
         seen: dict = {}
         try:

@@ -8,7 +8,6 @@ computable with rational arithmetic.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -34,9 +33,6 @@ class Alphabet:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
-
-    def symbol_probability(self) -> Fraction:
-        return Fraction(1, self.size)
 
     def __repr__(self):
         return f"Alphabet({self.label}, size={self.size})"

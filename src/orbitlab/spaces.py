@@ -18,9 +18,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .groups import Alphabet, FiniteGroup
+from .groups import Alphabet
 from .words import Coset, GroupSpec, Word, coset
 
 DEFAULT_BUDGET = 2 ** 24
@@ -167,9 +167,16 @@ class Configuration:
 
     @property
     def point_key(self):
-        """Hashable identity used for per-run caching; equal keys imply
-        equal configurations (never the converse)."""
-        return ("cfg", id(self))
+        """Hashable identity used for per-run caching.
+
+        Every concrete configuration builds its key from its structure (its
+        seed and overrides, its stored window, or the key of the point it
+        views plus the view's parameters), so equal keys imply equal
+        configurations (never the converse).  RecordingConfiguration, whose
+        reads must never be answered from a cache, draws a fresh key per
+        instance instead.
+        """
+        raise NotImplementedError
 
 
 class SeededConfiguration(Configuration):
@@ -222,37 +229,6 @@ class ExplicitConfiguration(Configuration):
     def point_key(self):
         return ("explicit", tuple(sorted(
             (self.space.coord_key(k), v) for k, v in self._window.items())))
-
-
-class MappedConfiguration(Configuration):
-    """View of a base configuration through a coordinate and a value map.
-
-        value(c) = value_map(c, base.value(coord_map(c)))
-
-    window_map sends a base window coordinate to the view coordinate it
-    shows through (the inverse of coord_map), so the view's window is the
-    relocated base window.
-    """
-
-    def __init__(self, space: Space, base: Configuration,
-                 coord_map: Callable, value_map: Callable,
-                 window_map: Callable):
-        self.space = space
-        self.base = base
-        self.coord_map = coord_map
-        self.value_map = value_map
-        self.window_map = window_map
-
-    def value(self, coord) -> int:
-        c = self.space.index.canonicalize(coord)
-        return self.value_map(c, self.base.value(self.coord_map(c)))
-
-    def window(self) -> dict:
-        out = {}
-        for k in self.base.window():
-            c = self.window_map(k)
-            out[c] = self.value(c)
-        return out
 
 
 class ProductConfiguration(Configuration):
@@ -450,29 +426,3 @@ def exact_distribution(space, variables, window, budget: int = DEFAULT_BUDGET
         key = tuple(fn(config) for fn in fns)
         outcomes[key] = outcomes.get(key, Fraction(0)) + weight
     return CylinderDistribution(names, outcomes, count)
-
-
-# -- diagonal translation quotients -------------------------------------------
-
-
-def diagonal_translate(x: Configuration, k: int) -> Configuration:
-    """Left-multiply every coordinate value by the group element k."""
-    group = x.space.alphabet
-    if not isinstance(group, FiniteGroup):
-        raise TypeError("diagonal translation needs a group-valued alphabet")
-    return MappedConfiguration(x.space, x, lambda c: c,
-                               lambda c, v: group.mul(k, v), lambda c: c)
-
-
-def quotient_normalize(x: Configuration, base_coord) -> Configuration:
-    """Canonical representative of the diagonal-translation orbit of x.
-
-    Left-multiplies every value by the inverse of the value at base_coord,
-    so the result has the identity there.  Idempotent and constant on
-    orbits of the diagonal left translation action.
-    """
-    group = x.space.alphabet
-    if not isinstance(group, FiniteGroup):
-        raise TypeError("quotient normalization needs a group-valued alphabet")
-    k = group.inv(x.value(base_coord))
-    return diagonal_translate(x, k)

@@ -192,20 +192,6 @@ def independence_exact(space, family: Sequence[WindowFunction], window=None,
         statistics=stats, counterexample=counter), started)
 
 
-def distribution_equal_exact(space, family, other_space, other_family,
-                             name: str = "distribution-equality") -> VerificationReport:
-    """Exact equality of two joint laws (used for shift invariance checks)."""
-    started = time.perf_counter()
-    d1 = exact_distribution(space, family, family_window(family))
-    d2 = exact_distribution(other_space, other_family, family_window(other_family))
-    same = d1.outcomes == d2.outcomes
-    return timed(VerificationReport(
-        name, "exact", PASS if same else FAIL,
-        statistics={"outcomes": len(d1.outcomes)},
-        counterexample=None if same else {
-            "left": d1.outcomes, "right": d2.outcomes}), started)
-
-
 # -- Monte-Carlo independence -------------------------------------------------
 
 

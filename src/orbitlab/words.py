@@ -248,9 +248,6 @@ class Word:
             out = out * self
         return out
 
-    def first_syllable(self):
-        return self.syllables[0] if self.syllables else None
-
     def first_part(self) -> int | None:
         return self.syllables[0][1] if self.syllables else None
 
@@ -330,14 +327,6 @@ def _resolve_parts(spec: GroupSpec, parts) -> frozenset[int]:
         if not 0 <= p < len(spec.parts):
             raise KeyError(f"unknown factor index {p}")
     return frozenset(out)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def factor_length(w: Word, parts=None, mode: str = "letters") -> int:
-    return w.length(parts, mode)
 
 
 # -- ball enumeration ---------------------------------------------------------

@@ -48,7 +48,7 @@ def test_increments_constant_configuration():
 
 
 def test_increments_diagonal_invariance():
-    from orbitlab.spaces import diagonal_translate
+    from orbitlab.actions import diagonal_translate
     shift = BernoulliShift(F2, s3())
     x = sample(shift.space, 4)
     v = edge_increments(x)

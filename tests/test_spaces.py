@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from orbitlab.actions import diagonal_translate, quotient_normalize
 from orbitlab.groups import cyclic, klein_four
 from orbitlab.spaces import (BudgetExceededError, CosetIndex, ExplicitConfiguration,
                              GroupIndex, IntIndex, MissingCoordinateError,
                              ProductSpace, Space,
-                             derive_seed, diagonal_translate, enumerate_window,
-                             exact_distribution, quotient_normalize,
+                             derive_seed, enumerate_window,
+                             exact_distribution,
                              resample_outside, sample, sample_stream)
 from orbitlab.words import ball, free_group
 

@@ -4,9 +4,9 @@ import pytest
 
 from orbitlab.groups import cyclic
 from orbitlab.words import (BallNotFiniteError, SpecMismatchError, ball, coset,
-                            cosets_ball, extension_sphere, factor_length,
-                            free_group, free_product, omega_transfer, r_map,
-                            sphere, transversal_words)
+                            cosets_ball, extension_sphere, free_group,
+                            free_product, omega_transfer, r_map, sphere,
+                            transversal_words)
 
 
 F2 = free_group("a", "b")
@@ -59,19 +59,19 @@ def test_power_and_inverse():
 
 
 def test_b_letter_length():
-    assert factor_length(B * A * B, parts="b") == 2
-    assert factor_length(E, parts="b") == 0
-    assert factor_length(A * B * A.inverse(), parts="b") == 1
+    assert (B * A * B).length(parts="b") == 2
+    assert E.length(parts="b") == 0
+    assert (A * B * A.inverse()).length(parts="b") == 1
     # multiplicities count: b^2 a b has three b-letters
-    assert factor_length(B ** 2 * A * B, parts="b") == 3
-    assert factor_length((B * A * B).inverse(), parts="b") == 2
+    assert (B ** 2 * A * B).length(parts="b") == 3
+    assert (B * A * B).inverse().length(parts="b") == 2
 
 
 def test_syllable_length_free_product():
     # number of letters from the g-factor in the alternating normal form
     w = G * H * G
-    assert factor_length(w, parts="g2", mode="syllables") == 2
-    assert factor_length(Z2Z2.element("h1"), parts="g2", mode="syllables") == 0
+    assert w.length(parts="g2", mode="syllables") == 2
+    assert Z2Z2.element("h1").length(parts="g2", mode="syllables") == 0
 
 
 def test_word_length_balls():
@@ -94,7 +94,7 @@ def test_ball_b_length_filtered_leading_letter():
     assert words
     for w in words:
         assert w.first_part() == F2.part_index("b")
-        assert factor_length(w, parts="b") == 1
+        assert w.length(parts="b") == 1
     assert F2.word("b^1") in words
     assert F2.word("b^-1 a^1") in words
 
@@ -175,7 +175,7 @@ def test_in_partition_unique_factorization():
                if w.first_part() != spec.part_index("h2")] if n > 0 else [spec.identity()]
         seen = set()
         for g in ball(spec, 3, parts=gpart, mode="syllables"):
-            if factor_length(g, gpart, "syllables") != n:
+            if g.length(gpart, "syllables") != n:
                 continue
             lam = r_map(g, "h2")
             t = lam.inverse() * g
@@ -190,8 +190,8 @@ def test_extension_sphere_first_letter_rule():
     bparts = ["b0", "b1"]
     b0 = f3.generator("b0")
     for g in extension_sphere(f3, b0, 1, parts=bparts, exponent_bound=1):
-        assert factor_length(g, bparts) == 1
-        assert factor_length(b0 * g, bparts) == 2
+        assert g.length(bparts) == 1
+        assert (b0 * g).length(bparts) == 2
     # a word starting with b0^-1 is not extendable by b0
     w = f3.word("b0^-1 a^1")
     assert w not in extension_sphere(f3, b0, 1, parts=bparts, exponent_bound=1)
@@ -205,4 +205,4 @@ def test_cosets_ball_counts():
     assert "e" in reps and "a^1" in reps and "a^-1" in reps
     for c in cs:
         assert c.rep.first_part() != F2.part_index("b")
-        assert factor_length(c.rep, "b") <= 1
+        assert c.rep.length("b") <= 1
