@@ -18,8 +18,8 @@ from .words import (BallNotFiniteError, Coset, GroupSpec, SpecMismatchError, Wor
                     ball, coset, cosets_ball, extension_sphere, free_group,
                     free_product, omega_transfer, r_map, sphere, transversal_words)
 from .spaces import (BudgetExceededError, Configuration, CosetIndex, GroupIndex,
-                     IntIndex, MissingCoordinateError, ProductSpace, Space,
-                     derive_seed, exact_distribution, sample)
+                     IntIndex, MissingCoordinateError, Space, derive_seed,
+                     exact_distribution, sample)
 from .verify import (FAIL, PASS, UNDETERMINED, UndeterminedError,
                      VerificationReport, WindowFunction)
 from .actions import quotient_normalize

@@ -1,6 +1,5 @@
-"""The action engine: shifts, co-induced and twisted actions, diagonal
-products, quotients by a commuting translation action, and first-return
-induced transformations.
+"""The action engine: shifts, co-induced and twisted actions, quotients by
+a commuting translation action, and first-return induced transformations.
 
 Applying a group element produces a view of the argument configuration;
 views of the same kind flatten (a chain of shifts is one shift), so window
@@ -15,13 +14,11 @@ from typing import Callable, Sequence
 
 from .groups import Alphabet, FiniteGroup, cyclic
 from .spaces import (Configuration, CosetIndex, DEFAULT_BUDGET, GroupIndex,
-                     IntIndex, ProductConfiguration, ProductSpace, Space,
-                     derive_seed, sample_stream)
-from .spaces import BudgetExceededError
+                     IntIndex, Space, derive_seed, sample_stream)
 from .verify import (FAIL, PASS, UndeterminedError, VerificationReport,
                      WindowFunction, combine_reports, family_window,
-                     generation_check, independence_exact, independence_mc, timed)
-from .words import GroupSpec, Word, omega_transfer, transversal_words
+                     generation_check, independence_exact, timed)
+from .words import FinitePart, GroupSpec, Word, omega_transfer, transversal_words
 
 
 # -- permutation helpers -------------------------------------------------------
@@ -252,8 +249,6 @@ def value_twist(x: Configuration, perm: Sequence[int]) -> Configuration:
         return x
     if isinstance(x, _ValueTwistView):
         return value_twist(x.base, compose_perms(perm, x.perm))
-    if isinstance(x, ProductConfiguration):
-        raise TypeError("value twist on a product needs a per-slot action")
     return _ValueTwistView(x, perm)
 
 
@@ -391,19 +386,6 @@ class CoinducedAction(Action):
         return _CoinducedView(self.space, y, g, self.inner, self.r_mode)
 
 
-class DiagonalAction(Action):
-    """Same group acting coordinatewise on a product of spaces."""
-
-    def __init__(self, group_spec: GroupSpec | None, actions: Sequence[Action]):
-        self.group_spec = group_spec
-        self.actions = tuple(actions)
-        self.space = ProductSpace([a.space for a in self.actions])
-
-    def apply(self, g, x: ProductConfiguration) -> ProductConfiguration:
-        return ProductConfiguration(
-            self.space, [a.apply(g, c) for a, c in zip(self.actions, x.components)])
-
-
 class QuotientByDiagonal(Action):
     """The base action on orbit representatives of a commuting free
     translation action: points are normalized so the value at base_coord is
@@ -515,7 +497,6 @@ def identity_oracle(alphabet: Alphabet, scan_radius: int = 1) -> FirstReturnOrac
 def subgroup_test_words(spec: GroupSpec, subgroup) -> list[Word]:
     """Small generating sample of the subgroup part for equivariance checks."""
     part = spec.part_index(subgroup) if isinstance(subgroup, str) else subgroup
-    from .words import FinitePart
     p = spec.parts[part]
     if isinstance(p, FinitePart):
         return [spec.finite_element(part, i) for i in range(p.group.size)
@@ -529,16 +510,15 @@ def check_coinduced_characterization(
         subgroup, radius: int, *, samples: int = 25, seed: int = 0,
         budget: int = DEFAULT_BUDGET, transversal_kwargs: dict | None = None,
         variable_coords: Callable[[Word], tuple] | None = None,
-        reconstructor: Callable | None = None, canonicalize: Callable | None = None,
-        mc_samples: int = 10 ** 4, quantile: float = 0.999) -> VerificationReport:
+        reconstructor: Callable | None = None, canonicalize: Callable | None = None
+        ) -> VerificationReport:
     """Decide the three defining properties of a co-induced action.
 
     1. subgroup equivariance of the factor map rho (exact on samples);
     2. generation: the factor maps along the radius-bounded transversal
        determine the window (reconstruction, or injectivity enumeration);
     3. independence: the transversal family has exactly the uniform product
-       law (downgraded to a seeded chi-square gate when the window exceeds
-       the enumeration budget).
+       law.
     """
     started = time.perf_counter()
     spec = action.group_spec
@@ -583,14 +563,8 @@ def check_coinduced_characterization(
                             name="generation")
 
     # 3. independence of the transversal family
-    try:
-        sub3 = independence_exact(action.space, family, window=None, budget=budget,
-                                  name="transversal-independence", require_uniform=True)
-    except BudgetExceededError:
-        sub3 = independence_mc(action.space, family, mc_samples,
-                               derive_seed(seed, "indep"), quantile,
-                               name="transversal-independence")
-        sub3.notes = sub3.notes + ("budget exceeded: downgraded to Monte-Carlo",)
+    sub3 = independence_exact(action.space, family, window=None, budget=budget,
+                              name="transversal-independence", require_uniform=True)
 
     report = combine_reports(
         "coinduced-characterization", [sub1, sub2, sub3],

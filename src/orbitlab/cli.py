@@ -2,9 +2,10 @@
 suites, write one structured report per check plus a summary.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 undetermined outcomes
-(and no failures), 3 malformed config.  Reports are deterministic functions
-of (config, seeds); wall-clock data lives in a separate `timing` section so
-payloads compare byte-identically across runs.
+(and no failures), 3 malformed config or a window over the enumeration
+budget.  Reports are deterministic functions of (config, seeds); wall-clock
+data lives in a separate `timing` section so payloads compare
+byte-identically across runs.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .constructions import (CylinderAction, FactorSetting, StarAction,
                             star_relation_report)
 from .groups import (Alphabet, FiniteGroup, GroupTableError, cyclic, klein_four,
                      load_group_table, s3)
-from .spaces import DEFAULT_BUDGET, derive_seed
+from .spaces import BudgetExceededError, DEFAULT_BUDGET, derive_seed
 from .verify import (FAIL, PASS, UNDETERMINED, Selector, VerificationReport,
                      WindowFunction, combine_reports, coordinate_variable,
                      family_window, independence_exact, independence_mc,
@@ -493,7 +494,8 @@ def run_suite(config_path, out_dir, only: str | None = None,
     """Run every check of the config document and write report files.
 
     Returns the exit status (0 pass / 1 fail / 2 undetermined / 3 config
-    error); the summary and one report per check land in out_dir.
+    error or a window over the enumeration budget); the summary and one
+    report per check land in out_dir.
     """
     stream = stream or sys.stdout
     try:
@@ -517,7 +519,10 @@ def run_suite(config_path, out_dir, only: str | None = None,
         verdicts = []
         for i, (spec, params) in enumerate(checks):
             started = time.perf_counter()
-            report = spec.runner(ctx, params)
+            try:
+                report = spec.runner(ctx, params)
+            except BudgetExceededError as err:
+                raise ConfigError(f"checks[{i}] ({spec.name})", str(err)) from None
             runtime = time.perf_counter() - started
             filename = f"{i:02d}-{spec.name}.json"
             payload = {

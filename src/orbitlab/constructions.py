@@ -24,9 +24,10 @@ from .actions import (Action, BernoulliShift, CoinducedAction,
                       left_translation_action, quotient_normalize, value_twist)
 from .cocycles import Cocycle, CocycleTarget, identity_cocycle
 from .groups import Alphabet, FiniteGroup, cyclic, direct_power, tuple_index
-from .spaces import (Configuration, DEFAULT_BUDGET, RecordingConfiguration,
-                     SeededConfiguration, Space, agree_on, derive_seed,
-                     exact_distribution, sample, sample_stream)
+from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
+                     GroupIndex, RecordingConfiguration, SeededConfiguration,
+                     Space, agree_on, derive_seed, exact_distribution, sample,
+                     sample_stream)
 from .verify import (FAIL, PASS, UNDETERMINED, UndeterminedError,
                      VerificationReport, WindowFunction, combine_reports,
                      homogeneity_mc, independence_exact,
@@ -97,7 +98,6 @@ def integrate_increments(v: Configuration, radius: int) -> Configuration:
     spec = v.space.index.spec
     gen_index = {p.name: i for i, p in enumerate(spec.parts)}
     window: dict = {}
-    from .spaces import ExplicitConfiguration, GroupIndex
     for w in ball(spec, radius):
         if w.is_identity:
             window[w] = K.identity
@@ -123,9 +123,10 @@ def increment_family(spec: GroupSpec, K: FiniteGroup, radius: int
     generators = [spec.generator(p.name) for p in spec.parts]
     for g in ball(spec, radius):
         for a in generators:
+            ag = a * g
             out.append(WindowFunction(
-                f"{a.tokens()}|{g.tokens()}", (g, a * g), K.size,
-                (lambda x, g=g, a=a: K.mul(K.inv(x.value(g)), x.value(a * g)))))
+                f"{a.tokens()}|{g.tokens()}", (g, ag), K.size,
+                (lambda x, g=g, ag=ag: K.mul(K.inv(x.value(g)), x.value(ag)))))
     return out
 
 
@@ -839,9 +840,7 @@ class CylinderAction(Action):
     between the symbol cylinders.
     """
 
-    def __init__(self, kappa: int, scan_radius: int = 64,
-                 matcher: Matcher | None = None,
-                 oracle: FirstReturnOracle | None = None):
+    def __init__(self, kappa: int, scan_radius: int = 64):
         if kappa < 2:
             raise ValueError("kappa must be >= 2")
         self.kappa = kappa
@@ -854,8 +853,8 @@ class CylinderAction(Action):
         self.a0 = self.f2.generator("a")
         self.b0 = self.f2.generator("b")
         self.base = coset(self.f2, "b", self.f2.identity())
-        self.oracle = oracle or FirstReturnOracle(cyclic(kappa), 0, scan_radius)
-        self.matcher = matcher or Matcher(scan_radius)
+        self.oracle = FirstReturnOracle(cyclic(kappa), 0, scan_radius)
+        self.matcher = Matcher(scan_radius)
         self.zshift = IntShift(cyclic(kappa))
         self._a_cosets: dict = {}
         self._apply_cache: dict = {}
@@ -898,10 +897,6 @@ class CylinderAction(Action):
 
     def theta_inv(self, i: int, x: Configuration) -> Configuration:
         return self.twisted.apply(self.psi_word(i, x), x)
-
-    def q(self, x: Configuration) -> Configuration:
-        """Projection of any point onto the 0-cylinder inside its orbit."""
-        return self.theta_inv(self.symbol_index(x), x)
 
     def q0(self, z: Configuration) -> Configuration:
         i = z.value(0)
@@ -993,18 +988,13 @@ class StableOE:
     a positive-measure subset and another group's action on it."""
 
     system: object
-    domain: dict
-    compression: Fraction
     forward: Cocycle
-    backward: Cocycle
-    q: Callable
     partition_count: int
-    partition_index: Callable
     partition_word: Callable       # 1-based: partition_word(1, x) = identity
 
 
 def degenerate_stable_oe(action: Action) -> StableOE:
-    """The whole-space degenerate record (compression 1, identity cocycles,
+    """The whole-space degenerate record (compression 1, identity cocycle,
     one partition cell): turns any free action into extension input."""
 
     class _Whole:
@@ -1020,9 +1010,7 @@ def degenerate_stable_oe(action: Action) -> StableOE:
 
     ident = identity_cocycle(action)
     e = action.group_spec.identity()
-    return StableOE(system=_Whole(action), domain={}, compression=Fraction(1),
-                    forward=ident, backward=ident, q=lambda x: x,
-                    partition_count=1, partition_index=lambda x: 1,
+    return StableOE(system=_Whole(action), forward=ident, partition_count=1,
                     partition_word=lambda i, x: e)
 
 
@@ -1034,16 +1022,8 @@ def build_cylinder_oe(kappa: int, scan_radius: int = 64) -> StableOE:
     def partition_word(i: int, x: Configuration) -> Word:
         return system.phi_word(i - 1, x)
 
-    return StableOE(
-        system=system,
-        domain={"base": system.base, "symbol": 0},
-        compression=Fraction(1, kappa),
-        forward=system.omega(),
-        backward=system.omega_prime(),
-        q=system.q,
-        partition_count=kappa,
-        partition_index=lambda x: system.symbol_index(x) + 1,
-        partition_word=partition_word)
+    return StableOE(system=system, forward=system.omega(), partition_count=kappa,
+                    partition_word=partition_word)
 
 
 def cylinder_measure_report(system: CylinderAction) -> VerificationReport:
@@ -1315,8 +1295,8 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
 
 
 def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
-                            words: Sequence[Word], samples: int, seed: int,
-                            y_window: Sequence[Word] | None = None) -> VerificationReport:
+                            words: Sequence[Word], samples: int,
+                            seed: int) -> VerificationReport:
     """The cocycle-twisted product extension lam * (x, y) = (lam * x,
     omega(lam, x) . y) is an action: the composition law holds exactly on
     sampled points (equivalently, the extension cocycle satisfies the
@@ -1325,7 +1305,8 @@ def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
     system = soe.system
     down_spec = soe.forward.target.spec
     bern = BernoulliShift(down_spec, y_alphabet)
-    window = list(y_window or ball(down_spec, 2))
+    window = ball(down_spec, 2)
+    x_window = [system.a_coset(n) for n in range(-2, 3)]
 
     def ext_apply(lam, x, y, cache):
         w = soe.forward.target.word_part(soe.forward.evaluate(lam, x, cache))
@@ -1345,8 +1326,6 @@ def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
                 except UndeterminedError:
                     undetermined += 1
                     continue
-                x_window = [system.a_coset(n) for n in range(-2, 3)] \
-                    if hasattr(system, "a_coset") else list(x2.window()) or window
                 if not agree_on(x2, x12, x_window) or not agree_on(y2, y12, window):
                     return timed(VerificationReport(
                         "extension-action", "exact", FAIL, seed=seed,
@@ -1371,7 +1350,7 @@ def extension_independence_report(soe: StableOE, pairs: Sequence[tuple],
               for s in range(samples)]
     selector = extension_selectors(soe, pairs)
     return selector_independence_on_samples(
-        points, selector, None, y_alphabet.size,
+        points, selector, y_alphabet.size,
         lambda h, v: v, names, name="extension-independence", seed=seed)
 
 

@@ -130,26 +130,6 @@ class Space:
         return self.index.key(self.index.canonicalize(coord))
 
 
-class ProductSpace:
-    """Finite product of spaces; coordinates are (slot, inner coordinate)."""
-
-    def __init__(self, slots: Sequence[Space]):
-        self.slots = tuple(slots)
-
-    def coord_key(self, coord) -> str:
-        slot, inner = coord
-        return f"{slot}:{self.slots[slot].coord_key(inner)}"
-
-    def alphabet_of(self, coord) -> Alphabet:
-        return self.slots[coord[0]].alphabet
-
-
-def alphabet_at(space, coord) -> Alphabet:
-    if isinstance(space, ProductSpace):
-        return space.alphabet_of(coord)
-    return space.alphabet
-
-
 # -- configurations -----------------------------------------------------------
 
 
@@ -231,27 +211,6 @@ class ExplicitConfiguration(Configuration):
             (self.space.coord_key(k), v) for k, v in self._window.items())))
 
 
-class ProductConfiguration(Configuration):
-    def __init__(self, space: ProductSpace, components: Sequence[Configuration]):
-        self.space = space
-        self.components = tuple(components)
-
-    def value(self, coord) -> int:
-        slot, inner = coord
-        return self.components[slot].value(inner)
-
-    def window(self) -> dict:
-        out = {}
-        for slot, comp in enumerate(self.components):
-            for k, v in comp.window().items():
-                out[(slot, k)] = v
-        return out
-
-    @property
-    def point_key(self):
-        return ("prod",) + tuple(c.point_key for c in self.components)
-
-
 class RecordingConfiguration(Configuration):
     """Pass-through wrapper that records every coordinate actually read."""
 
@@ -264,9 +223,7 @@ class RecordingConfiguration(Configuration):
         self._key = ("recording", next(self._counter))
 
     def value(self, coord) -> int:
-        c = self.space.index.canonicalize(coord) if not isinstance(self.space, ProductSpace) \
-            else coord
-        self.log.add(c)
+        self.log.add(self.space.index.canonicalize(coord))
         return self.base.value(coord)
 
     def window(self) -> dict:
@@ -277,28 +234,14 @@ class RecordingConfiguration(Configuration):
         return self._key
 
 
-def sample(space, seed: int) -> Configuration:
+def sample(space: Space, seed: int) -> Configuration:
     """Deterministic pseudo-random point of the space for the given seed."""
-    if isinstance(space, ProductSpace):
-        comps = [sample(slot, derive_seed(seed, f"slot/{i}"))
-                 for i, slot in enumerate(space.slots)]
-        return ProductConfiguration(space, comps)
     return SeededConfiguration(space, seed)
 
 
 def sample_stream(space, seed: int, count: int) -> Iterator[Configuration]:
     for i in range(count):
         yield sample(space, derive_seed(seed, f"sample/{i}"))
-
-
-def explicit_from_assignment(space, assignment: Mapping) -> Configuration:
-    if isinstance(space, ProductSpace):
-        per_slot: list[dict] = [dict() for _ in space.slots]
-        for (slot, inner), v in assignment.items():
-            per_slot[slot][inner] = v
-        return ProductConfiguration(
-            space, [ExplicitConfiguration(s, w) for s, w in zip(space.slots, per_slot)])
-    return ExplicitConfiguration(space, assignment)
 
 
 def resample_outside(x: Configuration, coords, seed: int) -> Configuration:
@@ -308,13 +251,6 @@ def resample_outside(x: Configuration, coords, seed: int) -> Configuration:
     take the same value on x and on the resampled configuration.
     """
     space = x.space
-    if isinstance(space, ProductSpace):
-        per_slot: list[dict] = [dict() for _ in space.slots]
-        for (slot, inner) in coords:
-            per_slot[slot][inner] = x.value((slot, inner))
-        comps = [SeededConfiguration(s, derive_seed(seed, f"slot/{i}"), w)
-                 for i, (s, w) in enumerate(zip(space.slots, per_slot))]
-        return ProductConfiguration(space, comps)
     window = {space.index.canonicalize(c): x.value(c) for c in coords}
     return SeededConfiguration(space, seed, window)
 
@@ -380,22 +316,17 @@ class CylinderDistribution:
         return all(q == p for q in self.outcomes.values())
 
 
-def window_slots(space, coords) -> list[tuple[object, int]]:
+def window_slots(space: Space, coords) -> list[tuple[object, int]]:
     """Deterministically ordered (coordinate, alphabet size) slots."""
-    if isinstance(space, ProductSpace):
-        canon = [(slot, space.slots[slot].index.canonicalize(inner))
-                 for slot, inner in coords]
-    else:
-        canon = [space.index.canonicalize(c) for c in coords]
     seen = []
-    for c in canon:
+    for c in map(space.index.canonicalize, coords):
         if c not in seen:
             seen.append(c)
     seen.sort(key=lambda c: space.coord_key(c))
-    return [(c, alphabet_at(space, c).size) for c in seen]
+    return [(c, space.alphabet.size) for c in seen]
 
 
-def enumerate_window(space, coords, budget: int = DEFAULT_BUDGET
+def enumerate_window(space: Space, coords, budget: int = DEFAULT_BUDGET
                      ) -> Iterator[tuple[Configuration, Fraction]]:
     """All configurations of the window under the uniform product measure."""
     slots = window_slots(space, coords)
@@ -407,7 +338,7 @@ def enumerate_window(space, coords, budget: int = DEFAULT_BUDGET
     weight = Fraction(1, total)
     keys = [c for c, _ in slots]
     for values in itertools.product(*[range(size) for _, size in slots]):
-        yield explicit_from_assignment(space, dict(zip(keys, values))), weight
+        yield ExplicitConfiguration(space, dict(zip(keys, values))), weight
 
 
 def exact_distribution(space, variables, window, budget: int = DEFAULT_BUDGET

@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from scipy.stats import chi2
 
 from .spaces import (BudgetExceededError, Configuration, DEFAULT_BUDGET,
-                     ProductSpace, alphabet_at, derive_seed, enumerate_window,
-                     exact_distribution, resample_outside, sample, sample_stream)
+                     derive_seed, enumerate_window, exact_distribution,
+                     resample_outside, sample, sample_stream)
 from .words import Coset, Word
 
 PASS = "pass"
@@ -128,9 +128,9 @@ class WindowFunction:
 
 
 def coordinate_variable(space, coord, name: str | None = None) -> WindowFunction:
-    canon = coord if isinstance(space, ProductSpace) else space.index.canonicalize(coord)
+    canon = space.index.canonicalize(coord)
     label = name or space.coord_key(canon)
-    return WindowFunction(label, (canon,), alphabet_at(space, canon).size,
+    return WindowFunction(label, (canon,), space.alphabet.size,
                           lambda x, c=canon: x.value(c))
 
 
@@ -392,7 +392,7 @@ def selector_independence_exact(x_slots: Sequence[tuple], index_set: Sequence,
 
 
 def selector_independence_on_samples(points: Iterable, selector_of_point: Callable,
-                                     index_space, value_size: int,
+                                     value_size: int,
                                      act: Callable[[object, int], int],
                                      family_names: Sequence[str],
                                      name: str = "selector-independence-sampled",
@@ -446,8 +446,7 @@ class UndeterminedError(RuntimeError):
 def generation_check(space, family: Sequence[WindowFunction], window,
                      reconstructor: Callable | None = None,
                      canonicalize: Callable | None = None,
-                     budget: int = DEFAULT_BUDGET, samples: int = 0,
-                     seed: int | None = None,
+                     budget: int = DEFAULT_BUDGET,
                      name: str = "generation") -> VerificationReport:
     """Finite-window surrogate for sigma-algebra generation.
 
@@ -467,17 +466,9 @@ def generation_check(space, family: Sequence[WindowFunction], window,
         y = canonicalize(x) if canonicalize is not None else x
         return tuple(y.value(c) for c in window)
 
-    if samples:
-        points = list(sample_stream(space, seed or 0, samples))
-        weights = None
-    else:
-        points = None
-
     if reconstructor is not None:
-        iterator = points if points is not None else \
-            (cfg for cfg, _ in enumerate_window(space, window, budget))
         checked = 0
-        for x in iterator:
+        for x, _ in enumerate_window(space, window, budget):
             values = {v.name: v.fn(x) for v in family}
             rebuilt = reconstructor(values)
             expected = compare_target(x)
@@ -485,14 +476,14 @@ def generation_check(space, family: Sequence[WindowFunction], window,
                         else rebuilt[c] for c in window)
             if got != expected:
                 return timed(VerificationReport(
-                    name, "exact", FAIL, seed=seed, notes=note,
+                    name, "exact", FAIL, notes=note,
                     counterexample={"window": {space.coord_key(c): v for c, v in
                                                zip(window, expected)},
                                     "reconstructed": {space.coord_key(c): v for c, v in
                                                       zip(window, got)}}), started)
             checked += 1
         return timed(VerificationReport(
-            name, "exact", PASS, seed=seed, notes=note,
+            name, "exact", PASS, notes=note,
             parameters={"variables": [v.name for v in family], "window": len(window)},
             statistics={"points": checked}), started)
 

@@ -226,25 +226,6 @@ def test_undetermined_scan_reported():
         oracle.apply_power(1, z)
 
 
-def test_diagonal_action_axiom_and_components():
-    from orbitlab.actions import DiagonalAction
-    left = BernoulliShift(F2, Z2)
-    right = twisted_action(2)
-    diag = DiagonalAction(F2, [left, right])
-    window_l = ball(F2, 2)
-    window_r = cosets_ball(F2, "b", 2, parts="b", exponent_bound=2)
-    for x in sample_stream(diag.space, 40, 3):
-        for g in ball(F2, 2)[:9]:
-            for h in ball(F2, 2)[:9]:
-                lhs = diag.apply(g, diag.apply(h, x))
-                rhs = diag.apply(g * h, x)
-                assert agree_on(lhs.components[0], rhs.components[0], window_l)
-                assert agree_on(lhs.components[1], rhs.components[1], window_r)
-        gx = diag.apply(F2.generator("a"), x)
-        assert agree_on(gx.components[0],
-                        left.apply(F2.generator("a"), x.components[0]), window_l)
-
-
 def test_quotient_action_well_defined():
     K = cyclic(3)
     act = BernoulliShift(F2, K)

@@ -121,6 +121,16 @@ def test_undetermined_suite_exits_2(tmp_path):
     assert code == 2
 
 
+def test_budget_overflow_exits_3(tmp_path):
+    for name, states in [("coinduction-characterization", 32), ("theorem-b", 2048)]:
+        stream = io.StringIO()
+        code = run_suite(SUITES / "standard.cfg", tmp_path / name, only=name,
+                         budget_override=10, stream=stream)
+        assert code == 3
+        assert stream.getvalue() == (f"config error at checks[0] ({name}): "
+                                     f"{states} window states exceed budget 10\n")
+
+
 def test_only_filter_and_overrides(tmp_path):
     doc = minimal_config(checks=[{"name": "lemma-indep"},
                                  {"name": "negative-control"}])

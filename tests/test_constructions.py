@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,32 @@ def test_parenthesis_match_involution():
             continue
         back = parenthesis_match(shift.apply(m, z), 1, 128, inverse=True)
         assert back == -m
+
+
+def test_parenthesis_escape_arithmetic():
+    # A forward match escapes radius n exactly when the nesting depth of the
+    # n fair symbols after the origin never drops below zero, which happens
+    # for C(n, n/2) of the 2^n sequences: C(64,32)/2^64 = 9.93% at radius 64.
+    space = IntShift(Z2).space
+    escapes = 0
+    for bits in itertools.product((0, 1), repeat=14):
+        z = ExplicitConfiguration(space, dict(enumerate((0,) + bits)))
+        try:
+            parenthesis_match(z, 1, 14)
+        except UndeterminedError:
+            escapes += 1
+    assert escapes == math.comb(14, 7) == 3432
+    depths = {0: Fraction(1)}
+    for _ in range(64):
+        step: dict = {}
+        for d, p in depths.items():
+            step[d + 1] = step.get(d + 1, 0) + p / 2
+            if d:
+                step[d - 1] = step.get(d - 1, 0) + p / 2
+        depths = step
+    escape = sum(depths.values())
+    assert escape == Fraction(math.comb(64, 32), 2 ** 64)
+    assert round(float(escape), 4) == 0.0993
 
 
 def test_cylinder_measure():

@@ -43,6 +43,6 @@ def _configuration_classes():
 def test_every_concrete_configuration_defines_its_point_key():
     concrete = [cls for cls in _configuration_classes()
                 if cls is not Configuration and "value" in vars(cls)]
-    assert len(concrete) >= 10
+    assert len(concrete) >= 9
     missing = [cls.__qualname__ for cls in concrete if "point_key" not in vars(cls)]
     assert missing == []

@@ -7,7 +7,7 @@ from orbitlab.actions import diagonal_translate, quotient_normalize
 from orbitlab.groups import cyclic, klein_four
 from orbitlab.spaces import (BudgetExceededError, CosetIndex, ExplicitConfiguration,
                              GroupIndex, IntIndex, MissingCoordinateError,
-                             ProductSpace, Space,
+                             Space,
                              derive_seed, enumerate_window,
                              exact_distribution,
                              resample_outside, sample, sample_stream)
@@ -163,17 +163,6 @@ def test_resample_outside_agrees_inside():
     assert all(y.value(c) == x.value(c) for c in coords)
     outside = [g for g in ball(F2, 3) if g not in coords]
     assert any(y.value(g) != x.value(g) for g in outside)
-
-
-def test_product_space_sampling_and_enumeration():
-    sp = ProductSpace([zspace(), f2space(cyclic(3))])
-    x = sample(sp, 4)
-    assert x.value((0, 0)) in (0, 1)
-    assert 0 <= x.value((1, F2.identity())) < 3
-    window = [(0, 0), (1, F2.identity())]
-    states = list(enumerate_window(sp, window))
-    assert len(states) == 6
-    assert sum(w for _, w in states) == 1
 
 
 def test_coset_index_canonicalizes_words():
