@@ -9,15 +9,14 @@ can be summarized by a structural key for caching.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Sequence
 
 from .groups import Alphabet, FiniteGroup, cyclic
 from .spaces import (Configuration, CosetIndex, DEFAULT_BUDGET, GroupIndex,
                      IntIndex, Space, derive_seed, sample_stream)
-from .verify import (FAIL, PASS, UndeterminedError, VerificationReport,
-                     WindowFunction, combine_reports, family_window,
-                     generation_check, independence_exact, timed)
+from .verify import (FAIL, PASS, Check, UndeterminedError, VerificationReport,
+                     WindowFunction, family_window, generation_check,
+                     independence_exact)
 from .words import FinitePart, GroupSpec, Word, omega_transfer, transversal_words
 
 
@@ -520,7 +519,7 @@ def check_coinduced_characterization(
     3. independence: the transversal family has exactly the uniform product
        law.
     """
-    started = time.perf_counter()
+    check = Check("coinduced-characterization")
     spec = action.group_spec
     part = spec.part_index(subgroup) if isinstance(subgroup, str) else subgroup
     tkw = dict(transversal_kwargs or {})
@@ -566,7 +565,6 @@ def check_coinduced_characterization(
     sub3 = independence_exact(action.space, family, window=None, budget=budget,
                               name="transversal-independence", require_uniform=True)
 
-    report = combine_reports(
-        "coinduced-characterization", [sub1, sub2, sub3],
-        parameters={"radius": radius, "transversal_size": len(transversal)})
-    return timed(report, started)
+    return check.combine([sub1, sub2, sub3],
+                         parameters={"radius": radius,
+                                     "transversal_size": len(transversal)})

@@ -3,9 +3,11 @@ suites, write one structured report per check plus a summary.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 undetermined outcomes
 (and no failures), 3 malformed config or a window over the enumeration
-budget.  Reports are deterministic functions of (config, seeds); wall-clock
-data lives in a separate `timing` section so payloads compare
-byte-identically across runs.
+budget, with one message naming the field.  Report files are
+`NN-<check>.json`, NN being the check's index in the config's `checks`
+(also under --only).  Reports are deterministic functions of (config,
+seeds); wall-clock data lives in a separate `timing` section so payloads
+compare byte-identically across runs.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ class SuiteContext:
 
 
 def _build_group(name: str, doc: dict) -> FiniteGroup:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"groups.{name}", "a group must be an object")
     kind = doc.get("kind")
     if kind == "cyclic":
         if "order" not in doc:
@@ -440,6 +444,13 @@ def _run_negative_control(ctx: SuiteContext, params: dict) -> VerificationReport
 # -- config parsing and the suite runner ------------------------------------------
 
 
+def _number(document: dict, key: str, kind: type, default):
+    try:
+        return kind(document.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(key, f"expected a number, got {document[key]!r}") from None
+
+
 def parse_config(document: dict) -> tuple[SuiteContext, list]:
     if not isinstance(document, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -450,23 +461,31 @@ def parse_config(document: dict) -> tuple[SuiteContext, list]:
         raise ConfigError("seed", "an integer seed is mandatory")
     ctx = SuiteContext(
         seed=document["seed"],
-        samples=int(document.get("samples", 100)),
-        budget=int(document.get("budget", DEFAULT_BUDGET)),
-        quantile=float(document.get("quantile", 0.999)),
-        scan_radius=int(document.get("scan_radius", 64)))
-    for name, doc in document.get("groups", {}).items():
+        samples=_number(document, "samples", int, 100),
+        budget=_number(document, "budget", int, DEFAULT_BUDGET),
+        quantile=_number(document, "quantile", float, 0.999),
+        scan_radius=_number(document, "scan_radius", int, 64))
+    groups = document.get("groups", {})
+    if not isinstance(groups, dict):
+        raise ConfigError("groups", "groups must be an object")
+    for name, doc in groups.items():
         ctx.groups[name] = _build_group(name, doc)
     checks = document.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ConfigError("checks", "a nonempty list of checks is required")
     resolved = []
     for i, entry in enumerate(checks):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"checks[{i}]", "a check must be an object")
         name = entry.get("name")
-        if name not in REGISTRY:
+        if not isinstance(name, str) or name not in REGISTRY:
             raise ConfigError(f"checks[{i}].name", f"unknown check {name!r}")
         spec = REGISTRY[name]
         params = dict(spec.params)
-        for key, value in entry.get("params", {}).items():
+        overrides = entry.get("params", {})
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"checks[{i}].params", "params must be an object")
+        for key, value in overrides.items():
             if key not in spec.params:
                 raise ConfigError(f"checks[{i}].params.{key}",
                                   f"unknown parameter for check {name!r}")
@@ -509,15 +528,16 @@ def run_suite(config_path, out_dir, only: str | None = None,
             ctx.seed = seed_override
         if budget_override is not None:
             ctx.budget = budget_override
-        if only is not None:
-            checks = [(spec, params) for spec, params in checks if spec.name == only]
-            if not checks:
-                raise ConfigError("checks", f"--only {only!r} matches no check")
+        # i is the check's index in the config, also under --only
+        selected = [(i, spec, params) for i, (spec, params) in enumerate(checks)
+                    if only is None or spec.name == only]
+        if not selected:
+            raise ConfigError("checks", f"--only {only!r} matches no check")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         summary_checks = []
         verdicts = []
-        for i, (spec, params) in enumerate(checks):
+        for i, spec, params in selected:
             started = time.perf_counter()
             try:
                 report = spec.runner(ctx, params)

@@ -11,13 +11,12 @@ trust anchor for well-definedness of a generator table.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .groups import FiniteGroup
-from .verify import (FAIL, PASS, UNDETERMINED, UndeterminedError,
-                     VerificationReport, timed)
+from .verify import (PASS, UNDETERMINED, Check, UndeterminedError,
+                     VerificationReport)
 from .words import GroupSpec, Word
 
 
@@ -246,7 +245,7 @@ def verify_identity(c: Cocycle, pairs: Iterable[tuple[Word, Word]],
     Undetermined oracle scans are counted and downgrade the verdict instead
     of failing it; the first genuine mismatch is reported verbatim.
     """
-    started = time.perf_counter()
+    check = Check(name or f"{c.name}-identity")
     pairs = list(pairs)
     checked = undetermined = 0
     for x in points:
@@ -260,19 +259,16 @@ def verify_identity(c: Cocycle, pairs: Iterable[tuple[Word, Word]],
                 undetermined += 1
                 continue
             if lhs != rhs:
-                return timed(VerificationReport(
-                    name or f"{c.name}-identity", "exact", FAIL,
+                return check.fail(
                     statistics={"checked": checked},
                     counterexample={"g": g, "h": h,
                                     "point": str(getattr(x, "point_key", x)),
                                     "lhs": c.target.describe(lhs),
-                                    "rhs": c.target.describe(rhs)}), started)
+                                    "rhs": c.target.describe(rhs)})
             checked += 1
-    verdict = PASS if undetermined == 0 else UNDETERMINED
-    return timed(VerificationReport(
-        name or f"{c.name}-identity", "exact", verdict,
-        parameters={"pairs": len(pairs)},
-        statistics={"checked": checked, "undetermined": undetermined}), started)
+    return check.report(PASS if undetermined == 0 else UNDETERMINED,
+                        parameters={"pairs": len(pairs)},
+                        statistics={"checked": checked, "undetermined": undetermined})
 
 
 def verify_inverse_pair(forward: Cocycle, backward: Cocycle, words: Iterable[Word],
@@ -280,7 +276,7 @@ def verify_inverse_pair(forward: Cocycle, backward: Cocycle, words: Iterable[Wor
                         name: str = "inverse-pair") -> VerificationReport:
     """Check backward(forward(g, x), x) = g, and length preservation when a
     pair of length functions (source_length, target_length) is supplied."""
-    started = time.perf_counter()
+    check = Check(name)
     words = list(words)
     checked = undetermined = 0
     for x in points:
@@ -294,24 +290,21 @@ def verify_inverse_pair(forward: Cocycle, backward: Cocycle, words: Iterable[Wor
                 undetermined += 1
                 continue
             if back != g:
-                return timed(VerificationReport(
-                    name, "exact", FAIL,
+                return check.fail(
                     statistics={"checked": checked},
                     counterexample={"g": g, "forward": w, "back": back,
-                                    "point": str(getattr(x, "point_key", x))}), started)
+                                    "point": str(getattr(x, "point_key", x))})
             if lengths is not None:
                 src_len, tgt_len = lengths
                 if tgt_len(w) != src_len(g):
-                    return timed(VerificationReport(
-                        name, "exact", FAIL,
+                    return check.fail(
                         statistics={"checked": checked},
                         notes=("length preservation violated",),
                         counterexample={"g": g, "forward": w,
                                         "source_length": src_len(g),
-                                        "target_length": tgt_len(w)}), started)
+                                        "target_length": tgt_len(w)})
             checked += 1
-    verdict = PASS if undetermined == 0 else UNDETERMINED
-    return timed(VerificationReport(
-        name, "exact", verdict,
+    return check.report(
+        PASS if undetermined == 0 else UNDETERMINED,
         parameters={"words": len(words), "length_check": lengths is not None},
-        statistics={"checked": checked, "undetermined": undetermined}), started)
+        statistics={"checked": checked, "undetermined": undetermined})

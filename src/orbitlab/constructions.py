@@ -13,7 +13,6 @@ as explicit outcomes.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -28,10 +27,9 @@ from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
                      GroupIndex, RecordingConfiguration, SeededConfiguration,
                      Space, agree_on, derive_seed, exact_distribution, sample,
                      sample_stream)
-from .verify import (FAIL, PASS, UNDETERMINED, UndeterminedError,
-                     VerificationReport, WindowFunction, combine_reports,
-                     homogeneity_mc, independence_exact,
-                     selector_independence_on_samples, timed)
+from .verify import (FAIL, PASS, UNDETERMINED, Check, UndeterminedError,
+                     VerificationReport, WindowFunction, homogeneity_mc,
+                     independence_exact, selector_independence_on_samples)
 from .words import (Coset, GroupSpec, Word, ball, coset, cosets_ball,
                     extension_sphere, free_group, free_product, transversal_words)
 
@@ -133,7 +131,7 @@ def increment_family(spec: GroupSpec, K: FiniteGroup, radius: int
 def increment_equivariance_report(spec: GroupSpec, K: FiniteGroup, radius: int,
                                   samples: int, seed: int) -> VerificationReport:
     """theta(h.x)_g = theta(x)_{gh}, exactly, over the output window."""
-    started = time.perf_counter()
+    check = Check("increment-equivariance", seed=seed)
     shift = BernoulliShift(spec, K)
     power = direct_power(K, len(spec.parts))
     window = ball(spec, radius)
@@ -145,21 +143,18 @@ def increment_equivariance_report(spec: GroupSpec, K: FiniteGroup, radius: int,
             vh = edge_increments(shift.apply(h, x), power)
             for g in window:
                 if vh.value(g) != v.value(g * h):
-                    return timed(VerificationReport(
-                        "increment-equivariance", "exact", FAIL, seed=seed,
-                        counterexample={"h": h, "g": g}), started)
+                    return check.fail(counterexample={"h": h, "g": g})
                 checked += 1
-    return timed(VerificationReport(
-        "increment-equivariance", "exact", PASS, seed=seed,
-        parameters={"radius": radius, "samples": samples, "shifts": len(words)},
-        statistics={"comparisons": checked}), started)
+    return check.report(
+        PASS, parameters={"radius": radius, "samples": samples, "shifts": len(words)},
+        statistics={"comparisons": checked})
 
 
 def increment_roundtrip_report(spec: GroupSpec, K: FiniteGroup, radius: int,
                                samples: int, seed: int) -> VerificationReport:
     """integrate(increments(x)) equals the diagonal-orbit representative of
     x on the radius ball, and increments(integrate(v)) returns v."""
-    started = time.perf_counter()
+    check = Check("increment-roundtrip", seed=seed)
     shift = BernoulliShift(spec, K)
     power = direct_power(K, len(spec.parts))
     window = ball(spec, radius)
@@ -169,20 +164,14 @@ def increment_roundtrip_report(spec: GroupSpec, K: FiniteGroup, radius: int,
         rebuilt = integrate_increments(edge_increments(x, power), radius)
         normalized = quotient_normalize(x, e)
         if not agree_on(rebuilt, normalized, window):
-            return timed(VerificationReport(
-                "increment-roundtrip", "exact", FAIL, seed=seed,
-                notes=("integrate(increments(x)) != normalized x",)), started)
+            return check.fail(notes=("integrate(increments(x)) != normalized x",))
     vspace = Space(shift.space.index, power)
     for v in sample_stream(vspace, derive_seed(seed, "v"), samples):
         x = integrate_increments(v, radius)
         v2 = edge_increments(x, power)
         if not agree_on(v2, v, inner_window):
-            return timed(VerificationReport(
-                "increment-roundtrip", "exact", FAIL, seed=seed,
-                notes=("increments(integrate(v)) != v",)), started)
-    return timed(VerificationReport(
-        "increment-roundtrip", "exact", PASS, seed=seed,
-        parameters={"radius": radius, "samples": samples}), started)
+            return check.fail(notes=("increments(integrate(v)) != v",))
+    return check.report(PASS, parameters={"radius": radius, "samples": samples})
 
 
 def increment_grouped_reports(spec: GroupSpec, K: FiniteGroup, radius: int,
@@ -268,7 +257,7 @@ def restriction_consequence_report(setting: FactorSetting, radius: int,
     """The restricted increments of a shifted configuration read off the
     original coordinates: theta_lambda of (g.x) equals x_{Gamma g}^-1
     x_{Gamma lambda g}, exactly."""
-    started = time.perf_counter()
+    check = Check("restriction-consequence", seed=seed)
     sp, K = setting.spec, setting.K
     words = ball(sp, radius, parts=setting.gamma_group.label, mode="syllables")
     checked = 0
@@ -282,21 +271,17 @@ def restriction_consequence_report(setting: FactorSetting, radius: int,
                 expected = K.mul(K.inv(x.value(coset(sp, setting.gamma, g))),
                                  x.value(coset(sp, setting.gamma, lam_word * g)))
                 if got != expected:
-                    return timed(VerificationReport(
-                        "restriction-consequence", "exact", FAIL, seed=seed,
-                        counterexample={"g": g, "lambda": lam_word}), started)
+                    return check.fail(counterexample={"g": g, "lambda": lam_word})
                 checked += 1
-    return timed(VerificationReport(
-        "restriction-consequence", "exact", PASS, seed=seed,
-        parameters={"radius": radius, "samples": samples},
-        statistics={"identities": checked}), started)
+    return check.report(PASS, parameters={"radius": radius, "samples": samples},
+                        statistics={"identities": checked})
 
 
 def restriction_equivariance_report(setting: FactorSetting, samples: int,
                                     seed: int) -> VerificationReport:
     """The restriction intertwines the subgroup translation and the diagonal
     K-translation with their actions on the restricted configuration."""
-    started = time.perf_counter()
+    check = Check("restriction-equivariance", seed=seed)
     sp, K = setting.spec, setting.K
     lam_all = list(range(setting.lam_group.size))
     for x in sample_stream(setting.shift.space, seed, samples):
@@ -308,21 +293,15 @@ def restriction_equivariance_report(setting: FactorSetting, samples: int,
             iw = lw.syllables[0][2]
             for mu in lam_all:
                 if shifted[mu] != values[setting.lam_group.mul(mu, iw)]:
-                    return timed(VerificationReport(
-                        "restriction-equivariance", "exact", FAIL, seed=seed,
-                        counterexample={"lambda": lw, "mu": setting.lam_group.names[mu]}),
-                        started)
+                    return check.fail(counterexample={"lambda": lw,
+                                                      "mu": setting.lam_group.names[mu]})
         for k in range(K.size):
             kx = value_twist(x, left_translation_action(K).perms[k])
             kvalues, _ = factor_restriction(kx, setting.gamma, setting.lam_group,
                                             setting.lam)
             if any(kvalues[mu] != K.mul(k, values[mu]) for mu in lam_all):
-                return timed(VerificationReport(
-                    "restriction-equivariance", "exact", FAIL, seed=seed,
-                    counterexample={"k": K.names[k]}), started)
-    return timed(VerificationReport(
-        "restriction-equivariance", "exact", PASS, seed=seed,
-        parameters={"samples": samples}), started)
+                return check.fail(counterexample={"k": K.names[k]})
+    return check.report(PASS, parameters={"samples": samples})
 
 
 def restriction_family(setting: FactorSetting, radius: int) -> list[WindowFunction]:
@@ -628,7 +607,7 @@ class StarAction(Action):
 def star_relation_report(star: StarAction, radius: int, samples: int,
                          seed: int) -> VerificationReport:
     """g * y = omega(g, y) . y on sampled points, compared on a coset window."""
-    started = time.perf_counter()
+    check = Check("star-relation", seed=seed)
     om = star.omega()
     words = ball(star.spec0, radius, mode="syllables")
     window = cosets_ball(star.spec1, star.lam1, radius + 1,
@@ -639,13 +618,9 @@ def star_relation_report(star: StarAction, radius: int, samples: int,
             left = star.apply(g, y)
             right = star.apply_pair(om.evaluate(g, y, cache), y)
             if not agree_on(left, right, window):
-                return timed(VerificationReport(
-                    "star-relation", "exact", FAIL, seed=seed,
-                    counterexample={"g": g}), started)
-    return timed(VerificationReport(
-        "star-relation", "exact", PASS, seed=seed,
-        parameters={"radius": radius, "samples": samples,
-                    "words": len(words), "window": len(window)}), started)
+                return check.fail(counterexample={"g": g})
+    return check.report(PASS, parameters={"radius": radius, "samples": samples,
+                                          "words": len(words), "window": len(window)})
 
 
 def star_orbit_report(star: StarAction, radius: int, samples: int,
@@ -653,7 +628,7 @@ def star_orbit_report(star: StarAction, radius: int, samples: int,
     """Both orbit inclusions on the K-quotient, witnessed by the explicit
     cocycles: the star orbit of the class of y lies in the dot orbit and
     conversely."""
-    started = time.perf_counter()
+    check = Check("star-orbit-inclusions", seed=seed)
     om, omp = star.omega(), star.omega_prime()
     words0 = ball(star.spec0, radius, mode="syllables")
     words1 = ball(star.spec1, radius, mode="syllables")
@@ -665,19 +640,13 @@ def star_orbit_report(star: StarAction, radius: int, samples: int,
             w, _ = om.evaluate(g, y)
             if not agree_on(normalize(star.apply(g, y)),
                             normalize(star.dot.apply(w, y)), window):
-                return timed(VerificationReport(
-                    "star-orbit-inclusions", "exact", FAIL, seed=seed,
-                    counterexample={"direction": "star into dot", "g": g}), started)
+                return check.fail(counterexample={"direction": "star into dot", "g": g})
         for h in words1:
             w, _ = omp.evaluate(h, y)
             if not agree_on(normalize(star.dot.apply(h, y)),
                             normalize(star.apply(w, y)), window):
-                return timed(VerificationReport(
-                    "star-orbit-inclusions", "exact", FAIL, seed=seed,
-                    counterexample={"direction": "dot into star", "h": h}), started)
-    return timed(VerificationReport(
-        "star-orbit-inclusions", "exact", PASS, seed=seed,
-        parameters={"radius": radius, "samples": samples}), started)
+                return check.fail(counterexample={"direction": "dot into star", "h": h})
+    return check.report(PASS, parameters={"radius": radius, "samples": samples})
 
 
 def star_injectivity_report(star: StarAction, max_grade: int, samples: int,
@@ -685,7 +654,7 @@ def star_injectivity_report(star: StarAction, max_grade: int, samples: int,
     """For each sample, the word part of the cocycle maps the graded
     transversal slices injectively into the corresponding slices of the
     target group (gamma-letter grade and leading-letter side preserved)."""
-    started = time.perf_counter()
+    check = Check("star-transversal-injectivity", seed=seed)
     om = star.omega()
     gname = star.gamma_group.label
     for y in sample_stream(star.space, seed, samples):
@@ -698,24 +667,18 @@ def star_injectivity_report(star: StarAction, max_grade: int, samples: int,
             for g in slice_n:
                 w, _ = om.evaluate(g, y, cache)
                 if w.length(gname, "syllables") != n or w.first_part() != star.gamma1:
-                    return timed(VerificationReport(
-                        "star-transversal-injectivity", "exact", FAIL, seed=seed,
-                        counterexample={"g": g, "image": w, "grade": n}), started)
+                    return check.fail(counterexample={"g": g, "image": w, "grade": n})
                 images.append(w)
             if len(set(images)) != len(images):
-                return timed(VerificationReport(
-                    "star-transversal-injectivity", "exact", FAIL, seed=seed,
-                    counterexample={"grade": n,
-                                    "images": [w.tokens() for w in images]}), started)
-    return timed(VerificationReport(
-        "star-transversal-injectivity", "exact", PASS, seed=seed,
-        parameters={"max_grade": max_grade, "samples": samples}), started)
+                return check.fail(counterexample={"grade": n,
+                                                  "images": [w.tokens() for w in images]})
+    return check.report(PASS, parameters={"max_grade": max_grade, "samples": samples})
 
 
 def star_conjugation_report(star: StarAction) -> VerificationReport:
     """The transport cocycle conjugates under the commuting translation:
     eta(l0, k.v) = k eta(l0, v) k^-1, exhaustively over the inner set."""
-    started = time.perf_counter()
+    check = Check("transport-conjugation")
     sys_ = star.system
     for l0 in range(sys_.lam0.size):
         for v in range(sys_.alphabet.size):
@@ -724,15 +687,11 @@ def star_conjugation_report(star: StarAction) -> VerificationReport:
                 l1_t, kv_t = star.eta[(l0, sys_.actk.act(k, v))]
                 expected = sys_.K.mul(k, sys_.K.mul(kv, sys_.K.inv(k)))
                 if (l1_t, kv_t) != (l1, expected):
-                    return timed(VerificationReport(
-                        "transport-conjugation", "exact", FAIL,
-                        counterexample={"l0": sys_.lam0.names[l0],
-                                        "point": sys_.alphabet.names[v],
-                                        "k": sys_.K.names[k]}), started)
-    return timed(VerificationReport(
-        "transport-conjugation", "exact", PASS,
-        statistics={"triples": sys_.lam0.size * sys_.alphabet.size * sys_.K.size}),
-        started)
+                    return check.fail(counterexample={"l0": sys_.lam0.names[l0],
+                                                      "point": sys_.alphabet.names[v],
+                                                      "k": sys_.K.names[k]})
+    return check.report(
+        PASS, statistics={"triples": sys_.lam0.size * sys_.alphabet.size * sys_.K.size})
 
 
 # ===========================================================================
@@ -1028,14 +987,13 @@ def build_cylinder_oe(kappa: int, scan_radius: int = 64) -> StableOE:
 
 def cylinder_measure_report(system: CylinderAction) -> VerificationReport:
     """The inducing cylinder has exact measure 1/kappa."""
-    started = time.perf_counter()
+    check = Check("cylinder-measure")
     dist = exact_distribution(system.space, [lambda x: x.value(system.base)],
                               [system.base])
     p = dist.probability((0,))
     expected = Fraction(1, system.kappa)
-    return timed(VerificationReport(
-        "cylinder-measure", "exact", PASS if p == expected else FAIL,
-        statistics={"measure": p, "expected": expected}), started)
+    return check.report(PASS if p == expected else FAIL,
+                        statistics={"measure": p, "expected": expected})
 
 
 def match_determinacy_report(kappa: int, scan_radius: int, samples: int,
@@ -1044,7 +1002,7 @@ def match_determinacy_report(kappa: int, scan_radius: int, samples: int,
     """Frequency of unresolved forward matches at the configured radius over
     sampled cylinder points, gated at the threshold.  The same frequency at
     a larger context radius is reported alongside."""
-    started = time.perf_counter()
+    check = Check("match-determinacy", "monte-carlo", seed)
     space = IntShift(cyclic(kappa)).space
     unresolved = unresolved_context = 0
     for i in range(samples):
@@ -1060,16 +1018,14 @@ def match_determinacy_report(kappa: int, scan_radius: int, samples: int,
                 unresolved_context += 1
     total = samples * (kappa - 1)
     freq = Fraction(unresolved, total)
-    return timed(VerificationReport(
-        "match-determinacy", "monte-carlo",
+    return check.report(
         PASS if freq < threshold else FAIL,
         parameters={"scan_radius": scan_radius, "samples": samples,
                     "threshold": threshold},
         statistics={"unresolved_frequency": freq,
                     "unresolved": unresolved,
                     "context_radius": context_radius,
-                    "context_frequency": Fraction(unresolved_context, total)},
-        seed=seed), started)
+                    "context_frequency": Fraction(unresolved_context, total)})
 
 
 def match_measure_report(kappa: int, scan_radius: int, samples: int, seed: int,
@@ -1083,7 +1039,7 @@ def match_measure_report(kappa: int, scan_radius: int, samples: int, seed: int,
     cylinder conditioned on backward resolution; the two samples are
     compared by a two-sample chi-square gate.
     """
-    started = time.perf_counter()
+    check = Check("match-measure-preservation")
     shift = IntShift(cyclic(kappa))
     space = shift.space
     coords = [-2, -1, 1, 2]
@@ -1122,9 +1078,7 @@ def match_measure_report(kappa: int, scan_radius: int, samples: int, seed: int,
         rep.statistics["unresolved_forward"] = skipped
         rep.statistics["unresolved_backward"] = skipped_ref
         reports.append(rep)
-    return timed(combine_reports("match-measure-preservation", reports,
-                                 parameters={"coords": coords, "samples": samples}),
-                 started)
+    return check.combine(reports, parameters={"coords": coords, "samples": samples})
 
 
 def dependency_radius_report(system: CylinderAction, max_grade: int, samples: int,
@@ -1133,7 +1087,7 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
     cosets actually read while evaluating omega(g, .) have b-grade at most
     the b-grade of g, and a-offsets bounded by 2 * letters(g) * scan radius
     (each b-letter chains two matcher scans, each a-letter one return scan)."""
-    started = time.perf_counter()
+    check = Check("cocycle-dependency-radius", seed=seed)
     om = system.omega()
     words = [w for w in ball(system.spec_up, max_grade, parts=system.b_parts,
                              exponent_bound=exponent_bound)
@@ -1157,20 +1111,16 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
                 a_read = c.rep.length("a")
                 worst = max(worst, a_read)
                 if b_read > grade or a_read > budget:
-                    return timed(VerificationReport(
-                        "cocycle-dependency-radius", "exact", FAIL, seed=seed,
-                        counterexample={"g": g, "coset": c.rep,
-                                        "b_grade": b_read, "a_offset": a_read,
-                                        "allowed_grade": grade,
-                                        "allowed_offset": budget}), started)
+                    return check.fail(counterexample={
+                        "g": g, "coset": c.rep, "b_grade": b_read, "a_offset": a_read,
+                        "allowed_grade": grade, "allowed_offset": budget})
             checked += 1
-    verdict = PASS if undetermined == 0 else UNDETERMINED
-    return timed(VerificationReport(
-        "cocycle-dependency-radius", "exact", verdict, seed=seed,
+    return check.report(
+        PASS if undetermined == 0 else UNDETERMINED,
         parameters={"max_grade": max_grade, "samples": samples,
                     "scan_radius": system.scan_radius},
         statistics={"checked": checked, "undetermined": undetermined,
-                    "max_a_offset_seen": worst}), started)
+                    "max_a_offset_seen": worst})
 
 
 def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
@@ -1178,7 +1128,7 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
                            exponent_bound: int = 1) -> VerificationReport:
     """The fresh-coordinate cosets a^m (b^eps phi omega) of grade n+1 are
     pairwise distinct across (i, eps, g, m) and sit strictly above grade n."""
-    started = time.perf_counter()
+    check = Check("fresh-coset-grades", seed=seed)
     om = system.omega()
     checked = undetermined = 0
     for s in range(samples):
@@ -1199,40 +1149,32 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
                             undetermined += 1
                             continue
                         if system.b_length_down(wit) != n + 1:
-                            return timed(VerificationReport(
-                                "fresh-coset-grades", "exact", FAIL, seed=seed,
-                                counterexample={"witness": wit, "grade": n}), started)
+                            return check.fail(counterexample={"witness": wit, "grade": n})
                         first = wit.syllables[0]
                         if first[1] != system.f2.part_index("b") or \
                                 (1 if first[2] > 0 else -1) != eps:
-                            return timed(VerificationReport(
-                                "fresh-coset-grades", "exact", FAIL, seed=seed,
+                            return check.fail(
                                 notes=("leading letter of the witness is wrong",),
-                                counterexample={"witness": wit, "eps": eps}), started)
+                                counterexample={"witness": wit, "eps": eps})
                         for m in offsets:
                             c = coset(system.f2, "b", system.a0 ** m * wit)
                             if c.rep.length("b") != n + 1:
-                                return timed(VerificationReport(
-                                    "fresh-coset-grades", "exact", FAIL, seed=seed,
-                                    counterexample={"coset": c.rep, "grade": n}),
-                                    started)
+                                return check.fail(counterexample={"coset": c.rep,
+                                                                  "grade": n})
                             key = c
                             if key in seen:
-                                return timed(VerificationReport(
-                                    "fresh-coset-grades", "exact", FAIL, seed=seed,
+                                return check.fail(
                                     notes=("coset collision",),
                                     counterexample={"coset": c.rep,
                                                     "first": seen[key],
-                                                    "second": (i, eps, g.tokens(), m)}),
-                                    started)
+                                                    "second": (i, eps, g.tokens(), m)})
                             seen[key] = (i, eps, g.tokens(), m)
                             checked += 1
-    verdict = PASS if undetermined == 0 else UNDETERMINED
-    return timed(VerificationReport(
-        "fresh-coset-grades", "exact", verdict, seed=seed,
+    return check.report(
+        PASS if undetermined == 0 else UNDETERMINED,
         parameters={"max_grade": max_grade, "samples": samples,
                     "offsets": list(offsets)},
-        statistics={"checked": checked, "undetermined": undetermined}), started)
+        statistics={"checked": checked, "undetermined": undetermined})
 
 
 # ===========================================================================
@@ -1263,7 +1205,7 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
     """The enumeration family phi_i(lam * x) omega(lam, x) has no repetitions
     across (i, lambda) at sampled points (finite truncation of the
     exhaustive-enumeration property)."""
-    started = time.perf_counter()
+    check = Check("extension-address-distinctness", seed=seed)
     system = soe.system
     checked = undetermined = 0
     for s in range(samples):
@@ -1277,21 +1219,17 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
                     w = soe.forward.target.word_part(soe.forward.evaluate(lam, x, cache))
                     address = soe.partition_word(i, lx) * w
                     if address in seen:
-                        return timed(VerificationReport(
-                            "extension-address-distinctness", "exact", FAIL,
-                            seed=seed,
-                            counterexample={"address": address,
-                                            "first": seen[address],
-                                            "second": (i, lam.tokens())}), started)
+                        return check.fail(counterexample={"address": address,
+                                                          "first": seen[address],
+                                                          "second": (i, lam.tokens())})
                     seen[address] = (i, lam.tokens())
                     checked += 1
         except UndeterminedError:
             undetermined += 1
-    verdict = PASS if undetermined == 0 else UNDETERMINED
-    return timed(VerificationReport(
-        "extension-address-distinctness", "exact", verdict, seed=seed,
+    return check.report(
+        PASS if undetermined == 0 else UNDETERMINED,
         parameters={"lambdas": len(lam_words), "samples": samples},
-        statistics={"checked": checked, "undetermined_points": undetermined}), started)
+        statistics={"checked": checked, "undetermined_points": undetermined})
 
 
 def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
@@ -1301,7 +1239,7 @@ def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
     omega(lam, x) . y) is an action: the composition law holds exactly on
     sampled points (equivalently, the extension cocycle satisfies the
     cocycle identity)."""
-    started = time.perf_counter()
+    check = Check("extension-action", seed=seed)
     system = soe.system
     down_spec = soe.forward.target.spec
     bern = BernoulliShift(down_spec, y_alphabet)
@@ -1327,15 +1265,11 @@ def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
                     undetermined += 1
                     continue
                 if not agree_on(x2, x12, x_window) or not agree_on(y2, y12, window):
-                    return timed(VerificationReport(
-                        "extension-action", "exact", FAIL, seed=seed,
-                        counterexample={"first": l1, "second": l2}), started)
+                    return check.fail(counterexample={"first": l1, "second": l2})
                 checked += 1
-    verdict = PASS if undetermined == 0 else UNDETERMINED
-    return timed(VerificationReport(
-        "extension-action", "exact", verdict, seed=seed,
-        parameters={"words": len(words), "samples": samples},
-        statistics={"checked": checked, "undetermined": undetermined}), started)
+    return check.report(PASS if undetermined == 0 else UNDETERMINED,
+                        parameters={"words": len(words), "samples": samples},
+                        statistics={"checked": checked, "undetermined": undetermined})
 
 
 def extension_independence_report(soe: StableOE, pairs: Sequence[tuple],
@@ -1382,13 +1316,11 @@ def orbit_section(K: FiniteGroup, action: FiniteGroupAlphabetAction
 def section_report(K: FiniteGroup, action: FiniteGroupAlphabetAction
                    ) -> VerificationReport:
     """Bijectivity, equivariance and exact measure transport of the section."""
-    started = time.perf_counter()
+    check = Check("orbit-section")
     try:
         reps, theta = orbit_section(K, action)
     except ValueError as err:
-        return timed(VerificationReport(
-            "orbit-section", "exact", FAIL,
-            counterexample={"reason": str(err)}), started)
+        return check.fail(counterexample={"reason": str(err)})
     size = action.alphabet.size
     checks = []
     image = sorted(theta.values())
@@ -1410,9 +1342,7 @@ def section_report(K: FiniteGroup, action: FiniteGroupAlphabetAction
     checks.append(VerificationReport(
         "section-pushforward", "exact", PASS if uniform else FAIL,
         statistics={"cell_mass": cell}))
-    return timed(combine_reports("orbit-section", checks,
-                                 parameters={"group": K.label, "points": size}),
-                 started)
+    return check.combine(checks, parameters={"group": K.label, "points": size})
 
 
 def free_action_on_cosets(K: FiniteGroup, copies: int) -> FiniteGroupAlphabetAction:

@@ -290,12 +290,6 @@ class CylinderDistribution:
             prod[outcome] = p
         return prod
 
-    def is_product_of_marginals(self) -> bool:
-        prod = self.product_of_marginals()
-        keys = set(prod) | set(self.outcomes)
-        return all(prod.get(k, Fraction(0)) == self.outcomes.get(k, Fraction(0))
-                   for k in keys)
-
     def worst_product_deviation(self) -> tuple[Fraction, tuple | None]:
         prod = self.product_of_marginals()
         keys = set(prod) | set(self.outcomes)

@@ -105,9 +105,33 @@ def combine_reports(name: str, subreports: Sequence[VerificationReport],
         notes=notes, subreports=tuple(subreports))
 
 
-def timed(report: VerificationReport, started: float) -> VerificationReport:
-    report.runtime_s = time.perf_counter() - started
-    return report
+class Check:
+    """One running check: its name, mode and seed, stated once, and its clock.
+
+    The clock starts when the check is built; every report the check
+    returns carries the seconds since then in `runtime_s`.
+    """
+
+    def __init__(self, name: str, mode: str = "exact", seed: int | None = None):
+        self.name = name
+        self.mode = mode
+        self.seed = seed
+        self.started = time.perf_counter()
+
+    def report(self, verdict: str, **fields) -> VerificationReport:
+        return VerificationReport(self.name, self.mode, verdict, seed=self.seed,
+                                  runtime_s=time.perf_counter() - self.started,
+                                  **fields)
+
+    def fail(self, **fields) -> VerificationReport:
+        return self.report(FAIL, **fields)
+
+    def combine(self, subreports: Sequence[VerificationReport],
+                parameters: dict | None = None) -> VerificationReport:
+        """The composite report over the subreports, under this check's name."""
+        report = combine_reports(self.name, subreports, parameters)
+        report.runtime_s = time.perf_counter() - self.started
+        return report
 
 
 # -- variable families --------------------------------------------------------
@@ -147,18 +171,15 @@ def soundness_spotcheck(family: Sequence[WindowFunction], space, seed: int,
                         trials: int = 10) -> VerificationReport:
     """Spot-check that each declared dependency window is sound: the value
     must not move when everything outside the window is resampled."""
-    started = time.perf_counter()
+    check = Check("window-soundness", seed=seed)
     for i in range(trials):
         x = sample(space, derive_seed(seed, f"sound/{i}"))
         for v in family:
             y = resample_outside(x, v.coords, derive_seed(seed, f"sound/{i}/fresh"))
             if v.fn(x) != v.fn(y):
-                return timed(VerificationReport(
-                    "window-soundness", "exact", FAIL,
-                    parameters={"trials": trials}, seed=seed,
-                    counterexample={"variable": v.name, "trial": i}), started)
-    return timed(VerificationReport("window-soundness", "exact", PASS,
-                                    parameters={"trials": trials}, seed=seed), started)
+                return check.fail(parameters={"trials": trials},
+                                  counterexample={"variable": v.name, "trial": i})
+    return check.report(PASS, parameters={"trials": trials})
 
 
 # -- exact independence -------------------------------------------------------
@@ -172,7 +193,7 @@ def independence_exact(space, family: Sequence[WindowFunction], window=None,
     With require_uniform, additionally demand that the joint law is the
     uniform distribution on the full product of the declared supports.
     """
-    started = time.perf_counter()
+    check = Check(name)
     window = list(window) if window is not None else family_window(family)
     dist = exact_distribution(space, family, window, budget)
     stats: dict = {"window": len(window), "states": dist.state_count,
@@ -186,10 +207,9 @@ def independence_exact(space, family: Sequence[WindowFunction], window=None,
         if not dist.is_uniform([v.support for v in family]):
             verdict = FAIL
             counter = {"reason": "joint law is not the uniform product"}
-    return timed(VerificationReport(
-        name, "exact", verdict,
-        parameters={"variables": [v.name for v in family], "budget": budget},
-        statistics=stats, counterexample=counter), started)
+    return check.report(
+        verdict, parameters={"variables": [v.name for v in family], "budget": budget},
+        statistics=stats, counterexample=counter)
 
 
 # -- Monte-Carlo independence -------------------------------------------------
@@ -227,31 +247,35 @@ def _chi_square_independence(counts: Mapping[tuple, int], total: int):
     return stat, dof
 
 
+def _chi_square_gate(check: Check, stat: float, dof: int, quantile: float,
+                     samples, **parameters) -> VerificationReport:
+    """Pass iff the statistic is at most the chi-square quantile for dof."""
+    threshold = chi_square_threshold(quantile, dof)
+    return check.report(
+        PASS if stat <= threshold else FAIL,
+        parameters={"samples": samples, "quantile": quantile, **parameters},
+        statistics={"chi_square": stat, "dof": dof, "threshold": threshold})
+
+
 def independence_mc(space, family: Sequence[WindowFunction], samples: int,
                     seed: int, quantile: float = 0.999,
                     name: str = "independence-mc") -> VerificationReport:
     """Chi-square gate for joint-equals-product-of-marginals on sampled points."""
-    started = time.perf_counter()
+    check = Check(name, "monte-carlo", seed)
     counts: dict = {}
     for x in sample_stream(space, seed, samples):
         key = tuple(v.fn(x) for v in family)
         counts[key] = counts.get(key, 0) + 1
     stat, dof = _chi_square_independence(counts, samples)
-    threshold = chi_square_threshold(quantile, dof)
-    verdict = PASS if stat <= threshold else FAIL
-    return timed(VerificationReport(
-        name, "monte-carlo", verdict,
-        parameters={"samples": samples, "quantile": quantile,
-                    "variables": [v.name for v in family]},
-        statistics={"chi_square": stat, "dof": dof, "threshold": threshold},
-        seed=seed), started)
+    return _chi_square_gate(check, stat, dof, quantile, samples,
+                            variables=[v.name for v in family])
 
 
 def goodness_of_fit_mc(values: Iterable[int], expected: Mapping[int, Fraction],
                        seed: int | None, quantile: float = 0.999,
                        name: str = "gof-mc") -> VerificationReport:
     """Chi-square goodness of fit of sampled values against an exact law."""
-    started = time.perf_counter()
+    check = Check(name, "monte-carlo", seed)
     counts: dict = {}
     n = 0
     for v in values:
@@ -264,21 +288,14 @@ def goodness_of_fit_mc(values: Iterable[int], expected: Mapping[int, Fraction],
     extra = set(counts) - set(expected)
     if extra:
         stat = float("inf")
-    dof = max(len(expected) - 1, 1)
-    threshold = chi_square_threshold(quantile, dof)
-    verdict = PASS if stat <= threshold else FAIL
-    return timed(VerificationReport(
-        name, "monte-carlo", verdict,
-        parameters={"samples": n, "quantile": quantile},
-        statistics={"chi_square": stat, "dof": dof, "threshold": threshold},
-        seed=seed), started)
+    return _chi_square_gate(check, stat, max(len(expected) - 1, 1), quantile, n)
 
 
 def homogeneity_mc(values_a: Iterable[int], values_b: Iterable[int],
                    seed: int | None, quantile: float = 0.999,
                    name: str = "homogeneity-mc") -> VerificationReport:
     """Two-sample chi-square gate: both samples drawn from one law."""
-    started = time.perf_counter()
+    check = Check(name, "monte-carlo", seed)
     counts = [dict(), dict()]
     totals = [0, 0]
     for s, values in enumerate((values_a, values_b)):
@@ -294,14 +311,7 @@ def homogeneity_mc(values_a: Iterable[int], values_b: Iterable[int],
             expected = totals[s] * pooled
             if expected > 0:
                 stat += (counts[s].get(v, 0) - expected) ** 2 / expected
-    dof = max(len(support) - 1, 1)
-    threshold = chi_square_threshold(quantile, dof)
-    verdict = PASS if stat <= threshold else FAIL
-    return timed(VerificationReport(
-        name, "monte-carlo", verdict,
-        parameters={"samples": totals, "quantile": quantile},
-        statistics={"chi_square": stat, "dof": dof, "threshold": threshold},
-        seed=seed), started)
+    return _chi_square_gate(check, stat, max(len(support) - 1, 1), quantile, totals)
 
 
 # -- the twisted-selector independence engine -----------------------------------
@@ -335,7 +345,7 @@ def selector_independence_exact(x_slots: Sequence[tuple], index_set: Sequence,
     independent of x, provided the selected indices are pairwise distinct
     at every x (reported as a precondition failure otherwise).
     """
-    started = time.perf_counter()
+    check = Check(name)
     x_keys = [k for k, _ in x_slots]
     x_sizes = [s for _, s in x_slots]
     index_set = list(index_set)
@@ -352,18 +362,16 @@ def selector_independence_exact(x_slots: Sequence[tuple], index_set: Sequence,
         sel = [f.fn(lookup) for f in family]
         picked = [i for _, i in sel]
         if len(set(picked)) != len(picked):
-            return timed(VerificationReport(
-                name, "exact", FAIL,
+            return check.fail(
                 notes=("precondition violation: selected indices collide",),
                 counterexample={"x": dict(zip(x_keys, xs)),
                                 "selected": [(f.name, s) for f, s in zip(family, sel)]},
-                statistics={"x_states": total_x}), started)
+                statistics={"x_states": total_x})
         for _, i in sel:
             if i not in index_set:
-                return timed(VerificationReport(
-                    name, "exact", FAIL,
+                return check.fail(
                     notes=("precondition violation: selected index outside I",),
-                    counterexample={"x": dict(zip(x_keys, xs)), "index": i}), started)
+                    counterexample={"x": dict(zip(x_keys, xs)), "index": i})
         selections.append((xs, sel))
 
     joint: dict = {}
@@ -378,17 +386,16 @@ def selector_independence_exact(x_slots: Sequence[tuple], index_set: Sequence,
     for xs, _ in selections:
         for vs in itertools.product(range(value_size), repeat=len(family)):
             if joint.get((xs, vs), Fraction(0)) != expected:
-                return timed(VerificationReport(
-                    name, "exact", FAIL,
+                return check.fail(
                     statistics={"states": states},
                     counterexample={"cylinder": {"x": dict(zip(x_keys, xs)), "values": vs},
                                     "probability": joint.get((xs, vs), Fraction(0)),
-                                    "expected": expected}), started)
-    return timed(VerificationReport(
-        name, "exact", PASS,
+                                    "expected": expected})
+    return check.report(
+        PASS,
         parameters={"family": [f.name for f in family], "index_set_size": len(index_set),
                     "value_size": value_size},
-        statistics={"states": states, "per_cylinder_probability": expected}), started)
+        statistics={"states": states, "per_cylinder_probability": expected})
 
 
 def selector_independence_on_samples(points: Iterable, selector_of_point: Callable,
@@ -400,7 +407,7 @@ def selector_independence_on_samples(points: Iterable, selector_of_point: Callab
     """Conditional variant for infinite x-parts: for each supplied point the
     selected indices must be pairwise distinct, and the y-window joint law,
     enumerated exactly, must be the uniform product."""
-    started = time.perf_counter()
+    check = Check(name, seed=seed)
     checked = 0
     undetermined = 0
     for x in points:
@@ -411,11 +418,10 @@ def selector_independence_on_samples(points: Iterable, selector_of_point: Callab
             continue
         picked = [i for _, i in sel]
         if len(set(picked)) != len(picked):
-            return timed(VerificationReport(
-                name, "exact", FAIL, seed=seed,
+            return check.fail(
                 notes=("precondition violation: selected indices collide",),
                 counterexample={"point": str(getattr(x, "point_key", x)),
-                                "selected": [str(s) for s in sel]}), started)
+                                "selected": [str(s) for s in sel]})
         joint: dict = {}
         weight = Fraction(1, value_size ** len(picked))
         for ys in itertools.product(range(value_size), repeat=len(picked)):
@@ -424,16 +430,13 @@ def selector_independence_on_samples(points: Iterable, selector_of_point: Callab
         expected = Fraction(1, value_size) ** len(sel)
         for vs in itertools.product(range(value_size), repeat=len(sel)):
             if joint.get(vs, Fraction(0)) != expected:
-                return timed(VerificationReport(
-                    name, "exact", FAIL, seed=seed,
-                    counterexample={"point": str(getattr(x, "point_key", x)),
-                                    "values": vs}), started)
+                return check.fail(counterexample={"point": str(getattr(x, "point_key", x)),
+                                                  "values": vs})
         checked += 1
-    verdict = PASS if undetermined == 0 else UNDETERMINED
-    return timed(VerificationReport(
-        name, "exact", verdict, seed=seed,
+    return check.report(
+        PASS if undetermined == 0 else UNDETERMINED,
         parameters={"family": list(family_names)},
-        statistics={"points_checked": checked, "undetermined_points": undetermined}), started)
+        statistics={"points_checked": checked, "undetermined_points": undetermined})
 
 
 class UndeterminedError(RuntimeError):
@@ -458,7 +461,7 @@ def generation_check(space, family: Sequence[WindowFunction], window,
     The result is a surrogate: invertibility on a finite window is strictly
     stronger than generation up to null sets, and is what gets checked.
     """
-    started = time.perf_counter()
+    check = Check(name)
     note = ("finite-window invertibility surrogate for generation",)
     window = list(window)
 
@@ -475,32 +478,31 @@ def generation_check(space, family: Sequence[WindowFunction], window,
             got = tuple(rebuilt.value(c) if isinstance(rebuilt, Configuration)
                         else rebuilt[c] for c in window)
             if got != expected:
-                return timed(VerificationReport(
-                    name, "exact", FAIL, notes=note,
+                return check.fail(
+                    notes=note,
                     counterexample={"window": {space.coord_key(c): v for c, v in
                                                zip(window, expected)},
                                     "reconstructed": {space.coord_key(c): v for c, v in
-                                                      zip(window, got)}}), started)
+                                                      zip(window, got)}})
             checked += 1
-        return timed(VerificationReport(
-            name, "exact", PASS, notes=note,
+        return check.report(
+            PASS, notes=note,
             parameters={"variables": [v.name for v in family], "window": len(window)},
-            statistics={"points": checked}), started)
+            statistics={"points": checked})
 
     seen: dict = {}
     for cfg, _ in enumerate_window(space, window, budget):
         values = tuple(v.fn(cfg) for v in family)
         target = compare_target(cfg)
         if values in seen and seen[values] != target:
-            return timed(VerificationReport(
-                name, "exact", FAIL, notes=note,
+            return check.fail(
+                notes=note,
                 counterexample={
                     "values": values,
                     "first": {space.coord_key(c): v for c, v in zip(window, seen[values])},
-                    "second": {space.coord_key(c): v for c, v in zip(window, target)}}),
-                started)
+                    "second": {space.coord_key(c): v for c, v in zip(window, target)}})
         seen[values] = target
-    return timed(VerificationReport(
-        name, "exact", PASS, notes=note,
+    return check.report(
+        PASS, notes=note,
         parameters={"variables": [v.name for v in family], "window": len(window)},
-        statistics={"states": len(seen)}), started)
+        statistics={"states": len(seen)})

@@ -122,13 +122,34 @@ def test_undetermined_suite_exits_2(tmp_path):
 
 
 def test_budget_overflow_exits_3(tmp_path):
-    for name, states in [("coinduction-characterization", 32), ("theorem-b", 2048)]:
+    for name, index, states in [("coinduction-characterization", 1, 32),
+                                ("theorem-b", 0, 2048)]:
         stream = io.StringIO()
         code = run_suite(SUITES / "standard.cfg", tmp_path / name, only=name,
                          budget_override=10, stream=stream)
         assert code == 3
-        assert stream.getvalue() == (f"config error at checks[0] ({name}): "
+        assert stream.getvalue() == (f"config error at checks[{index}] ({name}): "
                                      f"{states} window states exceed budget 10\n")
+    # --only keeps the check's index in the config in the report file name
+    assert run_suite(SUITES / "standard.cfg", tmp_path / "factor", only="lemma-factor",
+                     stream=io.StringIO()) == 0
+    assert (tmp_path / "factor" / "04-lemma-factor.json").exists()
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"checks": ["lemma-indep"]}, "checks[0]"),
+    ({"checks": [{"name": "lemma-indep", "params": [1]}]}, "checks[0].params"),
+    ({"samples": "many"}, "samples"),
+    ({"groups": {"K": "cyclic"}}, "groups.K"),
+    ({"groups": ["K"]}, "groups"),
+    ({"checks": [{"name": ["lemma-indep"]}]}, "checks[0].name"),
+    ({"budget": 1e400}, "budget"),
+])
+def test_malformed_config_exits_3(tmp_path, overrides, field):
+    path = write_config(tmp_path, minimal_config(**overrides))
+    stream = io.StringIO()
+    assert run_suite(path, tmp_path / "out", stream=stream) == 3
+    assert stream.getvalue().startswith(f"config error at {field}: ")
 
 
 def test_only_filter_and_overrides(tmp_path):

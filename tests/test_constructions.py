@@ -28,7 +28,8 @@ from orbitlab.constructions import (CylinderAction, FactorSetting,
 from orbitlab.groups import cyclic, direct_power, s3
 from orbitlab.spaces import (ExplicitConfiguration, SeededConfiguration, Space,
                              agree_on, derive_seed, sample, sample_stream)
-from orbitlab.verify import UndeterminedError
+from orbitlab.verify import (UndeterminedError, coordinate_variable, homogeneity_mc,
+                             independence_exact)
 from orbitlab.actions import check_coinduced_characterization
 from orbitlab.words import ball, coset, free_group
 
@@ -259,6 +260,18 @@ def test_parenthesis_escape_arithmetic():
     assert round(float(escape), 4) == 0.0993
 
 
+def test_criterion_5e_measurement_matches_escape_probability():
+    # The README's 5e figure is the exact escape probability C(64,32)/2^64
+    # measured on 10^4 samples: it must sit within 3 binomial standard errors.
+    samples = 10 ** 4
+    report = match_determinacy_report(2, 64, samples, derive_seed(20240601, "c5/det"),
+                                      context_radius=64)
+    measured = report.statistics["unresolved_frequency"]
+    exact = Fraction(math.comb(64, 32), 2 ** 64)
+    stderr = math.sqrt(exact * (1 - exact) / samples)
+    assert abs(float(measured - exact)) <= 3 * stderr
+
+
 def test_cylinder_measure():
     system = CylinderAction(2, 32)
     report = cylinder_measure_report(system)
@@ -463,3 +476,28 @@ def test_section_equivariance_exhaustive():
         for h in range(3):
             for y in reps:
                 assert theta[(K.mul(g, h), y)] == action.act(g, theta[(h, y)])
+
+
+# -- the check clock ----------------------------------------------------------------
+
+
+def _independence_of_copies(copies):
+    # one coordinate passes; two copies of it are dependent (the negative control)
+    space = BernoulliShift(F2, Z2).space
+    v = coordinate_variable(space, F2.identity())
+    return independence_exact(space, [v] * copies)
+
+
+@pytest.mark.parametrize("run, verdict", [
+    (lambda: section_report(Z2, free_action_on_cosets(Z2, 3)), "pass"),
+    (lambda: star_conjugation_report(StarAction(cyclic(2, "c"), z2_system())), "pass"),
+    (lambda: cylinder_measure_report(CylinderAction(2, 32)), "pass"),
+    (lambda: homogeneity_mc([0, 1] * 50, [1, 0] * 50, seed=None), "pass"),
+    (lambda: _independence_of_copies(1), "pass"),
+    (lambda: _independence_of_copies(2), "fail"),
+], ids=["section", "conjugation", "cylinder-measure", "homogeneity",
+        "independence-pass", "independence-fail"])
+def test_reports_carry_runtime(run, verdict):
+    report = run()
+    assert report.verdict == verdict
+    assert isinstance(report.runtime_s, float) and report.runtime_s >= 0

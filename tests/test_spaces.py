@@ -103,7 +103,7 @@ def test_exact_distribution_projections_product():
     vars_ = [(lambda c, g=g: c.value(g)) for g in coords]
     dist = exact_distribution(sp, vars_, coords)
     assert dist.is_uniform([2, 2, 2])
-    assert dist.is_product_of_marginals()
+    assert dist.worst_product_deviation()[0] == 0
 
 
 def test_exact_distribution_denominators():
