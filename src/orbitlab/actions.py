@@ -486,8 +486,8 @@ class FirstReturnOracle:
                 raise ValueError("target shift is not a return of the induced map")
 
 
-def identity_oracle(alphabet: Alphabet, scan_radius: int = 1) -> FirstReturnOracle:
-    return FirstReturnOracle(alphabet, None, scan_radius)
+def identity_oracle(alphabet: Alphabet) -> FirstReturnOracle:
+    return FirstReturnOracle(alphabet, None, 1)
 
 
 # -- co-induction characterization ---------------------------------------------
@@ -526,7 +526,7 @@ def check_coinduced_characterization(
     transversal = transversal_words(spec, part, radius, **tkw)
 
     # 1. equivariance on sampled points
-    equivariant = True
+    equivariance = Check("subgroup-equivariance", seed=seed)
     witness = None
     lams = subgroup_test_words(spec, part)
     for i, y in enumerate(sample_stream(action.space, derive_seed(seed, "equiv"), samples)):
@@ -534,15 +534,14 @@ def check_coinduced_characterization(
             left = rho.fn(action.apply(lam, y))
             right = inner_act(lam, rho.fn(y))
             if left != right:
-                equivariant, witness = False, {"lambda": lam, "sample": i,
-                                               "lhs": left, "rhs": right}
+                witness = {"lambda": lam, "sample": i, "lhs": left, "rhs": right}
                 break
-        if not equivariant:
+        if witness is not None:
             break
-    sub1 = VerificationReport(
-        "subgroup-equivariance", "exact", PASS if equivariant else FAIL,
+    sub1 = equivariance.report(
+        PASS if witness is None else FAIL,
         parameters={"samples": samples, "subgroup_elements": [w.tokens() for w in lams]},
-        seed=seed, counterexample=witness)
+        counterexample=witness)
 
     # the transversal variable family
     def coords_of(t: Word) -> tuple:

@@ -3,11 +3,14 @@ suites, write one structured report per check plus a summary.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 undetermined outcomes
 (and no failures), 3 malformed config or a window over the enumeration
-budget, with one message naming the field.  Report files are
-`NN-<check>.json`, NN being the check's index in the config's `checks`
-(also under --only).  Reports are deterministic functions of (config,
-seeds); wall-clock data lives in a separate `timing` section so payloads
-compare byte-identically across runs.
+budget, with one message naming the field (`checks[i].params.<key>` for
+a check parameter of the wrong type or an unknown mode, case, group,
+twist or instance; `groups.<name>.order` for a cyclic order that is not a
+positive integer).  Report files are `NN-<check>.json`, NN being the
+check's index in the config's `checks` (also under --only).  Reports are
+deterministic functions of (config, seeds); wall-clock data, with the
+check's own clock as `runtime_s`, lives in a separate `timing` section so
+payloads compare byte-identically across runs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import argparse
 import datetime
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -45,9 +47,9 @@ from .constructions import (CylinderAction, FactorSetting, StarAction,
 from .groups import (Alphabet, FiniteGroup, GroupTableError, cyclic, klein_four,
                      load_group_table, s3)
 from .spaces import BudgetExceededError, DEFAULT_BUDGET, derive_seed
-from .verify import (FAIL, PASS, UNDETERMINED, Selector, VerificationReport,
-                     WindowFunction, combine_reports, coordinate_variable,
-                     family_window, independence_exact, independence_mc,
+from .verify import (FAIL, PASS, UNDETERMINED, Check, Selector, VerificationReport,
+                     WindowFunction, coordinate_variable, family_window,
+                     independence_exact, independence_mc,
                      selector_independence_exact, worst_verdict)
 from .words import ball, coset, free_group, free_product
 
@@ -58,6 +60,7 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"config error at {field_name}: {message}")
         self.field = field_name
+        self.message = message
 
 
 @dataclass
@@ -69,9 +72,10 @@ class SuiteContext:
     scan_radius: int = 64
     groups: dict = field(default_factory=dict)
 
-    def group(self, name: str, where: str) -> FiniteGroup:
+    def group(self, params: dict, key: str) -> FiniteGroup:
+        name = params[key]
         if name not in self.groups:
-            raise ConfigError(where, f"group {name!r} is not declared")
+            raise ConfigError(key, f"group {name!r} is not declared")
         return self.groups[name]
 
 
@@ -80,9 +84,11 @@ def _build_group(name: str, doc: dict) -> FiniteGroup:
         raise ConfigError(f"groups.{name}", "a group must be an object")
     kind = doc.get("kind")
     if kind == "cyclic":
-        if "order" not in doc:
-            raise ConfigError(f"groups.{name}.order", "cyclic groups need an order")
-        return cyclic(int(doc["order"]), doc.get("prefix", ""))
+        order = doc.get("order")
+        if type(order) is not int or order < 1:
+            raise ConfigError(f"groups.{name}.order",
+                              "cyclic groups need a positive integer order")
+        return cyclic(order, doc.get("prefix", ""))
     if kind == "klein":
         return klein_four()
     if kind == "s3":
@@ -101,53 +107,56 @@ def _build_group(name: str, doc: dict) -> FiniteGroup:
 @dataclass
 class CheckSpec:
     name: str
-    anchor: str
     description: str
     params: dict                      # parameter name -> default
     runner: Callable
 
     def catalog_entry(self) -> dict:
-        return {"name": self.name, "anchor": self.anchor,
+        return {"name": self.name, "anchor": self.name,
                 "description": self.description, "params": dict(self.params)}
 
 
 REGISTRY: dict[str, CheckSpec] = {}
 
 
-def register(name, anchor, description, params):
+def register(name, description, params):
     def deco(fn):
-        REGISTRY[name] = CheckSpec(name, anchor, description, params, fn)
+        REGISTRY[name] = CheckSpec(name, description, params, fn)
         return fn
     return deco
 
 
-def expect_failure(inner: VerificationReport, name: str) -> VerificationReport:
-    """Wrap a negative control: the wrapped check passes iff the inner
-    check failed (and the inner counterexample is preserved)."""
-    verdict = PASS if inner.verdict == FAIL else FAIL
-    return VerificationReport(
-        name, inner.mode, verdict,
-        notes=("negative control: inner check must fail",),
-        counterexample=inner.counterexample, subreports=(inner,))
+def expect_failure(name: str, run: Callable[[], VerificationReport]) -> VerificationReport:
+    """Negative control: passes iff `run()` fails, keeping its counterexample;
+    the wrapper's clock covers the inner check, and it reports in its mode."""
+    check = Check(name)
+    inner = run()
+    check.mode = inner.mode
+    return check.report(PASS if inner.verdict == FAIL else FAIL,
+                        notes=("negative control: inner check must fail",),
+                        counterexample=inner.counterexample, subreports=(inner,))
 
 
-@register("theorem-b", "theorem-b",
+@register("theorem-b",
           "increment isomorphism of the diagonal quotient of a group-valued shift",
           {"alphabet": "K", "rank": 2, "family_radius": 1, "roundtrip_radius": 3,
            "equivariance_radius": 2, "mode": "auto", "mc_samples": 10 ** 5,
            "window_radius": None, "samples": None})
 def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
-    K = ctx.group(params["alphabet"], "checks.theorem-b.alphabet")
-    rank = int(params["rank"])
+    check = Check("theorem-b")
+    K = ctx.group(params, "alphabet")
+    mode = params["mode"]
+    if mode not in ("auto", "full", "grouped"):
+        raise ConfigError("mode", f"unknown mode {mode!r}, expected auto, full or grouped")
+    rank = params["rank"]
     spec = free_group(*[chr(ord("a") + i) for i in range(rank)])
-    samples = int(params["samples"] or ctx.samples)
-    family = increment_family(spec, K, int(params["family_radius"]))
+    samples = params["samples"] or ctx.samples
+    family = increment_family(spec, K, params["family_radius"])
     if params["window_radius"] is not None:
-        window = ball(spec, int(params["window_radius"]))
+        window = ball(spec, params["window_radius"])
     else:
         window = family_window(family)
     states = K.size ** len(window)
-    mode = params["mode"]
     if mode == "auto":
         mode = "full" if states <= ctx.budget else "grouped"
     shift = BernoulliShift(spec, K)
@@ -160,33 +169,32 @@ def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
         joint.parameters["window_states"] = states
         subs.append(joint)
     else:
-        grouped = increment_grouped_reports(spec, K, int(params["family_radius"]),
+        grouped_check = Check("increment-grouped-exact")
+        grouped = increment_grouped_reports(spec, K, params["family_radius"],
                                             budget=ctx.budget)
-        subs.append(combine_reports("increment-grouped-exact", grouped,
-                                    parameters={"checks": len(grouped)}))
-        subs.append(independence_mc(shift.space, family[:4], int(params["mc_samples"]),
+        subs.append(grouped_check.combine(grouped, parameters={"checks": len(grouped)}))
+        subs.append(independence_mc(shift.space, family[:4], params["mc_samples"],
                                     derive_seed(ctx.seed, "tb/mc"), ctx.quantile,
                                     name="increment-subfamily-mc"))
     subs.append(increment_equivariance_report(
-        spec, K, int(params["equivariance_radius"]), samples,
+        spec, K, params["equivariance_radius"], samples,
         derive_seed(ctx.seed, "tb/equiv")))
     subs.append(increment_roundtrip_report(
-        spec, K, int(params["roundtrip_radius"]), samples,
+        spec, K, params["roundtrip_radius"], samples,
         derive_seed(ctx.seed, "tb/round")))
-    return combine_reports("theorem-b", subs,
-                           parameters={"alphabet": K.label, "rank": rank,
-                                       "mode": mode})
+    return check.combine(subs, parameters={"alphabet": K.label, "rank": rank,
+                                           "mode": mode})
 
 
-@register("lemma-factor", "lemma-factor",
+@register("lemma-factor",
           "free-factor restriction of a coset shift and its quotient characterization",
           {"gamma": "G", "lam": "L", "K": "K", "radius": 2, "samples": None})
 def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
-    setting = FactorSetting(ctx.group(params["gamma"], "checks.lemma-factor.gamma"),
-                            ctx.group(params["lam"], "checks.lemma-factor.lam"),
-                            ctx.group(params["K"], "checks.lemma-factor.K"))
-    samples = int(params["samples"] or ctx.samples)
-    radius = int(params["radius"])
+    check = Check("lemma-factor")
+    setting = FactorSetting(ctx.group(params, "gamma"), ctx.group(params, "lam"),
+                            ctx.group(params, "K"))
+    samples = params["samples"] or ctx.samples
+    radius = params["radius"]
     subs = [restriction_consequence_report(setting, radius, samples,
                                            derive_seed(ctx.seed, "lf/conseq")),
             restriction_equivariance_report(setting, samples,
@@ -207,23 +215,23 @@ def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
         reconstructor=factor_quotient_reconstructor(setting, radius),
         canonicalize=setting.quotient.normalize,
         samples=samples, seed=derive_seed(ctx.seed, "lf/char"), budget=ctx.budget))
-    return combine_reports("lemma-factor", subs,
-                           parameters={"gamma": setting.gamma_group.label,
-                                       "lam": setting.lam_group.label,
-                                       "K": setting.K.label, "radius": radius})
+    return check.combine(subs, parameters={"gamma": setting.gamma_group.label,
+                                           "lam": setting.lam_group.label,
+                                           "K": setting.K.label, "radius": radius})
 
 
-@register("star-action", "star-action",
+@register("star-action",
           "transported free-product action over a co-induction, with both cocycles",
           {"gamma": "G", "lam": "L", "K": "K", "twist": 1, "relation_radius": 3,
            "orbit_radius": 2, "injectivity_grade": 2, "samples": None})
 def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
-    gamma = ctx.group(params["gamma"], "checks.star-action.gamma")
-    lam = ctx.group(params["lam"], "checks.star-action.lam")
-    K = ctx.group(params["K"], "checks.star-action.K")
-    twist = int(params["twist"])
+    check = Check("star-action")
+    gamma = ctx.group(params, "gamma")
+    lam = ctx.group(params, "lam")
+    K = ctx.group(params, "K")
+    twist = params["twist"]
     if not 0 <= twist < K.size:
-        raise ConfigError("checks.star-action.twist", "twist must index a K element")
+        raise ConfigError("twist", "twist must index a K element")
     ident_aut = tuple(range(lam.size))
     trivial = [K.identity] * lam.size
     twisted = [K.identity] * lam.size
@@ -233,20 +241,19 @@ def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
     system = component_twist_system(lam, K, [(ident_aut, trivial),
                                              (ident_aut, twisted)])
     star = StarAction(gamma, system)
-    samples = int(params["samples"] or ctx.samples)
-    subs = [star_relation_report(star, int(params["relation_radius"]), samples,
+    samples = params["samples"] or ctx.samples
+    subs = [star_relation_report(star, params["relation_radius"], samples,
                                  derive_seed(ctx.seed, "st/rel")),
-            star_orbit_report(star, int(params["orbit_radius"]), samples,
+            star_orbit_report(star, params["orbit_radius"], samples,
                               derive_seed(ctx.seed, "st/orb")),
-            star_injectivity_report(star, int(params["injectivity_grade"]), samples,
+            star_injectivity_report(star, params["injectivity_grade"], samples,
                                     derive_seed(ctx.seed, "st/inj")),
             star_conjugation_report(star)]
-    return combine_reports("star-action", subs,
-                           parameters={"gamma": gamma.label, "lam": lam.label,
-                                       "K": K.label, "twist": K.names[twist]})
+    return check.combine(subs, parameters={"gamma": gamma.label, "lam": lam.label,
+                                           "K": K.label, "twist": K.names[twist]})
 
 
-@register("lemma-2", "lemma-2",
+@register("lemma-2",
           "cylinder compression of the twisted shift onto a higher-rank action",
           {"kappa": 2, "scan_radius": None, "identity_length": 4,
            "inverse_length": 3, "freshness_grade": 2, "dependency_grade": 2,
@@ -254,57 +261,55 @@ def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
            "determinacy_samples": 10 ** 4, "determinacy": True,
            "measure_mc": True, "measure_samples": 4000})
 def _run_lemma_2(ctx: SuiteContext, params: dict) -> VerificationReport:
-    kappa = int(params["kappa"])
-    scan_radius = int(params["scan_radius"] or ctx.scan_radius)
-    samples = int(params["samples"] or ctx.samples)
+    check = Check("lemma-2")
+    kappa = params["kappa"]
+    scan_radius = params["scan_radius"] or ctx.scan_radius
+    samples = params["samples"] or ctx.samples
     system = CylinderAction(kappa, scan_radius)
     om, omp = system.omega(), system.omega_prime()
     subs = [cylinder_measure_report(system)]
-    words_id = ball(system.spec_up, int(params["identity_length"]))
+    words_id = ball(system.spec_up, params["identity_length"])
     pairs = [(g, h) for g in words_id for h in words_id
-             if g.length() + h.length() <= int(params["identity_length"])]
+             if g.length() + h.length() <= params["identity_length"]]
     points = [system.sample_in_cylinder(derive_seed(ctx.seed, f"l2/id/{i}"))
               for i in range(samples)]
     subs.append(verify_identity(om, pairs, points, name="forward-cocycle-identity"))
-    words_inv = ball(system.spec_up, int(params["inverse_length"]))
+    words_inv = ball(system.spec_up, params["inverse_length"])
     points_inv = [system.sample_in_cylinder(derive_seed(ctx.seed, f"l2/inv/{i}"))
                   for i in range(samples)]
     subs.append(verify_inverse_pair(om, omp, words_inv, points_inv,
                                     lengths=(system.b_length_up, system.b_length_down),
                                     name="inverse-pair-and-length"))
-    subs.append(coset_freshness_report(system, int(params["freshness_grade"]),
+    subs.append(coset_freshness_report(system, params["freshness_grade"],
                                        min(samples, 20),
                                        derive_seed(ctx.seed, "l2/fresh")))
-    subs.append(dependency_radius_report(system, int(params["dependency_grade"]),
-                                         int(params["dependency_samples"]),
+    subs.append(dependency_radius_report(system, params["dependency_grade"],
+                                         params["dependency_samples"],
                                          derive_seed(ctx.seed, "l2/dep")))
     if params["determinacy"]:
         subs.append(match_determinacy_report(kappa, scan_radius,
-                                             int(params["determinacy_samples"]),
+                                             params["determinacy_samples"],
                                              derive_seed(ctx.seed, "l2/det")))
     if params["measure_mc"]:
-        subs.append(match_measure_report(kappa, scan_radius,
-                                         int(params["measure_samples"]),
-                                         derive_seed(ctx.seed, "l2/mm"),
-                                         ctx.quantile))
-    return combine_reports("lemma-2", subs,
-                           parameters={"kappa": kappa, "scan_radius": scan_radius,
-                                       "samples": samples})
+        subs.append(match_measure_report(kappa, scan_radius, params["measure_samples"],
+                                         derive_seed(ctx.seed, "l2/mm"), ctx.quantile))
+    return check.combine(subs, parameters={"kappa": kappa, "scan_radius": scan_radius,
+                                           "samples": samples})
 
 
-@register("lemma-3", "lemma-3",
+@register("lemma-3",
           "diagonal Bernoulli extension of a stable orbit equivalence",
           {"kappa": 2, "scan_radius": None, "lambda_grade": 1, "y_order": 2,
            "samples": None})
 def _run_lemma_3(ctx: SuiteContext, params: dict) -> VerificationReport:
-    kappa = int(params["kappa"])
-    scan_radius = int(params["scan_radius"] or ctx.scan_radius)
-    samples = min(int(params["samples"] or ctx.samples), 25)
-    soe = build_cylinder_oe(kappa, scan_radius)
+    check = Check("lemma-3")
+    kappa = params["kappa"]
+    samples = min(params["samples"] or ctx.samples, 25)
+    soe = build_cylinder_oe(kappa, params["scan_radius"] or ctx.scan_radius)
     system = soe.system
-    lams = ball(system.spec_up, int(params["lambda_grade"]),
+    lams = ball(system.spec_up, params["lambda_grade"],
                 parts=system.b_parts, exponent_bound=1)
-    y_alphabet = cyclic(int(params["y_order"]))
+    y_alphabet = cyclic(params["y_order"])
     subs = [extension_distinctness_report(soe, lams, samples,
                                           derive_seed(ctx.seed, "l3/dist"))]
     pairs = [(1, system.spec_up.identity()), (2, system.spec_up.generator("b0"))]
@@ -322,37 +327,38 @@ def _run_lemma_3(ctx: SuiteContext, params: dict) -> VerificationReport:
     subs.append(extension_independence_report(
         degenerate, [(1, f2.identity()), (1, f2.generator("a"))],
         y_alphabet, samples, derive_seed(ctx.seed, "l3/degi")))
-    return combine_reports("lemma-3", subs,
-                           parameters={"kappa": kappa, "samples": samples})
+    return check.combine(subs, parameters={"kappa": kappa, "samples": samples})
 
 
-@register("appendix-section", "appendix-section",
+@register("appendix-section",
           "sections of free finite group actions on finite sets",
           {"cases": [["cyclic", 2, 3], ["cyclic", 3, 2]]})
 def _run_appendix_section(ctx: SuiteContext, params: dict) -> VerificationReport:
+    check = Check("appendix-section")
     subs = []
-    for kind, order, copies in params["cases"]:
-        if kind != "cyclic":
-            raise ConfigError("checks.appendix-section.cases",
-                              "cases are [\"cyclic\", order, copies] triples")
-        K = cyclic(int(order))
-        subs.append(section_report(K, free_action_on_cosets(K, int(copies))))
+    for case in params["cases"]:
+        if not (isinstance(case, list) and len(case) == 3 and case[0] == "cyclic"
+                and all(type(n) is int and n > 0 for n in case[1:])):
+            raise ConfigError("cases", "cases are [\"cyclic\", order, copies] triples "
+                                       "of positive integers")
+        K = cyclic(case[1])
+        subs.append(section_report(K, free_action_on_cosets(K, case[2])))
     # negative control: a fixed point must be rejected with a witness
     K = cyclic(2)
     alphabet = Alphabet(["p0", "p1", "p2"], label="3pts")
     nonfree = FiniteGroupAlphabetAction(K, alphabet, [(0, 1, 2), (1, 0, 2)])
-    subs.append(expect_failure(section_report(K, nonfree), "non-free-rejected"))
-    return combine_reports("appendix-section", subs)
+    subs.append(expect_failure("non-free-rejected", lambda: section_report(K, nonfree)))
+    return check.combine(subs)
 
 
-@register("lemma-indep", "lemma-indep",
+@register("lemma-indep",
           "twisted-selector independence decision procedure",
           {"x_size": 2, "value_size": 2, "index_size": 3})
 def _run_lemma_indep(ctx: SuiteContext, params: dict) -> VerificationReport:
-    x_size = int(params["x_size"])
-    value_size = int(params["value_size"])
-    index_size = int(params["index_size"])
-    H = cyclic(value_size)
+    check = Check("lemma-indep")
+    x_size = params["x_size"]
+    value_size = params["value_size"]
+    index_size = params["index_size"]
     flip = tuple((v + 1) % value_size for v in range(value_size))
     ident = tuple(range(value_size))
 
@@ -371,24 +377,23 @@ def _run_lemma_indep(ctx: SuiteContext, params: dict) -> VerificationReport:
         Selector("first", lambda x: (ident, x("x") % index_size)),
         Selector("clash", lambda x: (ident, x("x") % index_size)),
     ]
-    inner = selector_independence_exact([("x", x_size)], list(range(index_size)),
-                                        value_size, act, duplicated,
-                                        name="selector-independence-duplicated")
-    subs.append(expect_failure(inner, "duplicated-index-rejected"))
+    subs.append(expect_failure("duplicated-index-rejected", lambda: (
+        selector_independence_exact([("x", x_size)], list(range(index_size)),
+                                    value_size, act, duplicated,
+                                    name="selector-independence-duplicated"))))
     single = [Selector("y0", lambda x: (ident, 0))]
     subs.append(selector_independence_exact([("x", 1)], [0], value_size, act, single,
                                             name="selector-single-marginal"))
-    return combine_reports("lemma-indep", subs,
-                           parameters={"x_size": x_size, "value_size": value_size,
-                                       "index_size": index_size})
+    return check.combine(subs, parameters={"x_size": x_size, "value_size": value_size,
+                                           "index_size": index_size})
 
 
-@register("coinduction-characterization", "coinduction-characterization",
+@register("coinduction-characterization",
           "the three defining properties of a co-induced action",
           {"instance": "finite-factor", "kappa": 2, "radius": 2, "samples": None})
 def _run_characterization(ctx: SuiteContext, params: dict) -> VerificationReport:
-    samples = int(params["samples"] or ctx.samples)
-    radius = int(params["radius"])
+    samples = params["samples"] or ctx.samples
+    radius = params["radius"]
     instance = params["instance"]
     if instance == "finite-factor":
         G = free_product(cyclic(2, "g"), cyclic(2, "h"))
@@ -407,7 +412,7 @@ def _run_characterization(ctx: SuiteContext, params: dict) -> VerificationReport
             reconstructor=reconstructor, samples=samples,
             seed=derive_seed(ctx.seed, "cc/fin"), budget=ctx.budget)
     elif instance == "twisted-shift":
-        kappa = int(params["kappa"])
+        kappa = params["kappa"]
         f2 = free_group("a", "b")
         action = TwistedCosetShift(f2, "b", kappa, {"a": 0, "b": 1})
         base = coset(f2, "b", f2.identity())
@@ -425,13 +430,12 @@ def _run_characterization(ctx: SuiteContext, params: dict) -> VerificationReport
             transversal_kwargs={}, reconstructor=reconstructor, samples=samples,
             seed=derive_seed(ctx.seed, "cc/tw"), budget=ctx.budget)
     else:
-        raise ConfigError("checks.coinduction-characterization.instance",
-                          f"unknown instance {instance!r}")
+        raise ConfigError("instance", f"unknown instance {instance!r}")
     report.parameters["instance"] = instance
     return report
 
 
-@register("negative-control", "negative-control",
+@register("negative-control",
           "a deliberately failing independence check (exit-code plumbing)",
           {})
 def _run_negative_control(ctx: SuiteContext, params: dict) -> VerificationReport:
@@ -449,6 +453,14 @@ def _number(document: dict, key: str, kind: type, default):
         return kind(document.get(key, default))
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(key, f"expected a number, got {document[key]!r}") from None
+
+
+def _fits(default, value) -> bool:
+    """An int default takes a JSON integer (not a bool), a null default an
+    integer or null, and a bool, str or list default that type."""
+    if default is None:
+        return value is None or type(value) is int
+    return type(value) is type(default)
 
 
 def parse_config(document: dict) -> tuple[SuiteContext, list]:
@@ -489,6 +501,11 @@ def parse_config(document: dict) -> tuple[SuiteContext, list]:
             if key not in spec.params:
                 raise ConfigError(f"checks[{i}].params.{key}",
                                   f"unknown parameter for check {name!r}")
+            default = spec.params[key]
+            if not _fits(default, value):
+                kind = "int or null" if default is None else type(default).__name__
+                raise ConfigError(f"checks[{i}].params.{key}",
+                                  f"expected {kind}, got {value!r}")
             params[key] = value
         resolved.append((spec, params))
     return ctx, resolved
@@ -538,12 +555,12 @@ def run_suite(config_path, out_dir, only: str | None = None,
         summary_checks = []
         verdicts = []
         for i, spec, params in selected:
-            started = time.perf_counter()
             try:
                 report = spec.runner(ctx, params)
             except BudgetExceededError as err:
                 raise ConfigError(f"checks[{i}] ({spec.name})", str(err)) from None
-            runtime = time.perf_counter() - started
+            except ConfigError as err:
+                raise ConfigError(f"checks[{i}].params.{err.field}", err.message) from None
             filename = f"{i:02d}-{spec.name}.json"
             payload = {
                 "schema_version": SCHEMA_VERSION,
@@ -553,7 +570,7 @@ def run_suite(config_path, out_dir, only: str | None = None,
             body = dict(payload)
             body["timing"] = {
                 "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                "runtime_s": runtime,
+                "runtime_s": report.runtime_s,
             }
             (out / filename).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
             summary_checks.append({"name": spec.name, "verdict": report.verdict,

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .groups import FiniteGroup
-from .verify import (PASS, UNDETERMINED, Check, UndeterminedError,
-                     VerificationReport)
+from .verify import PASS, Check, UndeterminedError, VerificationReport
 from .words import GroupSpec, Word
 
 
@@ -157,7 +156,7 @@ def identity_cocycle(source) -> Cocycle:
     return homomorphism_cocycle(source, target, images, "identity")
 
 
-def glue_free_product(c1: Cocycle, c2: Cocycle, name: str = "glued") -> Cocycle:
+def glue_free_product(c1: Cocycle, c2: Cocycle) -> Cocycle:
     """The unique cocycle restricting to each input on its own free factors."""
     if c1.source is not c2.source:
         raise ValueError("cocycles to glue must share their source action")
@@ -169,10 +168,10 @@ def glue_free_product(c1: Cocycle, c2: Cocycle, name: str = "glued") -> Cocycle:
         raise ValueError(f"generator tables overlap on {sorted(overlap)}")
     entries = dict(c1.entries)
     entries.update(c2.entries)
-    return Cocycle(c1.source, c1.target, entries, name)
+    return Cocycle(c1.source, c1.target, entries, "glued")
 
 
-def cohomology_transform(c: Cocycle, phi: Callable, name: str | None = None) -> Cocycle:
+def cohomology_transform(c: Cocycle, phi: Callable) -> Cocycle:
     """w'(g, x) = phi(g . x) w(g, x) phi(x)^-1 for a point map phi."""
     target = c.target
     entries = {}
@@ -188,13 +187,12 @@ def cohomology_transform(c: Cocycle, phi: Callable, name: str | None = None) -> 
                               target.mul(fn(x), target.inv(phi(x))))
 
         entries[key] = transformed
-    return Cocycle(c.source, target, entries, name or f"{c.name}-transformed")
+    return Cocycle(c.source, target, entries, f"{c.name}-transformed")
 
 
 def zimmer_from_oe(delta: Callable, source, target_action,
                    candidates: Sequence[Word], compare_coords: Sequence,
-                   p: Callable | None = None, k_group: FiniteGroup | None = None,
-                   name: str = "zimmer") -> Cocycle:
+                   p: Callable | None = None) -> Cocycle:
     """Cocycle transported through an orbit map delta.
 
     Solves delta(p(g . x)) = h . delta(p(x)) for h among the candidate
@@ -204,7 +202,7 @@ def zimmer_from_oe(delta: Callable, source, target_action,
     equivalence); supplying a projection onto the domain subset gives the
     stable variant.
     """
-    target = CocycleTarget(spec=target_action.group_spec, k_group=k_group)
+    target = CocycleTarget(spec=target_action.group_spec)
 
     def solve(g: Word, x):
         x0 = p(x) if p is not None else x
@@ -230,7 +228,7 @@ def zimmer_from_oe(delta: Callable, source, target_action,
             entries[("g", part)] = (lambda x, w=w: solve(w, x))
         elif kind == "f":
             entries[("f", part, v)] = (lambda x, w=w: solve(w, x))
-    cocycle = Cocycle(source, target, entries, name)
+    cocycle = Cocycle(source, target, entries, "zimmer")
     cocycle.solve = solve
     return cocycle
 
@@ -247,7 +245,6 @@ def verify_identity(c: Cocycle, pairs: Iterable[tuple[Word, Word]],
     """
     check = Check(name or f"{c.name}-identity")
     pairs = list(pairs)
-    checked = undetermined = 0
     for x in points:
         cache: dict = {}
         for g, h in pairs:
@@ -256,19 +253,19 @@ def verify_identity(c: Cocycle, pairs: Iterable[tuple[Word, Word]],
                 rhs = c.target.mul(c.evaluate(g, c.source.apply(h, x), cache),
                                    c.evaluate(h, x, cache))
             except UndeterminedError:
-                undetermined += 1
+                check.undetermined += 1
                 continue
             if lhs != rhs:
                 return check.fail(
-                    statistics={"checked": checked},
+                    statistics={"checked": check.checked},
                     counterexample={"g": g, "h": h,
                                     "point": str(getattr(x, "point_key", x)),
                                     "lhs": c.target.describe(lhs),
                                     "rhs": c.target.describe(rhs)})
-            checked += 1
-    return check.report(PASS if undetermined == 0 else UNDETERMINED,
-                        parameters={"pairs": len(pairs)},
-                        statistics={"checked": checked, "undetermined": undetermined})
+            check.checked += 1
+    return check.report(PASS, parameters={"pairs": len(pairs)},
+                        statistics={"checked": check.checked,
+                                    "undetermined": check.undetermined})
 
 
 def verify_inverse_pair(forward: Cocycle, backward: Cocycle, words: Iterable[Word],
@@ -278,7 +275,6 @@ def verify_inverse_pair(forward: Cocycle, backward: Cocycle, words: Iterable[Wor
     pair of length functions (source_length, target_length) is supplied."""
     check = Check(name)
     words = list(words)
-    checked = undetermined = 0
     for x in points:
         fcache: dict = {}
         bcache: dict = {}
@@ -287,24 +283,23 @@ def verify_inverse_pair(forward: Cocycle, backward: Cocycle, words: Iterable[Wor
                 w = forward.target.word_part(forward.evaluate(g, x, fcache))
                 back = backward.target.word_part(backward.evaluate(w, x, bcache))
             except UndeterminedError:
-                undetermined += 1
+                check.undetermined += 1
                 continue
             if back != g:
                 return check.fail(
-                    statistics={"checked": checked},
+                    statistics={"checked": check.checked},
                     counterexample={"g": g, "forward": w, "back": back,
                                     "point": str(getattr(x, "point_key", x))})
             if lengths is not None:
                 src_len, tgt_len = lengths
                 if tgt_len(w) != src_len(g):
                     return check.fail(
-                        statistics={"checked": checked},
+                        statistics={"checked": check.checked},
                         notes=("length preservation violated",),
                         counterexample={"g": g, "forward": w,
                                         "source_length": src_len(g),
                                         "target_length": tgt_len(w)})
-            checked += 1
+            check.checked += 1
     return check.report(
-        PASS if undetermined == 0 else UNDETERMINED,
-        parameters={"words": len(words), "length_check": lengths is not None},
-        statistics={"checked": checked, "undetermined": undetermined})
+        PASS, parameters={"words": len(words), "length_check": lengths is not None},
+        statistics={"checked": check.checked, "undetermined": check.undetermined})

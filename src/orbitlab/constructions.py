@@ -27,8 +27,8 @@ from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
                      GroupIndex, RecordingConfiguration, SeededConfiguration,
                      Space, agree_on, derive_seed, exact_distribution, sample,
                      sample_stream)
-from .verify import (FAIL, PASS, UNDETERMINED, Check, UndeterminedError,
-                     VerificationReport, WindowFunction, homogeneity_mc,
+from .verify import (FAIL, PASS, Check, UndeterminedError, VerificationReport,
+                     WindowFunction, homogeneity_mc,
                      independence_exact, selector_independence_on_samples)
 from .words import (Coset, GroupSpec, Word, ball, coset, cosets_ball,
                     extension_sphere, free_group, free_product, transversal_words)
@@ -136,7 +136,6 @@ def increment_equivariance_report(spec: GroupSpec, K: FiniteGroup, radius: int,
     power = direct_power(K, len(spec.parts))
     window = ball(spec, radius)
     words = ball(spec, 3)
-    checked = 0
     for x in sample_stream(shift.space, seed, samples):
         v = edge_increments(x, power)
         for h in words:
@@ -144,10 +143,10 @@ def increment_equivariance_report(spec: GroupSpec, K: FiniteGroup, radius: int,
             for g in window:
                 if vh.value(g) != v.value(g * h):
                     return check.fail(counterexample={"h": h, "g": g})
-                checked += 1
+                check.checked += 1
     return check.report(
         PASS, parameters={"radius": radius, "samples": samples, "shifts": len(words)},
-        statistics={"comparisons": checked})
+        statistics={"comparisons": check.checked})
 
 
 def increment_roundtrip_report(spec: GroupSpec, K: FiniteGroup, radius: int,
@@ -260,7 +259,6 @@ def restriction_consequence_report(setting: FactorSetting, radius: int,
     check = Check("restriction-consequence", seed=seed)
     sp, K = setting.spec, setting.K
     words = ball(sp, radius, parts=setting.gamma_group.label, mode="syllables")
-    checked = 0
     for x in sample_stream(setting.shift.space, seed, samples):
         for g in words:
             gx = setting.shift.apply(g, x)
@@ -272,9 +270,9 @@ def restriction_consequence_report(setting: FactorSetting, radius: int,
                                  x.value(coset(sp, setting.gamma, lam_word * g)))
                 if got != expected:
                     return check.fail(counterexample={"g": g, "lambda": lam_word})
-                checked += 1
+                check.checked += 1
     return check.report(PASS, parameters={"radius": radius, "samples": samples},
-                        statistics={"identities": checked})
+                        statistics={"identities": check.checked})
 
 
 def restriction_equivariance_report(setting: FactorSetting, samples: int,
@@ -660,9 +658,8 @@ def star_injectivity_report(star: StarAction, max_grade: int, samples: int,
     for y in sample_stream(star.space, seed, samples):
         cache: dict = {}
         for n in range(1, max_grade + 1):
-            slice_n = [w for w in transversal_words(star.spec0, star.lam0, n,
-                                                    parts=gname, mode="syllables")
-                       if w.length(gname, "syllables") == n]
+            slice_n = transversal_words(star.spec0, star.lam0, n, parts=gname,
+                                        mode="syllables", exact=True)
             images = []
             for g in slice_n:
                 w, _ = om.evaluate(g, y, cache)
@@ -1082,7 +1079,7 @@ def match_measure_report(kappa: int, scan_radius: int, samples: int, seed: int,
 
 
 def dependency_radius_report(system: CylinderAction, max_grade: int, samples: int,
-                             seed: int, exponent_bound: int = 1) -> VerificationReport:
+                             seed: int) -> VerificationReport:
     """Reads of the forward cocycle stay inside the declared window: the
     cosets actually read while evaluating omega(g, .) have b-grade at most
     the b-grade of g, and a-offsets bounded by 2 * letters(g) * scan radius
@@ -1090,10 +1087,9 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
     check = Check("cocycle-dependency-radius", seed=seed)
     om = system.omega()
     words = [w for w in ball(system.spec_up, max_grade, parts=system.b_parts,
-                             exponent_bound=exponent_bound)
+                             exponent_bound=1)
              if not w.is_identity]
     worst = 0
-    checked = undetermined = 0
     for i in range(samples):
         base = system.sample_in_cylinder(derive_seed(seed, f"dep/{i}"))
         for g in words:
@@ -1102,7 +1098,7 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
             try:
                 om.evaluate(g, recorder)
             except UndeterminedError:
-                undetermined += 1
+                check.undetermined += 1
                 continue
             grade = system.b_length_up(g)
             budget = 2 * g.length() * system.scan_radius
@@ -1114,23 +1110,22 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
                     return check.fail(counterexample={
                         "g": g, "coset": c.rep, "b_grade": b_read, "a_offset": a_read,
                         "allowed_grade": grade, "allowed_offset": budget})
-            checked += 1
+            check.checked += 1
     return check.report(
-        PASS if undetermined == 0 else UNDETERMINED,
-        parameters={"max_grade": max_grade, "samples": samples,
-                    "scan_radius": system.scan_radius},
-        statistics={"checked": checked, "undetermined": undetermined,
+        PASS, parameters={"max_grade": max_grade, "samples": samples,
+                          "scan_radius": system.scan_radius},
+        statistics={"checked": check.checked, "undetermined": check.undetermined,
                     "max_a_offset_seen": worst})
 
 
 def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
-                           seed: int, offsets: Sequence[int] = (-2, -1, 1, 2),
-                           exponent_bound: int = 1) -> VerificationReport:
-    """The fresh-coordinate cosets a^m (b^eps phi omega) of grade n+1 are
-    pairwise distinct across (i, eps, g, m) and sit strictly above grade n."""
+                           seed: int) -> VerificationReport:
+    """The fresh-coordinate cosets a^m (b^eps phi omega) of grade n+1, for
+    m in {-2, -1, 1, 2}, are pairwise distinct across (i, eps, g, m) and
+    sit strictly above grade n."""
     check = Check("fresh-coset-grades", seed=seed)
     om = system.omega()
-    checked = undetermined = 0
+    offsets = (-2, -1, 1, 2)
     for s in range(samples):
         x = system.sample_in_cylinder(derive_seed(seed, f"fresh/{s}"))
         cache: dict = {}
@@ -1141,12 +1136,12 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
                     letter = system.spec_up.generator(f"b{i}", eps)
                     grade_n = extension_sphere(system.spec_up, letter, n,
                                                parts=system.b_parts,
-                                               exponent_bound=exponent_bound)
+                                               exponent_bound=1)
                     for g in grade_n:
                         try:
                             wit = system.extension_word(i, eps, g, x, cache, om)
                         except UndeterminedError:
-                            undetermined += 1
+                            check.undetermined += 1
                             continue
                         if system.b_length_down(wit) != n + 1:
                             return check.fail(counterexample={"witness": wit, "grade": n})
@@ -1161,20 +1156,18 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
                             if c.rep.length("b") != n + 1:
                                 return check.fail(counterexample={"coset": c.rep,
                                                                   "grade": n})
-                            key = c
-                            if key in seen:
+                            if c in seen:
                                 return check.fail(
                                     notes=("coset collision",),
                                     counterexample={"coset": c.rep,
-                                                    "first": seen[key],
+                                                    "first": seen[c],
                                                     "second": (i, eps, g.tokens(), m)})
-                            seen[key] = (i, eps, g.tokens(), m)
-                            checked += 1
+                            seen[c] = (i, eps, g.tokens(), m)
+                            check.checked += 1
     return check.report(
-        PASS if undetermined == 0 else UNDETERMINED,
-        parameters={"max_grade": max_grade, "samples": samples,
-                    "offsets": list(offsets)},
-        statistics={"checked": checked, "undetermined": undetermined})
+        PASS, parameters={"max_grade": max_grade, "samples": samples,
+                          "offsets": list(offsets)},
+        statistics={"checked": check.checked, "undetermined": check.undetermined})
 
 
 # ===========================================================================
@@ -1207,7 +1200,6 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
     exhaustive-enumeration property)."""
     check = Check("extension-address-distinctness", seed=seed)
     system = soe.system
-    checked = undetermined = 0
     for s in range(samples):
         x = system.sample_in_cylinder(derive_seed(seed, f"ext/{s}"))
         cache: dict = {}
@@ -1223,13 +1215,12 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
                                                           "first": seen[address],
                                                           "second": (i, lam.tokens())})
                     seen[address] = (i, lam.tokens())
-                    checked += 1
+                    check.checked += 1
         except UndeterminedError:
-            undetermined += 1
+            check.undetermined += 1
     return check.report(
-        PASS if undetermined == 0 else UNDETERMINED,
-        parameters={"lambdas": len(lam_words), "samples": samples},
-        statistics={"checked": checked, "undetermined_points": undetermined})
+        PASS, parameters={"lambdas": len(lam_words), "samples": samples},
+        statistics={"checked": check.checked, "undetermined_points": check.undetermined})
 
 
 def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
@@ -1250,7 +1241,6 @@ def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
         w = soe.forward.target.word_part(soe.forward.evaluate(lam, x, cache))
         return system.apply(lam, x), bern.apply(w, y)
 
-    checked = undetermined = 0
     for s in range(samples):
         x = system.sample_in_cylinder(derive_seed(seed, f"ea/{s}"))
         y = sample(bern.space, derive_seed(seed, f"ea/y/{s}"))
@@ -1262,14 +1252,14 @@ def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
                     x2, y2 = ext_apply(l2, x1, y1, cache)
                     x12, y12 = ext_apply(l2 * l1, x, y, cache)
                 except UndeterminedError:
-                    undetermined += 1
+                    check.undetermined += 1
                     continue
                 if not agree_on(x2, x12, x_window) or not agree_on(y2, y12, window):
                     return check.fail(counterexample={"first": l1, "second": l2})
-                checked += 1
-    return check.report(PASS if undetermined == 0 else UNDETERMINED,
-                        parameters={"words": len(words), "samples": samples},
-                        statistics={"checked": checked, "undetermined": undetermined})
+                check.checked += 1
+    return check.report(PASS, parameters={"words": len(words), "samples": samples},
+                        statistics={"checked": check.checked,
+                                    "undetermined": check.undetermined})
 
 
 def extension_independence_report(soe: StableOE, pairs: Sequence[tuple],
@@ -1322,27 +1312,25 @@ def section_report(K: FiniteGroup, action: FiniteGroupAlphabetAction
     except ValueError as err:
         return check.fail(counterexample={"reason": str(err)})
     size = action.alphabet.size
-    checks = []
-    image = sorted(theta.values())
-    bijective = image == list(range(size)) and len(theta) == size
-    checks.append(VerificationReport(
-        "section-bijective", "exact", PASS if bijective else FAIL,
-        statistics={"orbits": len(reps), "points": size}))
+    bijection = Check("section-bijective")
+    bijective = sorted(theta.values()) == list(range(size)) and len(theta) == size
+    subs = [bijection.report(PASS if bijective else FAIL,
+                             statistics={"orbits": len(reps), "points": size})]
+    equivariance = Check("section-equivariance")
     equivariant = all(
         theta[(K.mul(g, h), y)] == action.act(g, theta[(h, y)])
         for g in range(K.size) for h in range(K.size) for y in reps)
-    checks.append(VerificationReport(
-        "section-equivariance", "exact", PASS if equivariant else FAIL,
-        statistics={"triples": K.size * K.size * len(reps)}))
+    subs.append(equivariance.report(PASS if equivariant else FAIL,
+                                    statistics={"triples": K.size * K.size * len(reps)}))
+    pushforward = Check("section-pushforward")
     push = {}
     cell = Fraction(1, K.size) * Fraction(1, len(reps))
-    for pair, v in theta.items():
+    for v in theta.values():
         push[v] = push.get(v, Fraction(0)) + cell
     uniform = all(p == Fraction(1, size) for p in push.values()) and len(push) == size
-    checks.append(VerificationReport(
-        "section-pushforward", "exact", PASS if uniform else FAIL,
-        statistics={"cell_mass": cell}))
-    return check.combine(checks, parameters={"group": K.label, "points": size})
+    subs.append(pushforward.report(PASS if uniform else FAIL,
+                                   statistics={"cell_mass": cell}))
+    return check.combine(subs, parameters={"group": K.label, "points": size})
 
 
 def free_action_on_cosets(K: FiniteGroup, copies: int) -> FiniteGroupAlphabetAction:

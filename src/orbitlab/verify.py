@@ -95,33 +95,28 @@ class VerificationReport:
         return out
 
 
-def combine_reports(name: str, subreports: Sequence[VerificationReport],
-                    parameters: dict | None = None, notes: tuple = ()) -> VerificationReport:
-    return VerificationReport(
-        name=name, mode="composite",
-        verdict=worst_verdict(r.verdict for r in subreports),
-        parameters=parameters or {},
-        statistics={"subchecks": len(subreports)},
-        notes=notes, subreports=tuple(subreports))
-
-
 class Check:
-    """One running check: its name, mode and seed, stated once, and its clock.
+    """One running check: its name, mode and seed, stated once, its clock
+    and its tally.
 
     The clock starts when the check is built; every report the check
-    returns carries the seconds since then in `runtime_s`.
+    returns carries the seconds since then in `runtime_s`.  A check that
+    counted an unresolved scan in `undetermined` reports UNDETERMINED in
+    place of PASS; `checked` counts what was verified.
     """
 
     def __init__(self, name: str, mode: str = "exact", seed: int | None = None):
         self.name = name
         self.mode = mode
         self.seed = seed
+        self.checked = 0
+        self.undetermined = 0
         self.started = time.perf_counter()
 
     def report(self, verdict: str, **fields) -> VerificationReport:
-        return VerificationReport(self.name, self.mode, verdict, seed=self.seed,
-                                  runtime_s=time.perf_counter() - self.started,
-                                  **fields)
+        if verdict == PASS and self.undetermined:
+            verdict = UNDETERMINED
+        return self._stamp(self.mode, verdict, **fields)
 
     def fail(self, **fields) -> VerificationReport:
         return self.report(FAIL, **fields)
@@ -129,9 +124,15 @@ class Check:
     def combine(self, subreports: Sequence[VerificationReport],
                 parameters: dict | None = None) -> VerificationReport:
         """The composite report over the subreports, under this check's name."""
-        report = combine_reports(self.name, subreports, parameters)
-        report.runtime_s = time.perf_counter() - self.started
-        return report
+        return self._stamp("composite", worst_verdict(r.verdict for r in subreports),
+                           parameters=parameters or {},
+                           statistics={"subchecks": len(subreports)},
+                           subreports=tuple(subreports))
+
+    def _stamp(self, mode: str, verdict: str, **fields) -> VerificationReport:
+        return VerificationReport(self.name, mode, verdict, seed=self.seed,
+                                  runtime_s=time.perf_counter() - self.started,
+                                  **fields)
 
 
 # -- variable families --------------------------------------------------------
@@ -167,11 +168,12 @@ def family_window(family: Sequence[WindowFunction]) -> list:
     return out
 
 
-def soundness_spotcheck(family: Sequence[WindowFunction], space, seed: int,
-                        trials: int = 10) -> VerificationReport:
+def soundness_spotcheck(family: Sequence[WindowFunction], space,
+                        seed: int) -> VerificationReport:
     """Spot-check that each declared dependency window is sound: the value
     must not move when everything outside the window is resampled."""
     check = Check("window-soundness", seed=seed)
+    trials = 10
     for i in range(trials):
         x = sample(space, derive_seed(seed, f"sound/{i}"))
         for v in family:
@@ -272,10 +274,10 @@ def independence_mc(space, family: Sequence[WindowFunction], samples: int,
 
 
 def goodness_of_fit_mc(values: Iterable[int], expected: Mapping[int, Fraction],
-                       seed: int | None, quantile: float = 0.999,
-                       name: str = "gof-mc") -> VerificationReport:
-    """Chi-square goodness of fit of sampled values against an exact law."""
-    check = Check(name, "monte-carlo", seed)
+                       seed: int | None) -> VerificationReport:
+    """Chi-square goodness of fit of sampled values against an exact law,
+    gated at the 0.999 quantile."""
+    check = Check("gof-mc", "monte-carlo", seed)
     counts: dict = {}
     n = 0
     for v in values:
@@ -288,7 +290,7 @@ def goodness_of_fit_mc(values: Iterable[int], expected: Mapping[int, Fraction],
     extra = set(counts) - set(expected)
     if extra:
         stat = float("inf")
-    return _chi_square_gate(check, stat, max(len(expected) - 1, 1), quantile, n)
+    return _chi_square_gate(check, stat, max(len(expected) - 1, 1), 0.999, n)
 
 
 def homogeneity_mc(values_a: Iterable[int], values_b: Iterable[int],
@@ -408,13 +410,11 @@ def selector_independence_on_samples(points: Iterable, selector_of_point: Callab
     selected indices must be pairwise distinct, and the y-window joint law,
     enumerated exactly, must be the uniform product."""
     check = Check(name, seed=seed)
-    checked = 0
-    undetermined = 0
     for x in points:
         try:
             sel = selector_of_point(x)
         except UndeterminedError:
-            undetermined += 1
+            check.undetermined += 1
             continue
         picked = [i for _, i in sel]
         if len(set(picked)) != len(picked):
@@ -432,11 +432,11 @@ def selector_independence_on_samples(points: Iterable, selector_of_point: Callab
             if joint.get(vs, Fraction(0)) != expected:
                 return check.fail(counterexample={"point": str(getattr(x, "point_key", x)),
                                                   "values": vs})
-        checked += 1
+        check.checked += 1
     return check.report(
-        PASS if undetermined == 0 else UNDETERMINED,
-        parameters={"family": list(family_names)},
-        statistics={"points_checked": checked, "undetermined_points": undetermined})
+        PASS, parameters={"family": list(family_names)},
+        statistics={"points_checked": check.checked,
+                    "undetermined_points": check.undetermined})
 
 
 class UndeterminedError(RuntimeError):
@@ -470,7 +470,6 @@ def generation_check(space, family: Sequence[WindowFunction], window,
         return tuple(y.value(c) for c in window)
 
     if reconstructor is not None:
-        checked = 0
         for x, _ in enumerate_window(space, window, budget):
             values = {v.name: v.fn(x) for v in family}
             rebuilt = reconstructor(values)
@@ -484,11 +483,11 @@ def generation_check(space, family: Sequence[WindowFunction], window,
                                                zip(window, expected)},
                                     "reconstructed": {space.coord_key(c): v for c, v in
                                                       zip(window, got)}})
-            checked += 1
+            check.checked += 1
         return check.report(
             PASS, notes=note,
             parameters={"variables": [v.name for v in family], "window": len(window)},
-            statistics={"points": checked})
+            statistics={"points": check.checked})
 
     seen: dict = {}
     for cfg, _ in enumerate_window(space, window, budget):

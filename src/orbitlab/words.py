@@ -365,17 +365,14 @@ def ball(spec: GroupSpec, radius: int, parts=None, mode: str = "letters",
     """All reduced words of length <= radius, without repetition, sorted.
 
     The length function is (parts, mode) as in Word.length.  Free letters
-    the metric does not count must be capped by exponent_bound, otherwise
-    the ball is infinite and BallNotFiniteError is raised.
+    the metric does not count must be capped by exponent_bound, and at most
+    one factor may go uncounted (two alternate at weight 0); otherwise the
+    ball is infinite and BallNotFiniteError is raised.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     counted = _resolve_parts(spec, parts)
-    uncounted = [p for p in range(len(spec.parts)) if p not in counted]
-    if len(uncounted) >= 2 and exponent_bound is None:
-        raise BallNotFiniteError("more than one uncounted factor requires exponent_bound")
-    if uncounted and any(isinstance(spec.parts[p], FinitePart) for p in uncounted) \
-            and len(uncounted) >= 2:
+    if len(spec.parts) - len(counted) >= 2:
         raise BallNotFiniteError("two uncounted factors make the ball infinite")
 
     out: list[Word] = []
@@ -422,10 +419,10 @@ def transversal_words(spec: GroupSpec, subgroup, radius: int, parts=None,
 
 
 def extension_sphere(spec: GroupSpec, letter: Word, radius: int, parts=None,
-                     mode: str = "letters", exponent_bound: int | None = None) -> list[Word]:
-    """Words g with |g| = radius and |letter * g| = radius + 1."""
-    return [w for w in sphere(spec, radius, parts, mode, exponent_bound)
-            if (letter * w).length(parts, mode) == radius + 1]
+                     exponent_bound: int | None = None) -> list[Word]:
+    """Words g with |g| = radius and |letter * g| = radius + 1 (letter length)."""
+    return [w for w in sphere(spec, radius, parts, "letters", exponent_bound)
+            if (letter * w).length(parts) == radius + 1]
 
 
 # -- transversal map r, cosets and the transfer cocycle -----------------------

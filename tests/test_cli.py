@@ -144,12 +144,49 @@ def test_budget_overflow_exits_3(tmp_path):
     ({"groups": ["K"]}, "groups"),
     ({"checks": [{"name": ["lemma-indep"]}]}, "checks[0].name"),
     ({"budget": 1e400}, "budget"),
+    ({"checks": [{"name": "lemma-indep", "params": {"x_size": "two"}}]},
+     "checks[0].params.x_size"),
+    ({"checks": [{"name": "lemma-2", "params": {"determinacy": 1}}]},
+     "checks[0].params.determinacy"),
+    ({"checks": [{"name": "lemma-indep", "params": {"x_size": True}}]},
+     "checks[0].params.x_size"),
+    ({"groups": {"K": {"kind": "cyclic", "order": "two"}}}, "groups.K.order"),
+    ({"groups": {"K": {"kind": "cyclic", "order": 0}}}, "groups.K.order"),
+    ({"checks": [{"name": "appendix-section", "params": {"cases": [["cyclic", 2]]}}]},
+     "checks[0].params.cases"),
+    ({"checks": [{"name": "theorem-b", "params": {"mode": "bogus"}}]},
+     "checks[0].params.mode"),
+    ({"checks": [{"name": "lemma-factor", "params": {"gamma": "NOPE"}}]},
+     "checks[0].params.gamma"),
 ])
 def test_malformed_config_exits_3(tmp_path, overrides, field):
     path = write_config(tmp_path, minimal_config(**overrides))
     stream = io.StringIO()
     assert run_suite(path, tmp_path / "out", stream=stream) == 3
     assert stream.getvalue().startswith(f"config error at {field}: ")
+
+
+def _report_nodes(report):
+    yield report
+    for sub in report.subreports:
+        yield from _report_nodes(sub)
+
+
+def test_every_report_node_carries_its_runtime():
+    groups = {name: {"kind": "cyclic", "order": 2, "prefix": name.lower()}
+              for name in ("K", "G", "L")}
+    ctx, checks = parse_config(minimal_config(
+        samples=3, groups=groups,
+        checks=[{"name": name} for name in ("appendix-section", "lemma-indep",
+                                            "star-action")]))
+    wrappers = 0
+    for spec, params in checks:
+        for node in _report_nodes(spec.runner(ctx, params)):
+            assert isinstance(node.runtime_s, float) and node.runtime_s >= 0
+            if node.notes == ("negative control: inner check must fail",):
+                wrappers += 1
+                assert node.runtime_s >= node.subreports[0].runtime_s
+    assert wrappers == 2
 
 
 def test_only_filter_and_overrides(tmp_path):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 from orbitlab.groups import cyclic
 from orbitlab.spaces import GroupIndex, Space, sample_stream
-from orbitlab.verify import (Selector, VerificationReport, WindowFunction,
-                             combine_reports, coordinate_variable,
+from orbitlab.verify import (Check, Selector, VerificationReport, WindowFunction,
+                             coordinate_variable,
                              generation_check, goodness_of_fit_mc,
                              independence_exact, independence_mc,
                              selector_independence_exact, soundness_spotcheck,
@@ -131,9 +131,18 @@ def test_worst_verdict_and_combine():
     r2 = VerificationReport("b", "exact", "undetermined")
     r3 = VerificationReport("c", "exact", "fail")
     assert worst_verdict([r1.verdict, r2.verdict]) == "undetermined"
-    combined = combine_reports("all", [r1, r2, r3])
+    combined = Check("all").combine([r1, r2, r3])
     assert combined.verdict == "fail"
     assert len(combined.subreports) == 3
+
+
+def test_check_counted_undetermined_downgrades_pass_only():
+    check = Check("scan")
+    assert check.report("pass").verdict == "pass"
+    check.undetermined = 1
+    assert check.report("pass").verdict == "undetermined"
+    assert check.report("fail").verdict == "fail"
+    assert check.fail().verdict == "fail"
 
 
 def test_report_payload_serializes_exact_fractions():

@@ -84,6 +84,9 @@ def test_word_length_balls():
 def test_ball_b_length_radius_zero_needs_bound():
     with pytest.raises(BallNotFiniteError):
         ball(F2, 0, parts="b")
+    # two uncounted factors alternate at weight 0: infinite whatever the bound
+    with pytest.raises(BallNotFiniteError):
+        ball(free_group("a", "b", "c"), 1, parts="c", exponent_bound=1)
     words = ball(F2, 0, parts="b", exponent_bound=2)
     assert sorted(w.tokens() for w in words) == ["a^-1", "a^-2", "a^1", "a^2", "e"]
 
