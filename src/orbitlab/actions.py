@@ -345,6 +345,13 @@ class TwistedCosetShift(Action):
                 total += self._weights.get(p, 0) * v
         return total % self.kappa
 
+    def decompose(self, x: Configuration) -> tuple[Configuration, Word, int]:
+        """(base, u, t) with x_c = (t + base_{c u}) mod kappa, base not a view
+        of this action."""
+        if isinstance(x, _TwistedView) and x.space is self.space:
+            return x.base, x.u, x.t
+        return x, self.group_spec.identity(), 0
+
     def apply(self, g: Word, x: Configuration) -> Configuration:
         if g.is_identity:
             return x

@@ -4,10 +4,12 @@ suites, write one structured report per check plus a summary.
 Exit codes: 0 all checks pass, 1 any check fails, 2 undetermined outcomes
 (and no failures), 3 malformed config or a window over the enumeration
 budget, with one message naming the field (`checks[i].params.<key>` for
-a check parameter of the wrong type or an unknown mode, case, group,
-twist or instance; `groups.<name>.order` for a cyclic order that is not a
-positive integer).  Report files are `NN-<check>.json`, NN being the
-check's index in the config's `checks` (also under --only).  Reports are
+a check parameter of the wrong type, below its least value, or an
+unknown mode, case, group, twist or instance; `samples`, `budget` or
+`scan_radius` that is not a positive integer, `quantile` outside (0, 1);
+`groups.<name>.order` for a cyclic order that is not a positive
+integer).  Report files are `NN-<check>.json`, NN being the check's
+index in the config's `checks` (also under --only).  Reports are
 deterministic functions of (config, seeds); wall-clock data, with the
 check's own clock as `runtime_s`, lives in a separate `timing` section so
 payloads compare byte-identically across runs.
@@ -110,6 +112,7 @@ class CheckSpec:
     description: str
     params: dict                      # parameter name -> default
     runner: Callable
+    minimums: dict                    # integer parameter name -> least value
 
     def catalog_entry(self) -> dict:
         return {"name": self.name, "anchor": self.name,
@@ -119,9 +122,9 @@ class CheckSpec:
 REGISTRY: dict[str, CheckSpec] = {}
 
 
-def register(name, description, params):
+def register(name, description, params, minimums=None):
     def deco(fn):
-        REGISTRY[name] = CheckSpec(name, description, params, fn)
+        REGISTRY[name] = CheckSpec(name, description, params, fn, minimums or {})
         return fn
     return deco
 
@@ -141,7 +144,9 @@ def expect_failure(name: str, run: Callable[[], VerificationReport]) -> Verifica
           "increment isomorphism of the diagonal quotient of a group-valued shift",
           {"alphabet": "K", "rank": 2, "family_radius": 1, "roundtrip_radius": 3,
            "equivariance_radius": 2, "mode": "auto", "mc_samples": 10 ** 5,
-           "window_radius": None, "samples": None})
+           "window_radius": None, "samples": None},
+          {"rank": 1, "family_radius": 0, "roundtrip_radius": 1,
+           "equivariance_radius": 0, "mc_samples": 1, "window_radius": 0, "samples": 1})
 def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("theorem-b")
     K = ctx.group(params, "alphabet")
@@ -154,6 +159,9 @@ def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
     family = increment_family(spec, K, params["family_radius"])
     if params["window_radius"] is not None:
         window = ball(spec, params["window_radius"])
+        if not set(family_window(family)) <= set(window):
+            raise ConfigError("window_radius",
+                              "the window must hold every coordinate the family reads")
     else:
         window = family_window(family)
     states = K.size ** len(window)
@@ -188,7 +196,8 @@ def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
 
 @register("lemma-factor",
           "free-factor restriction of a coset shift and its quotient characterization",
-          {"gamma": "G", "lam": "L", "K": "K", "radius": 2, "samples": None})
+          {"gamma": "G", "lam": "L", "K": "K", "radius": 2, "samples": None},
+          {"radius": 0, "samples": 1})
 def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-factor")
     setting = FactorSetting(ctx.group(params, "gamma"), ctx.group(params, "lam"),
@@ -223,7 +232,8 @@ def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
 @register("star-action",
           "transported free-product action over a co-induction, with both cocycles",
           {"gamma": "G", "lam": "L", "K": "K", "twist": 1, "relation_radius": 3,
-           "orbit_radius": 2, "injectivity_grade": 2, "samples": None})
+           "orbit_radius": 2, "injectivity_grade": 2, "samples": None},
+          {"relation_radius": 0, "orbit_radius": 0, "injectivity_grade": 0, "samples": 1})
 def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("star-action")
     gamma = ctx.group(params, "gamma")
@@ -259,7 +269,10 @@ def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
            "inverse_length": 3, "freshness_grade": 2, "dependency_grade": 2,
            "samples": None, "dependency_samples": 10,
            "determinacy_samples": 10 ** 4, "determinacy": True,
-           "measure_mc": True, "measure_samples": 4000})
+           "measure_mc": True, "measure_samples": 4000},
+          {"kappa": 2, "scan_radius": 1, "identity_length": 0, "inverse_length": 0,
+           "freshness_grade": 0, "dependency_grade": 0, "samples": 1,
+           "dependency_samples": 1, "determinacy_samples": 1, "measure_samples": 1})
 def _run_lemma_2(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-2")
     kappa = params["kappa"]
@@ -300,7 +313,8 @@ def _run_lemma_2(ctx: SuiteContext, params: dict) -> VerificationReport:
 @register("lemma-3",
           "diagonal Bernoulli extension of a stable orbit equivalence",
           {"kappa": 2, "scan_radius": None, "lambda_grade": 1, "y_order": 2,
-           "samples": None})
+           "samples": None},
+          {"kappa": 2, "scan_radius": 1, "lambda_grade": 0, "y_order": 1, "samples": 1})
 def _run_lemma_3(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-3")
     kappa = params["kappa"]
@@ -353,7 +367,8 @@ def _run_appendix_section(ctx: SuiteContext, params: dict) -> VerificationReport
 
 @register("lemma-indep",
           "twisted-selector independence decision procedure",
-          {"x_size": 2, "value_size": 2, "index_size": 3})
+          {"x_size": 2, "value_size": 2, "index_size": 3},
+          {"x_size": 1, "value_size": 1, "index_size": 1})
 def _run_lemma_indep(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-indep")
     x_size = params["x_size"]
@@ -390,7 +405,8 @@ def _run_lemma_indep(ctx: SuiteContext, params: dict) -> VerificationReport:
 
 @register("coinduction-characterization",
           "the three defining properties of a co-induced action",
-          {"instance": "finite-factor", "kappa": 2, "radius": 2, "samples": None})
+          {"instance": "finite-factor", "kappa": 2, "radius": 2, "samples": None},
+          {"kappa": 1, "radius": 0, "samples": 1})
 def _run_characterization(ctx: SuiteContext, params: dict) -> VerificationReport:
     samples = params["samples"] or ctx.samples
     radius = params["radius"]
@@ -448,11 +464,19 @@ def _run_negative_control(ctx: SuiteContext, params: dict) -> VerificationReport
 # -- config parsing and the suite runner ------------------------------------------
 
 
-def _number(document: dict, key: str, kind: type, default):
-    try:
-        return kind(document.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(key, f"expected a number, got {document[key]!r}") from None
+def _setting(document: dict, key: str, default, fits: Callable, expected: str):
+    value = document.get(key, default)
+    if not fits(value):
+        raise ConfigError(key, f"expected {expected}, got {value!r}")
+    return value
+
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _probability(value) -> bool:
+    return type(value) in (int, float) and 0 < value < 1
 
 
 def _fits(default, value) -> bool:
@@ -473,10 +497,13 @@ def parse_config(document: dict) -> tuple[SuiteContext, list]:
         raise ConfigError("seed", "an integer seed is mandatory")
     ctx = SuiteContext(
         seed=document["seed"],
-        samples=_number(document, "samples", int, 100),
-        budget=_number(document, "budget", int, DEFAULT_BUDGET),
-        quantile=_number(document, "quantile", float, 0.999),
-        scan_radius=_number(document, "scan_radius", int, 64))
+        samples=_setting(document, "samples", 100, _positive_int, "a positive integer"),
+        budget=_setting(document, "budget", DEFAULT_BUDGET, _positive_int,
+                        "a positive integer"),
+        quantile=_setting(document, "quantile", 0.999, _probability,
+                          "a number strictly between 0 and 1"),
+        scan_radius=_setting(document, "scan_radius", 64, _positive_int,
+                             "a positive integer"))
     groups = document.get("groups", {})
     if not isinstance(groups, dict):
         raise ConfigError("groups", "groups must be an object")
@@ -506,6 +533,10 @@ def parse_config(document: dict) -> tuple[SuiteContext, list]:
                 kind = "int or null" if default is None else type(default).__name__
                 raise ConfigError(f"checks[{i}].params.{key}",
                                   f"expected {kind}, got {value!r}")
+            least = spec.minimums.get(key)
+            if least is not None and value is not None and value < least:
+                raise ConfigError(f"checks[{i}].params.{key}",
+                                  f"expected an integer >= {least}, got {value!r}")
             params[key] = value
         resolved.append((spec, params))
     return ctx, resolved

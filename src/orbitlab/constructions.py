@@ -13,6 +13,7 @@ as explicit outcomes.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -734,56 +735,83 @@ def parenthesis_match(z: Configuration, target_symbol: int, max_radius: int,
     raise UndeterminedError(f"no match within radius {max_radius}")
 
 
-class Matcher:
-    """Orbit matchings between single-symbol cylinders of alphabet^Z by
-    balanced-parenthesis matching, cached per point."""
-
-    def __init__(self, scan_radius: int):
-        self.scan_radius = scan_radius
-        self._cache: dict = {}
-
-    def forward_offset(self, z: Configuration, symbol: int) -> int:
-        """alpha_symbol: offset m with z_m = symbol, for z in the 0-cylinder."""
-        if symbol == 0:
-            return 0
-        key = ("fwd", symbol, z.point_key)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = parenthesis_match(z, symbol, self.scan_radius)
-            self._cache[key] = hit
-        return hit
-
-    def backward_offset(self, z: Configuration, symbol: int) -> int:
-        """alpha_symbol^-1: offset of the matched 0 for z in the symbol-cylinder."""
-        if symbol == 0:
-            return 0
-        key = ("bwd", symbol, z.point_key)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = parenthesis_match(z, symbol, self.scan_radius, inverse=True)
-            self._cache[key] = hit
-        return hit
+_UNREAD = 0xFFFF  # tape cells are unsigned 16-bit symbols
 
 
-class RestrictionView(Configuration):
-    """Z-indexed view of a coset-indexed configuration along the a-axis:
-    value(n) = x at the coset of a^n."""
+class AxisTape:
+    """The values of one point along its a-axis, read one coordinate at a
+    time and kept.
 
-    def __init__(self, x: Configuration, space: Space, a_cosets: Callable):
+    Position k holds base.value(coset(k, u0)): the coset (b)a^k u0 of a
+    coset-indexed base, or, with u0 None, the integer k of a Z-indexed one.
+    Every twisted translate of the base by a^m u0 reads this tape shifted
+    by m, so the translates share its reads, and the parenthesis matches
+    found on it, keyed by small ints.  Positions low .. low + len(cells) - 1
+    have a cell, _UNREAD until read; widening the cells reads nothing.
+    """
+
+    __slots__ = ("base", "u0", "coset", "low", "cells", "matches")
+
+    def __init__(self, base: Configuration, u0: tuple | None, coset: Callable):
+        self.base = base
+        self.u0 = u0
+        self.coset = coset
+        self.low = 0
+        self.cells = array("H")
+        self.matches: dict = {}
+
+    @property
+    def key(self):
+        return (self.base.point_key, self.u0)
+
+    def value(self, k: int) -> int:
+        i = k - self.low
+        if not 0 <= i < len(self.cells):
+            i = self._widen(k)
+        v = self.cells[i]
+        if v == _UNREAD:
+            v = self.base.value(k if self.u0 is None else self.coset(k, self.u0))
+            self.cells[i] = v
+        return v
+
+    def _widen(self, k: int) -> int:
+        """Add unread cells, at least doubling, until position k has one;
+        returns its index."""
+        cells = self.cells
+        if not cells:
+            self.low = k
+        room = max(len(cells), 8)
+        if k < self.low:
+            pad = self.low - k + room
+            self.cells = array("H", [_UNREAD]) * pad + cells
+            self.low -= pad
+        else:
+            cells.extend(array("H", [_UNREAD]) * (k - self.low - len(cells) + room))
+        return k - self.low
+
+
+class AxisView(Configuration):
+    """Z-indexed view of a tape: value(n) = (t + tape[n + m]) mod kappa."""
+
+    def __init__(self, space: Space, tape: AxisTape, m: int, t: int):
         self.space = space
-        self.x = x
-        self.a_cosets = a_cosets
+        self.tape = tape
+        self.m = m
+        self.t = t
+        self.kappa = space.alphabet.size
 
     def value(self, coord) -> int:
-        n = self.space.index.canonicalize(coord)
-        return self.x.value(self.a_cosets(n))
+        return (self.t + self.tape.value(coord + self.m)) % self.kappa
+
+    def shifted(self, n: int) -> "AxisView":
+        return AxisView(self.space, self.tape, self.m + n, self.t)
 
     def window(self) -> dict:
         return {}
 
     @property
     def point_key(self):
-        return ("a-axis", self.x.point_key)
+        return ("axis", self.tape.key, self.m, self.t)
 
 
 class CylinderAction(Action):
@@ -808,11 +836,13 @@ class CylinderAction(Action):
         self.group_spec = self.spec_up
         self.a0 = self.f2.generator("a")
         self.b0 = self.f2.generator("b")
+        self.a_part, self.b_part = self.f2.part_index("a"), self.f2.part_index("b")
         self.base = coset(self.f2, "b", self.f2.identity())
         self.oracle = FirstReturnOracle(cyclic(kappa), 0, scan_radius)
-        self.matcher = Matcher(scan_radius)
         self.zshift = IntShift(cyclic(kappa))
         self._a_cosets: dict = {}
+        self._tapes: dict = {}
+        self._axis_coset = self.axis_coset   # one bound method shared by the tapes
         self._apply_cache: dict = {}
         self.b_parts = [f"b{i}" for i in range(kappa)]
 
@@ -825,8 +855,54 @@ class CylinderAction(Action):
             self._a_cosets[n] = c
         return c
 
-    def rho(self, x: Configuration) -> Configuration:
-        return RestrictionView(x, self.zshift.space, self.a_coset)
+    def axis_coset(self, k: int, u0: tuple) -> Coset:
+        """The coset (b)a^k u0, for u0 with no leading a syllable."""
+        if not u0:
+            return self.a_coset(k)
+        if k == 0:
+            return coset(self.f2, self.b_part, Word(self.f2, u0))
+        return Coset(self.f2, self.b_part, Word(self.f2, (("g", self.a_part, k),) + u0))
+
+    def _tape(self, base: Configuration, u0: tuple | None) -> AxisTape:
+        key = (base.point_key, u0)
+        tape = self._tapes.get(key)
+        if tape is None:
+            tape = AxisTape(base, u0, self._axis_coset)
+            self._tapes[key] = tape
+        return tape
+
+    def rho(self, x: Configuration) -> AxisView:
+        """The a-axis of x: for x = (a^m u0).base twisted by t, the tape of
+        (base, u0) read from m on, plus t."""
+        base, u, t = self.twisted.decompose(x)
+        u0, m = u.syllables, 0
+        if u0 and u0[0][0] == "g" and u0[0][1] == self.a_part:
+            u0, m = u0[1:], u0[0][2]
+        return AxisView(self.zshift.space, self._tape(base, u0), m, t)
+
+    def _axis(self, z: Configuration) -> AxisView:
+        """A Z-indexed point as a view of its tape (its own, unless z is one)."""
+        if isinstance(z, AxisView):
+            return z
+        return AxisView(self.zshift.space, self._tape(z, None), 0, 0)
+
+    def match(self, z: Configuration, symbol: int, inverse: bool = False) -> int:
+        """parenthesis_match(z, symbol, scan_radius, inverse) for a Z-indexed
+        point, scanned once per tape: the outcome depends only on which tape
+        symbols open and close and on where the scan starts."""
+        z = self._axis(z)
+        kappa = self.kappa
+        key = (-z.t % kappa, (symbol - z.t) % kappa, z.m, inverse)
+        matches = z.tape.matches
+        if key not in matches:
+            try:
+                matches[key] = parenthesis_match(z, symbol, self.scan_radius, inverse)
+            except UndeterminedError:
+                matches[key] = None
+        offset = matches[key]
+        if offset is None:
+            raise UndeterminedError(f"no match within radius {self.scan_radius}")
+        return offset
 
     def symbol_index(self, x: Configuration) -> int:
         return x.value(self.base)
@@ -840,13 +916,13 @@ class CylinderAction(Action):
         """Word moving x from the 0-cylinder onto the i-cylinder."""
         if i % self.kappa == 0:
             return self.f2.identity()
-        return self.a0 ** self.matcher.forward_offset(self.rho(x), i % self.kappa)
+        return self.a0 ** self.match(self.rho(x), i % self.kappa, False)
 
     def psi_word(self, i: int, x: Configuration) -> Word:
         """Word moving x from the i-cylinder back onto the 0-cylinder."""
         if i % self.kappa == 0:
             return self.f2.identity()
-        return self.a0 ** self.matcher.backward_offset(self.rho(x), i % self.kappa)
+        return self.a0 ** self.match(self.rho(x), i % self.kappa, True)
 
     def theta(self, i: int, x: Configuration) -> Configuration:
         return self.twisted.apply(self.phi_word(i, x), x)
@@ -854,17 +930,21 @@ class CylinderAction(Action):
     def theta_inv(self, i: int, x: Configuration) -> Configuration:
         return self.twisted.apply(self.psi_word(i, x), x)
 
-    def q0(self, z: Configuration) -> Configuration:
+    def _back_offset(self, z: AxisView) -> int:
+        """Offset of the 0 matched to z's origin symbol (0 on the 0-cylinder)."""
         i = z.value(0)
-        if i == 0:
-            return z
-        return self.zshift.apply(self.matcher.backward_offset(z, i), z)
+        return 0 if i == 0 else self.match(z, i, True)
+
+    def q0(self, z: Configuration) -> AxisView:
+        """z moved back onto the 0-cylinder, to the 0 matched to its origin."""
+        z = self._axis(z)
+        return z.shifted(self._back_offset(z))
 
     def eta_prime(self, n: int, z: Configuration) -> int:
         """Inverse-direction return cocycle: q0(n.z) = eta'(n, z) * q0(z)."""
-        nz = self.zshift.apply(n, z)
-        p_z = 0 if z.value(0) == 0 else self.matcher.backward_offset(z, z.value(0))
-        p_nz = 0 if nz.value(0) == 0 else self.matcher.backward_offset(nz, nz.value(0))
+        z = self._axis(z)
+        p_z = self._back_offset(z)
+        p_nz = self._back_offset(z.shifted(n))
         return self.oracle.steps_to(self.q0(z), n + p_nz - p_z)
 
     # -- the transported action ---------------------------------------------
@@ -914,9 +994,9 @@ class CylinderAction(Action):
         """Backward cocycle on the whole twisted space: g . x = omega'(g,x) * x."""
         target = CocycleTarget(spec=self.spec_up)
         entries = {
-            ("g", self.f2.part_index("a")):
+            ("g", self.a_part):
                 (lambda x: self.spec_up.generator("a", self.eta_prime(1, self.rho(x)))),
-            ("g", self.f2.part_index("b")):
+            ("g", self.b_part):
                 (lambda x: self.spec_up.generator(f"b{self.symbol_index(x)}")),
         }
         return Cocycle(self.twisted, target, entries, "cylinder-backward")
@@ -1083,7 +1163,7 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
     """Reads of the forward cocycle stay inside the declared window: the
     cosets actually read while evaluating omega(g, .) have b-grade at most
     the b-grade of g, and a-offsets bounded by 2 * letters(g) * scan radius
-    (each b-letter chains two matcher scans, each a-letter one return scan)."""
+    (each b-letter chains two matching scans, each a-letter one return scan)."""
     check = Check("cocycle-dependency-radius", seed=seed)
     om = system.omega()
     words = [w for w in ball(system.spec_up, max_grade, parts=system.b_parts,
@@ -1146,7 +1226,7 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
                         if system.b_length_down(wit) != n + 1:
                             return check.fail(counterexample={"witness": wit, "grade": n})
                         first = wit.syllables[0]
-                        if first[1] != system.f2.part_index("b") or \
+                        if first[1] != system.b_part or \
                                 (1 if first[2] > 0 else -1) != eps:
                             return check.fail(
                                 notes=("leading letter of the witness is wrong",),

@@ -57,6 +57,7 @@ class GroupSpec:
         if not parts:
             raise ValueError("a group spec needs at least one part")
         self.parts = tuple(parts)
+        self._identity = Word(self, ())
         self._gen_part: dict[str, int] = {}
         self._elem_token: dict[str, tuple[int, int]] = {}
         for p, part in enumerate(self.parts):
@@ -84,7 +85,7 @@ class GroupSpec:
     # -- element constructors -------------------------------------------------
 
     def identity(self) -> "Word":
-        return Word(self, ())
+        return self._identity
 
     def generator(self, name: str, exp: int = 1) -> "Word":
         if name not in self._gen_part:
@@ -241,6 +242,9 @@ class Word:
         return Word(self.spec, tuple(out))
 
     def __pow__(self, n: int) -> "Word":
+        if len(self.syllables) == 1 and self.syllables[0][0] == "g":
+            _, p, v = self.syllables[0]
+            return Word(self.spec, (("g", p, v * n),)) if n else self.spec.identity()
         if n < 0:
             return self.inverse() ** (-n)
         out = self.spec.identity()

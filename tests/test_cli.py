@@ -158,6 +158,24 @@ def test_budget_overflow_exits_3(tmp_path):
      "checks[0].params.mode"),
     ({"checks": [{"name": "lemma-factor", "params": {"gamma": "NOPE"}}]},
      "checks[0].params.gamma"),
+    ({"checks": [{"name": "lemma-indep", "params": {"value_size": 0}}]},
+     "checks[0].params.value_size"),
+    ({"checks": [{"name": "lemma-indep", "params": {"index_size": 0}}]},
+     "checks[0].params.index_size"),
+    ({"checks": [{"name": "theorem-b", "params": {"rank": 0}}]}, "checks[0].params.rank"),
+    ({"checks": [{"name": "lemma-2", "params": {"kappa": 1}}]}, "checks[0].params.kappa"),
+    ({"checks": [{"name": "lemma-factor", "params": {"radius": -1}}]},
+     "checks[0].params.radius"),
+    ({"checks": [{"name": "theorem-b", "params": {"window_radius": 0}}]},
+     "checks[0].params.window_radius"),
+    ({"samples": 2.7}, "samples"),
+    ({"samples": True}, "samples"),
+    ({"samples": 0}, "samples"),
+    ({"samples": -3}, "samples"),
+    ({"budget": 1.5}, "budget"),
+    ({"scan_radius": False}, "scan_radius"),
+    ({"quantile": 2}, "quantile"),
+    ({"quantile": True}, "quantile"),
 ])
 def test_malformed_config_exits_3(tmp_path, overrides, field):
     path = write_config(tmp_path, minimal_config(**overrides))

@@ -6,7 +6,7 @@ import pytest
 
 from orbitlab.actions import BernoulliShift, IntShift
 from orbitlab.cocycles import Cocycle, CocycleTarget, verify_identity, verify_inverse_pair
-from orbitlab.constructions import (CylinderAction, FactorSetting,
+from orbitlab.constructions import (AxisView, CylinderAction, FactorSetting,
                                     StarAction, build_cylinder_oe,
                                     component_twist_system, coset_freshness_report,
                                     cylinder_measure_report, degenerate_stable_oe,
@@ -26,7 +26,8 @@ from orbitlab.constructions import (CylinderAction, FactorSetting,
                                     star_injectivity_report, star_orbit_report,
                                     star_relation_report)
 from orbitlab.groups import cyclic, direct_power, s3
-from orbitlab.spaces import (ExplicitConfiguration, SeededConfiguration, Space,
+from orbitlab.spaces import (Configuration, ExplicitConfiguration,
+                             RecordingConfiguration, SeededConfiguration, Space,
                              agree_on, derive_seed, sample, sample_stream)
 from orbitlab.verify import (UndeterminedError, coordinate_variable, homogeneity_mc,
                              independence_exact)
@@ -348,6 +349,92 @@ def test_eta_prime_inverts_returns():
                 assert system.eta_prime(eta, z) == n
         except UndeterminedError:
             continue
+
+
+class DirectAxis(Configuration):
+    """value(n) = (twist + x at the coset of a^(n + shift)) mod kappa, read one
+    coordinate at a time through x: the reference the tapes must agree with."""
+
+    def __init__(self, system, x, shift=0, twist=0):
+        self.space = system.zshift.space
+        self.system = system
+        self.x = x
+        self.shift = shift
+        self.twist = twist
+
+    def value(self, coord):
+        return (self.twist + self.x.value(self.system.a_coset(coord + self.shift))) \
+            % self.system.kappa
+
+    def window(self):
+        return {}
+
+    @property
+    def point_key(self):
+        return ("direct-axis", self.shift, self.twist, self.x.point_key)
+
+
+def _outcome(scan):
+    try:
+        return scan()
+    except UndeterminedError:
+        return "undetermined"
+
+
+def _scans(kappa, origin):
+    """(symbol, inverse) pairs a point with this origin symbol can match."""
+    if origin == 0:
+        return [(symbol, False) for symbol in range(1, kappa)]
+    return [(origin, True)]
+
+
+def _axis_words(system):
+    """Words a^m u0 for several u0 without a leading a, and several m."""
+    a, b = system.a0, system.b0
+    prefixes = [system.f2.identity(), b, b ** -1, b * a * b, b ** 2 * a ** -1]
+    return [a ** m * u0 for u0 in prefixes for m in (-5, -1, 0, 2, 7)]
+
+
+@pytest.mark.parametrize("kappa", [2, 3])
+def test_tape_matches_equal_direct_scans(kappa):
+    shift = IntShift(cyclic(kappa))
+    for radius in range(1, 65):
+        system = CylinderAction(kappa, radius)
+        x = system.sample_in_cylinder(derive_seed(40, f"{kappa}/{radius}"))
+        points = [system.twisted.apply(w, x) for w in _axis_words(system)]
+        z = SeededConfiguration(shift.space, derive_seed(41, f"{kappa}/{radius}"))
+        lines = [(zn, zn) for zn in (shift.apply(n, z) for n in range(-3, 4))]
+        for y in points:
+            # every shift and twist of the same tape, not only those rho makes
+            axis = system.rho(y)
+            lines += [(AxisView(axis.space, axis.tape, axis.m + j, (axis.t + t) % kappa),
+                       DirectAxis(system, y, j, t))
+                      for j in (0, 3) for t in range(kappa)]
+        for _ in range(2):  # the second pass is answered from the tapes' matches
+            for axis, direct in lines:
+                for symbol, inverse in _scans(kappa, direct.value(0)):
+                    assert _outcome(lambda: system.match(axis, symbol, inverse)) == \
+                        _outcome(lambda: parenthesis_match(direct, symbol, radius, inverse))
+
+
+def test_tape_reads_the_cosets_a_direct_scan_reads():
+    system = CylinderAction(3, 16)
+    base = system.sample_in_cylinder(derive_seed(42, "reads"))
+    tape_log, direct_log = set(), set()
+    tape_base = RecordingConfiguration(base, tape_log)
+    direct_base = RecordingConfiguration(base, direct_log)
+    words = _axis_words(system)
+    for w in words + words:
+        axis = system.rho(system.twisted.apply(w, tape_base))
+        direct = DirectAxis(system, system.twisted.apply(w, direct_base))
+        for symbol, inverse in _scans(3, direct.value(0)):
+            _outcome(lambda: system.match(axis, symbol, inverse))
+            _outcome(lambda: parenthesis_match(direct, symbol, 16, inverse))
+        for step in (1, -1):
+            _outcome(lambda: system.oracle.first_return(axis, step))
+            _outcome(lambda: system.oracle.first_return(direct, step))
+    assert len(direct_log) > 100
+    assert tape_log == direct_log
 
 
 def test_dependency_radius_small():

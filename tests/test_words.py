@@ -58,6 +58,16 @@ def test_power_and_inverse():
     assert (w * w.inverse()).is_identity
 
 
+def test_power_of_one_syllable_equals_repeated_products():
+    for w in (A, B ** -1, A ** 3, G, A * B):
+        for n in range(-4, 5):
+            expected = E if w.spec is F2 else Z2Z2.identity()
+            for _ in range(abs(n)):
+                expected = expected * (w if n > 0 else w.inverse())
+            assert w ** n == expected
+    assert (A ** 0).is_identity and F2.identity() is E
+
+
 def test_b_letter_length():
     assert (B * A * B).length(parts="b") == 2
     assert E.length(parts="b") == 0
