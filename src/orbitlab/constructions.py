@@ -56,13 +56,13 @@ class IncrementView(Configuration):
         self.base = base
         self.power_group = power_group
         self.generators = tuple(generators)
-        self.k_group = base.space.alphabet
+        k_group = base.space.alphabet
+        self._table, self._inverse = k_group.table, k_group.inverse_table
 
     def value(self, coord) -> int:
         g = self.space.index.canonicalize(coord)
-        k_inv = self.k_group.inv(self.base.value(g))
-        comps = tuple(self.k_group.mul(k_inv, self.base.value(a * g))
-                      for a in self.generators)
+        row = self._table[self._inverse[self.base.value(g)]]
+        comps = tuple(row[self.base.value(a * g)] for a in self.generators)
         return tuple_index(self.power_group, comps)
 
     def window(self) -> dict:
@@ -120,12 +120,16 @@ def increment_family(spec: GroupSpec, K: FiniteGroup, radius: int
     """The variables x -> x_g^-1 x_{a_i g} for g in the radius ball."""
     out = []
     generators = [spec.generator(p.name) for p in spec.parts]
-    for g in ball(spec, radius):
+    words = ball(spec, radius)
+    shared = {g: g for g in words}  # equal coordinates read as one object
+    table, inverse = K.table, K.inverse_table
+    for g in words:
         for a in generators:
             ag = a * g
+            ag = shared.setdefault(ag, ag)
             out.append(WindowFunction(
                 f"{a.tokens()}|{g.tokens()}", (g, ag), K.size,
-                (lambda x, g=g, ag=ag: K.mul(K.inv(x.value(g)), x.value(ag)))))
+                (lambda x, g=g, ag=ag: table[inverse[x.value(g)]][x.value(ag)])))
     return out
 
 
@@ -137,12 +141,13 @@ def increment_equivariance_report(spec: GroupSpec, K: FiniteGroup, radius: int,
     power = direct_power(K, len(spec.parts))
     window = ball(spec, radius)
     words = ball(spec, 3)
+    shifted = [(h, [(g, g * h) for g in window]) for h in words]
     for x in sample_stream(shift.space, seed, samples):
         v = edge_increments(x, power)
-        for h in words:
+        for h, pairs in shifted:
             vh = edge_increments(shift.apply(h, x), power)
-            for g in window:
-                if vh.value(g) != v.value(g * h):
+            for g, gh in pairs:
+                if vh.value(g) != v.value(gh):
                     return check.fail(counterexample={"h": h, "g": g})
                 check.checked += 1
     return check.report(
@@ -844,7 +849,7 @@ class CylinderAction(Action):
         self._tapes: dict = {}
         self._axis_coset = self.axis_coset   # one bound method shared by the tapes
         self._apply_cache: dict = {}
-        self.b_parts = [f"b{i}" for i in range(kappa)]
+        self.b_parts = tuple(f"b{i}" for i in range(kappa))
 
     # -- plumbing ---------------------------------------------------------
 

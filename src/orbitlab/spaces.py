@@ -166,7 +166,7 @@ class SeededConfiguration(Configuration):
         self.space = space
         self.seed = seed
         self._overrides = dict(overrides or {})
-        self._cache: dict = {}
+        self._cache: dict = dict(self._overrides)  # overrides, then PRF values read
         self._key = ("seeded", seed, tuple(sorted(
             (space.coord_key(k), v) for k, v in self._overrides.items())))
 
@@ -176,8 +176,6 @@ class SeededConfiguration(Configuration):
 
     def value(self, coord) -> int:
         c = self.space.index.canonicalize(coord)
-        if c in self._overrides:
-            return self._overrides[c]
         v = self._cache.get(c)
         if v is None:
             v = prf_value(self.seed, self.space.index.key(c), self.space.alphabet.size)
@@ -189,26 +187,44 @@ class SeededConfiguration(Configuration):
 
 
 class ExplicitConfiguration(Configuration):
-    """Partial configuration: reads outside the stored window are errors."""
+    """Partial configuration: reads outside the stored window are errors.
+
+    The window is a slot map (coordinate -> index into a values tuple), so
+    the states of one enumerated window share a single slot map and each
+    holds only its own values.
+    """
 
     def __init__(self, space: Space, window: Mapping):
         self.space = space
-        self._window = dict(window)
+        self._slots = {c: i for i, c in enumerate(window)}
+        self._values = tuple(window.values())
+
+    @classmethod
+    def on_slots(cls, space: Space, slots: dict, values: tuple) -> "ExplicitConfiguration":
+        """The configuration with `values[slots[c]]` at each coordinate c;
+        `slots` is shared, not copied, and its insertion order must be its
+        index order."""
+        x = cls.__new__(cls)
+        x.space, x._slots, x._values = space, slots, values
+        return x
 
     def value(self, coord) -> int:
-        c = self.space.index.canonicalize(coord)
         try:
-            return self._window[c]
+            return self._values[self._slots[coord]]
+        except KeyError:
+            c = self.space.index.canonicalize(coord)
+        try:
+            return self._values[self._slots[c]]
         except KeyError:
             raise MissingCoordinateError(c) from None
 
     def window(self) -> dict:
-        return dict(self._window)
+        return dict(zip(self._slots, self._values))
 
     @property
     def point_key(self):
         return ("explicit", tuple(sorted(
-            (self.space.coord_key(k), v) for k, v in self._window.items())))
+            (self.space.coord_key(k), v) for k, v in zip(self._slots, self._values))))
 
 
 class RecordingConfiguration(Configuration):
@@ -322,7 +338,12 @@ def window_slots(space: Space, coords) -> list[tuple[object, int]]:
 
 def enumerate_window(space: Space, coords, budget: int = DEFAULT_BUDGET
                      ) -> Iterator[tuple[Configuration, Fraction]]:
-    """All configurations of the window under the uniform product measure."""
+    """All configurations of the window under the uniform product measure.
+
+    Every state shares one slot map, keyed by the coordinate objects of
+    `coords` (after canonicalization), so a read with one of those objects
+    hits by identity.
+    """
     slots = window_slots(space, coords)
     total = 1
     for _, size in slots:
@@ -330,9 +351,10 @@ def enumerate_window(space: Space, coords, budget: int = DEFAULT_BUDGET
     if total > budget:
         raise BudgetExceededError(f"{total} window states exceed budget {budget}")
     weight = Fraction(1, total)
-    keys = [c for c, _ in slots]
+    slot_map = {c: i for i, (c, _) in enumerate(slots)}
+    on_slots = ExplicitConfiguration.on_slots
     for values in itertools.product(*[range(size) for _, size in slots]):
-        yield ExplicitConfiguration(space, dict(zip(keys, values))), weight
+        yield on_slots(space, slot_map, values), weight
 
 
 def exact_distribution(space, variables, window, budget: int = DEFAULT_BUDGET
@@ -340,14 +362,22 @@ def exact_distribution(space, variables, window, budget: int = DEFAULT_BUDGET
     """Exact joint law of the variables over the uniform law on the window.
 
     Every variable must read only coordinates inside the window; a read
-    outside it surfaces as MissingCoordinateError.
+    outside it surfaces as MissingCoordinateError.  A window coordinate
+    equal to one a variable declares (its `coords`) is enumerated as the
+    variable's own object, so that variable's reads hit by identity.
     """
     names = tuple(getattr(v, "name", f"var{i}") for i, v in enumerate(variables))
     fns = [getattr(v, "fn", v) for v in variables]
-    outcomes: dict = {}
-    count = 0
-    for config, weight in enumerate_window(space, window, budget):
-        count += 1
-        key = tuple(fn(config) for fn in fns)
-        outcomes[key] = outcomes.get(key, Fraction(0)) + weight
-    return CylinderDistribution(names, outcomes, count)
+    declared: dict = {}
+    for v in variables:
+        for c in getattr(v, "coords", ()):
+            declared.setdefault(c, c)
+    window = [declared.get(c, c) for c in map(space.index.canonicalize, window)]
+    counts: dict = {}
+    total = 0
+    for config, _ in enumerate_window(space, window, budget):
+        total += 1
+        key = tuple([fn(config) for fn in fns])
+        counts[key] = counts.get(key, 0) + 1
+    outcomes = {key: Fraction(n, total) for key, n in counts.items()}
+    return CylinderDistribution(names, outcomes, total)

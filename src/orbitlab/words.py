@@ -71,6 +71,10 @@ class GroupSpec:
                     self._claim_token(nm, ("f", p, i))
             else:
                 raise TypeError(f"not a part: {part!r}")
+        self._resolved_parts = {None: frozenset(range(len(self.parts)))}
+        self._part_index: dict[str, int] = {}  # the first part of each name
+        for p, part in enumerate(self.parts):
+            self._part_index.setdefault(part.name, p)
 
     def _claim_token(self, token: str, target):
         if token == "e":
@@ -127,10 +131,10 @@ class GroupSpec:
         return out
 
     def part_index(self, name: str) -> int:
-        for p, part in enumerate(self.parts):
-            if part.name == name:
-                return p
-        raise KeyError(f"unknown part {name!r}")
+        try:
+            return self._part_index[name]
+        except KeyError:
+            raise KeyError(f"unknown part {name!r}") from None
 
     def part_name(self, index: int) -> str:
         return self.parts[index].name
@@ -320,17 +324,22 @@ class Word:
 
 
 def _resolve_parts(spec: GroupSpec, parts) -> frozenset[int]:
-    if parts is None:
-        return frozenset(range(len(spec.parts)))
-    if isinstance(parts, (str, int)):
-        parts = [parts]
-    out = set()
-    for p in parts:
-        out.add(p if isinstance(p, int) else spec.part_index(p))
+    """Part indices named by `parts` (None, a name or index, or a collection
+    of them), memoized per spec for hashable `parts`."""
+    try:
+        return spec._resolved_parts[parts]
+    except KeyError:
+        hashable = True
+    except TypeError:  # an unhashable collection, such as a list of names
+        hashable = False
+    names = [parts] if isinstance(parts, (str, int)) else parts
+    out = frozenset(p if isinstance(p, int) else spec.part_index(p) for p in names)
     for p in out:
         if not 0 <= p < len(spec.parts):
             raise KeyError(f"unknown factor index {p}")
-    return frozenset(out)
+    if hashable:
+        spec._resolved_parts[parts] = out
+    return out
 
 
 # -- ball enumeration ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ from orbitlab.spaces import (BudgetExceededError, CosetIndex, ExplicitConfigurat
                              Space,
                              derive_seed, enumerate_window,
                              exact_distribution,
-                             resample_outside, sample, sample_stream)
-from orbitlab.words import ball, free_group
+                             resample_outside, sample, sample_stream, window_slots)
+from orbitlab.verify import WindowFunction
+from orbitlab.words import Word, ball, free_group
 
 F2 = free_group("a", "b")
 Z2 = cyclic(2)
@@ -171,3 +173,70 @@ def test_coset_index_canonicalizes_words():
     b2a = F2.word("b^2 a^1")
     a = F2.word("a^1")
     assert x.value(b2a) == x.value(a)
+
+
+# -- slot-indexed enumeration against a per-state reference --------------------
+
+
+def reference_distribution(space, variables, window):
+    """One Mapping-built configuration and one Fraction add per state."""
+    keys = [c for c, _ in window_slots(space, window)]
+    weight = Fraction(1, space.alphabet.size ** len(keys))
+    fns = [getattr(v, "fn", v) for v in variables]
+    outcomes, count = {}, 0
+    for values in itertools.product(range(space.alphabet.size), repeat=len(keys)):
+        x = ExplicitConfiguration(space, dict(zip(keys, values)))
+        key = tuple(fn(x) for fn in fns)
+        outcomes[key] = outcomes.get(key, Fraction(0)) + weight
+        count += 1
+    return outcomes, count
+
+
+def assert_matches_reference(space, variables, window):
+    outcomes, count = reference_distribution(space, variables, window)
+    dist = exact_distribution(space, variables, window)
+    assert dist.outcomes == outcomes
+    assert list(dist.outcomes) == list(outcomes)
+    assert dist.state_count == count
+    windows = {}
+    for state, _ in enumerate_window(space, window):
+        assert state.point_key == ExplicitConfiguration(space, state.window()).point_key
+        assert windows.setdefault(state.point_key, state.window()) == state.window()
+    assert len(windows) == count
+
+
+def test_group_window_enumeration_matches_reference():
+    Z3 = cyclic(3)
+    sp = f2space(Z3)
+    window = ball(F2, 1)          # five slots; the variables leave b^-1 unread
+    e, a_inv, a, _, b = window
+    fresh = [Word(F2, g.syllables) for g in (e, a, b)]   # equal, not identical
+    assert all(f == g and f is not g for f, g in zip(fresh, (e, a, b)))
+
+    def pair_max(x, g=fresh[0], h=fresh[1]):
+        return max(x.value(g), x.value(h))
+
+    variables = [
+        WindowFunction("max", (fresh[0], fresh[1]), 3, pair_max),
+        WindowFunction("b", (fresh[2],), 3, lambda x, g=fresh[2]: x.value(g)),
+        lambda x: (x.value(a_inv) * x.value(e)) % 3,     # no declared coords
+        lambda x: int(x.value(a) == x.value(b)),
+    ]
+    assert_matches_reference(sp, variables, window)
+
+
+def test_coset_window_enumeration_matches_reference():
+    sp = Space(CosetIndex(F2, "b"), Z2)
+    words = [F2.word(t) for t in ("e", "a^1", "a^-1", "a^1 b^1 a^1", "a^2")]
+    window = list(words)
+    # Word reads whose cosets are window slots: (b)b^3 a = (b)a, and so on
+    ba = F2.word("b^3 a^1")
+    ba_inv = F2.word("b^-1 a^-1")
+    variables = [
+        lambda x: x.value(ba) + x.value(words[0]),
+        lambda x: x.value(ba_inv) * x.value(words[3]),
+        lambda x: x.value(F2.word("b^2")),               # the coset (b)e
+    ]
+    assert_matches_reference(sp, variables, window)
+    with pytest.raises(MissingCoordinateError):
+        exact_distribution(sp, [lambda x: x.value(F2.word("a^3"))], window)

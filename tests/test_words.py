@@ -77,6 +77,20 @@ def test_b_letter_length():
     assert (B * A * B).inverse().length(parts="b") == 2
 
 
+def test_length_parts_forms_agree_and_errors_repeat():
+    w = B ** 2 * A * B
+    for _ in range(2):   # the second round reads the per-spec memo
+        assert w.length() == w.length(None) == 4
+        assert w.length("b") == w.length(1) == w.length(["b"]) == w.length(("b",)) == 3
+        assert w.length(frozenset({0, 1})) == w.length(["a", 1]) == 4
+        for bad, message in (("c", "unknown part 'c'"), (2, "unknown factor index 2"),
+                             (("a", "c"), "unknown part 'c'")):
+            with pytest.raises(KeyError, match=message):
+                w.length(bad)
+    with pytest.raises(KeyError, match="unknown part 'z'"):
+        F2.part_index("z")
+
+
 def test_syllable_length_free_product():
     # number of letters from the g-factor in the alternating normal form
     w = G * H * G
