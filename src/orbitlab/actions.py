@@ -288,6 +288,30 @@ class Action:
         return lambda x: self.apply(g, x)
 
 
+class LetterAction(Action):
+    """An action given letter by letter: a subclass supplies
+    _letter_apply(letter, x), and apply peels the first letter of g, applies
+    the rest first and memoizes every image on (g, point key).
+
+    The memo lives as long as the action; every check builds its own."""
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def apply(self, g: Word, x: Configuration) -> Configuration:
+        if g.is_identity:
+            return x
+        key = (g.syllables, x.point_key)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        letter, rest = g.split_first_letter()
+        target = x if rest.is_identity else self.apply(rest, x)
+        out = self._letter_apply(letter, target)
+        self._memo[key] = out
+        return out
+
+
 class BernoulliShift(Action):
     """(g . x)_h = x_{hg} on alphabet^index for a group or coset index set."""
 

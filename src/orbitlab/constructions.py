@@ -20,8 +20,9 @@ from typing import Callable, Sequence
 
 from .actions import (Action, BernoulliShift, CoinducedAction,
                       FiniteGroupAlphabetAction, FirstReturnOracle, IntShift,
-                      QuotientByDiagonal, SubgroupAlphabetAction, TwistedCosetShift,
-                      left_translation_action, quotient_normalize, value_twist)
+                      LetterAction, QuotientByDiagonal, SubgroupAlphabetAction,
+                      TwistedCosetShift, left_translation_action, quotient_normalize,
+                      value_twist)
 from .cocycles import Cocycle, CocycleTarget, identity_cocycle
 from .groups import Alphabet, FiniteGroup, cyclic, direct_power, tuple_index
 from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
@@ -355,15 +356,13 @@ def quotient_code(setting: FactorSetting):
 
 def quotient_rho(setting: FactorSetting) -> WindowFunction:
     encode, _, _, size = quotient_code(setting)
-    sp = setting.spec
-    coords = tuple(coset(sp, setting.gamma, w)
-                   for w in setting.lam_words(include_identity=True))
+    words = setting.lam_words(include_identity=True)
+    keys = [setting.lam_group.identity if w.is_identity else w.syllables[0][2]
+            for w in words]
+    coords = tuple(coset(setting.spec, setting.gamma, w) for w in words)
 
     def fn(x: Configuration) -> int:
-        values = {w.syllables[0][2] if not w.is_identity else setting.lam_group.identity:
-                  x.value(coset(sp, setting.gamma, w))
-                  for w in setting.lam_words(include_identity=True)}
-        return encode(values)
+        return encode({key: x.value(c) for key, c in zip(keys, coords)})
 
     return WindowFunction("rho-bar", coords, size, fn)
 
@@ -441,27 +440,25 @@ class CommutingSystem:
     def solve_transport(self) -> tuple[dict, dict]:
         """eta[(l0, v)] = the unique (l1, k) with (l1, k).v = l0 * v, and the
         inverse direction eta'[(l1, v)] with (l0, k) * v = l1 . v."""
-        eta: dict = {}
-        eta_prime: dict = {}
-        for v in range(self.alphabet.size):
-            for l0 in range(self.lam0.size):
-                target = self.act0.act(l0, v)
-                hits = [(l1, k) for l1 in range(self.lam1.size)
-                        for k in range(self.K.size)
-                        if self.actk.act(k, self.act1.act(l1, v)) == target]
-                if len(hits) != 1:
-                    raise ValueError(f"transport not uniquely solvable at "
-                                     f"({self.lam0.names[l0]}, {self.alphabet.names[v]})")
-                eta[(l0, v)] = hits[0]
-            for l1 in range(self.lam1.size):
-                target = self.act1.act(l1, v)
-                hits = [(l0, k) for l0 in range(self.lam0.size)
-                        for k in range(self.K.size)
-                        if self.actk.act(k, self.act0.act(l0, v)) == target]
-                if len(hits) != 1:
-                    raise ValueError("inverse transport not uniquely solvable")
-                eta_prime[(l1, v)] = hits[0]
-        return eta, eta_prime
+
+        def solve(act_from, act_to, unsolvable: Callable) -> dict:
+            table: dict = {}
+            for v in range(self.alphabet.size):
+                for l in range(act_from.group.size):
+                    target = act_from.act(l, v)
+                    hits = [(m, k) for m in range(act_to.group.size)
+                            for k in range(self.K.size)
+                            if self.actk.act(k, act_to.act(m, v)) == target]
+                    if len(hits) != 1:
+                        raise ValueError(unsolvable(l, v))
+                    table[(l, v)] = hits[0]
+            return table
+
+        return (solve(self.act0, self.act1,
+                      lambda l0, v: f"transport not uniquely solvable at "
+                                    f"({self.lam0.names[l0]}, {self.alphabet.names[v]})"),
+                solve(self.act1, self.act0,
+                      lambda l1, v: "inverse transport not uniquely solvable"))
 
 
 def component_twist_system(lam: FiniteGroup, K: FiniteGroup,
@@ -483,36 +480,25 @@ def component_twist_system(lam: FiniteGroup, K: FiniteGroup,
     def idx(l, k, j):
         return (j * lam.size + l) * K.size + k
 
-    def perms_from(point_map) -> list[tuple]:
-        out = []
-        for g in range(lam.size):
+    def action_of(group: FiniteGroup, point_map) -> FiniteGroupAlphabetAction:
+        perms = []
+        for g in range(group.size):
             perm = [0] * alphabet.size
             for j in range(len(components)):
                 for l in range(lam.size):
                     for k in range(K.size):
                         perm[idx(l, k, j)] = point_map(g, l, k, j)
-            out.append(tuple(perm))
-        return out
+            perms.append(tuple(perm))
+        return FiniteGroupAlphabetAction(group, alphabet, perms)
 
-    act1 = FiniteGroupAlphabetAction(
-        lam, alphabet, perms_from(lambda g, l, k, j: idx(lam.mul(g, l), k, j)))
-    actk_perms = []
-    for kk in range(K.size):
-        perm = [0] * alphabet.size
-        for j in range(len(components)):
-            for l in range(lam.size):
-                for k in range(K.size):
-                    perm[idx(l, k, j)] = idx(l, K.mul(kk, k), j)
-        actk_perms.append(tuple(perm))
-    actk = FiniteGroupAlphabetAction(K, alphabet, actk_perms)
-    act0 = FiniteGroupAlphabetAction(
-        lam, alphabet,
-        perms_from(lambda g, l, k, j: idx(lam.mul(components[j][0][g], l),
-                                          K.mul(k, components[j][1][g]), j)))
+    act1 = action_of(lam, lambda g, l, k, j: idx(lam.mul(g, l), k, j))
+    actk = action_of(K, lambda g, l, k, j: idx(l, K.mul(g, k), j))
+    act0 = action_of(lam, lambda g, l, k, j: idx(lam.mul(components[j][0][g], l),
+                                                 K.mul(k, components[j][1][g]), j))
     return CommutingSystem(lam, lam, K, alphabet, act0, act1, actk)
 
 
-class StarAction(Action):
+class StarAction(LetterAction):
     """The transported action of G0 = Gamma * Lam0 on the co-induced space
     of the inner system along Lam1 < G1 = Gamma * Lam1: Gamma acts as in the
     co-induction and Lam0 acts through the transport cocycle evaluated at
@@ -520,6 +506,7 @@ class StarAction(Action):
 
     def __init__(self, gamma: FiniteGroup, system: CommutingSystem,
                  r_mode: str = "transversal"):
+        super().__init__()
         self.system = system
         self.gamma_group = gamma
         self.spec0 = free_product(gamma, system.lam0)
@@ -536,7 +523,6 @@ class StarAction(Action):
         self.base = coset(self.spec1, self.lam1, self.spec1.identity())
         self.eta, self.eta_prime = system.solve_transport()
         self.quotient = QuotientByDiagonal(self.dot, system.actk, self.base)
-        self._cache: dict = {}
 
     def to_spec1(self, g: Word) -> Word:
         return self.spec1.word(g.tokens())
@@ -549,63 +535,47 @@ class StarAction(Action):
         w, k = pair
         return value_twist(self.dot.apply(w, y), self.system.actk.perms[k])
 
-    def apply(self, g: Word, y: Configuration) -> Configuration:
-        if g.is_identity:
-            return y
-        key = (g.syllables, y.point_key)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        letter, rest = g.split_first_letter()
-        target = y if rest.is_identity else self.apply(rest, y)
+    def _letter_apply(self, letter: Word, y: Configuration) -> Configuration:
         kind, part, v = letter.syllables[0]
         if part == self.gamma0:
-            out = self.dot.apply(self.to_spec1(letter), target)
-        else:
-            l1, k = self.eta[(v, self.rho(target))]
-            out = self.apply_pair((self.spec1.finite_element(self.lam1, l1), k), target)
-        self._cache[key] = out
-        return out
+            return self.dot.apply(self.to_spec1(letter), y)
+        l1, k = self.eta[(v, self.rho(y))]
+        return self.apply_pair((self.spec1.finite_element(self.lam1, l1), k), y)
+
+    def _transport_cocycle(self, inverse: bool) -> Cocycle:
+        """The star side into the dot side, or with inverse the reverse: Gamma
+        letters map to themselves, Lam letters through the transport table."""
+        star = (self, self.spec0, self.gamma0, self.lam0, self.system.lam0, self.eta)
+        dot = (self.dot, self.spec1, self.gamma1, self.lam1, self.system.lam1,
+               self.eta_prime)
+        source, _, gamma_in, lam_in, lam_group, table = dot if inverse else star
+        _, spec, gamma_out, lam_out, _, _ = star if inverse else dot
+        K = self.system.K
+        entries = {}
+        for i in range(self.gamma_group.size):
+            if i == self.gamma_group.identity:
+                continue
+            image = (spec.finite_element(gamma_out, i), K.identity)
+            entries[("f", gamma_in, i)] = (lambda y, image=image: image)
+        for l in range(lam_group.size):
+            if l == lam_group.identity:
+                continue
+
+            def entry(y, l=l):
+                l_out, k = table[(l, self.rho(y))]
+                return (spec.finite_element(lam_out, l_out), k)
+
+            entries[("f", lam_in, l)] = entry
+        name = "star-transport-inverse" if inverse else "star-transport"
+        return Cocycle(source, CocycleTarget(spec=spec, k_group=K), entries, name)
 
     def omega(self) -> Cocycle:
         """The glued cocycle with g * y = omega(g, y) . y, valued in G1 x K."""
-        target = CocycleTarget(spec=self.spec1, k_group=self.system.K)
-        entries = {}
-        for i in range(self.gamma_group.size):
-            if i == self.gamma_group.identity:
-                continue
-            image = (self.spec1.finite_element(self.gamma1, i), self.system.K.identity)
-            entries[("f", self.gamma0, i)] = (lambda y, image=image: image)
-        for l0 in range(self.system.lam0.size):
-            if l0 == self.system.lam0.identity:
-                continue
-
-            def entry(y, l0=l0):
-                l1, k = self.eta[(l0, self.rho(y))]
-                return (self.spec1.finite_element(self.lam1, l1), k)
-
-            entries[("f", self.lam0, l0)] = entry
-        return Cocycle(self, target, entries, "star-transport")
+        return self._transport_cocycle(False)
 
     def omega_prime(self) -> Cocycle:
         """The inverse-direction cocycle with g . y = omega'(g, y) * y."""
-        target = CocycleTarget(spec=self.spec0, k_group=self.system.K)
-        entries = {}
-        for i in range(self.gamma_group.size):
-            if i == self.gamma_group.identity:
-                continue
-            image = (self.spec0.finite_element(self.gamma0, i), self.system.K.identity)
-            entries[("f", self.gamma1, i)] = (lambda y, image=image: image)
-        for l1 in range(self.system.lam1.size):
-            if l1 == self.system.lam1.identity:
-                continue
-
-            def entry(y, l1=l1):
-                l0, k = self.eta_prime[(l1, self.rho(y))]
-                return (self.spec0.finite_element(self.lam0, l0), k)
-
-            entries[("f", self.lam1, l1)] = entry
-        return Cocycle(self.dot, target, entries, "star-transport-inverse")
+        return self._transport_cocycle(True)
 
 
 def star_relation_report(star: StarAction, radius: int, samples: int,
@@ -639,17 +609,16 @@ def star_orbit_report(star: StarAction, radius: int, samples: int,
     window = cosets_ball(star.spec1, star.lam1, radius + 1,
                          parts=star.gamma_group.label, mode="syllables")
     normalize = star.quotient.normalize
+    # (direction, word label, cocycle, its words, the action it lands in)
+    directions = (("star into dot", "g", om, words0, star.dot),
+                  ("dot into star", "h", omp, words1, star))
     for y in sample_stream(star.space, seed, samples):
-        for g in words0:
-            w, _ = om.evaluate(g, y)
-            if not agree_on(normalize(star.apply(g, y)),
-                            normalize(star.dot.apply(w, y)), window):
-                return check.fail(counterexample={"direction": "star into dot", "g": g})
-        for h in words1:
-            w, _ = omp.evaluate(h, y)
-            if not agree_on(normalize(star.dot.apply(h, y)),
-                            normalize(star.apply(w, y)), window):
-                return check.fail(counterexample={"direction": "dot into star", "h": h})
+        for direction, label, cocycle, words, other in directions:
+            for g in words:
+                w, _ = cocycle.evaluate(g, y)
+                if not agree_on(normalize(cocycle.source.apply(g, y)),
+                                normalize(other.apply(w, y)), window):
+                    return check.fail(counterexample={"direction": direction, label: g})
     return check.report(PASS, parameters={"radius": radius, "samples": samples})
 
 
@@ -661,11 +630,12 @@ def star_injectivity_report(star: StarAction, max_grade: int, samples: int,
     check = Check("star-transversal-injectivity", seed=seed)
     om = star.omega()
     gname = star.gamma_group.label
+    slices = [transversal_words(star.spec0, star.lam0, n, parts=gname,
+                                mode="syllables", exact=True)
+              for n in range(1, max_grade + 1)]
     for y in sample_stream(star.space, seed, samples):
         cache: dict = {}
-        for n in range(1, max_grade + 1):
-            slice_n = transversal_words(star.spec0, star.lam0, n, parts=gname,
-                                        mode="syllables", exact=True)
+        for n, slice_n in enumerate(slices, 1):
             images = []
             for g in slice_n:
                 w, _ = om.evaluate(g, y, cache)
@@ -709,33 +679,24 @@ def parenthesis_match(z: Configuration, target_symbol: int, max_radius: int,
 
     Forward mode (origin holds symbol 0): scan right, nesting 0s as openers
     and target symbols as closers; returns m > 0 with z_m = target.  Inverse
-    mode (origin holds the target): scan left for the matched 0.  The
-    matching is an involution on any orbit segment where it resolves.
+    mode (origin holds the target): scan left with the roles swapped, for
+    the matched 0.  The matching is an involution on any orbit segment
+    where it resolves.  The target symbol must not be 0.
     """
-    open_symbol = 0
-    if not inverse:
-        if z.value(0) != open_symbol:
-            raise ValueError("forward matching needs the origin on symbol 0")
-        depth = 0
-        for p in range(1, max_radius + 1):
-            v = z.value(p)
-            if v == target_symbol and target_symbol != open_symbol:
-                if depth == 0:
-                    return p
-                depth -= 1
-            elif v == open_symbol:
-                depth += 1
-        raise UndeterminedError(f"no match within radius {max_radius}")
-    if z.value(0) != target_symbol:
-        raise ValueError("inverse matching needs the origin on the target symbol")
+    if target_symbol == 0:
+        raise ValueError("the target symbol must differ from the opening symbol 0")
+    opener, closer, step = (target_symbol, 0, -1) if inverse else (0, target_symbol, 1)
+    if z.value(0) != opener:
+        raise ValueError(f"{'inverse' if inverse else 'forward'} matching needs "
+                         f"the origin on symbol {opener}")
     depth = 0
-    for p in range(1, max_radius + 1):
-        v = z.value(-p)
-        if v == open_symbol:
+    for p in range(step, step * (max_radius + 1), step):
+        v = z.value(p)
+        if v == closer:
             if depth == 0:
-                return -p
+                return p
             depth -= 1
-        elif v == target_symbol and target_symbol != open_symbol:
+        elif v == opener:
             depth += 1
     raise UndeterminedError(f"no match within radius {max_radius}")
 
@@ -819,7 +780,7 @@ class AxisView(Configuration):
         return ("axis", self.tape.key, self.m, self.t)
 
 
-class CylinderAction(Action):
+class CylinderAction(LetterAction):
     """The transported free-product action on the symbol-0 cylinder of the
     twisted coset shift, with its forward and backward cocycles.
 
@@ -832,6 +793,7 @@ class CylinderAction(Action):
     def __init__(self, kappa: int, scan_radius: int = 64):
         if kappa < 2:
             raise ValueError("kappa must be >= 2")
+        super().__init__()
         self.kappa = kappa
         self.scan_radius = scan_radius
         self.f2 = free_group("a", "b")
@@ -848,7 +810,6 @@ class CylinderAction(Action):
         self._a_cosets: dict = {}
         self._tapes: dict = {}
         self._axis_coset = self.axis_coset   # one bound method shared by the tapes
-        self._apply_cache: dict = {}
         self.b_parts = tuple(f"b{i}" for i in range(kappa))
 
     # -- plumbing ---------------------------------------------------------
@@ -917,40 +878,28 @@ class CylinderAction(Action):
 
     # -- the matched isomorphisms between symbol cylinders -----------------
 
-    def phi_word(self, i: int, x: Configuration) -> Word:
-        """Word moving x from the 0-cylinder onto the i-cylinder."""
+    def phi_word(self, i: int, x: Configuration, inverse: bool = False) -> Word:
+        """Word moving x from the 0-cylinder onto the i-cylinder, or with
+        inverse from the i-cylinder back onto the 0-cylinder."""
         if i % self.kappa == 0:
             return self.f2.identity()
-        return self.a0 ** self.match(self.rho(x), i % self.kappa, False)
+        return self.a0 ** self.match(self.rho(x), i % self.kappa, inverse)
 
-    def psi_word(self, i: int, x: Configuration) -> Word:
-        """Word moving x from the i-cylinder back onto the 0-cylinder."""
-        if i % self.kappa == 0:
-            return self.f2.identity()
-        return self.a0 ** self.match(self.rho(x), i % self.kappa, True)
-
-    def theta(self, i: int, x: Configuration) -> Configuration:
-        return self.twisted.apply(self.phi_word(i, x), x)
-
-    def theta_inv(self, i: int, x: Configuration) -> Configuration:
-        return self.twisted.apply(self.psi_word(i, x), x)
+    def theta(self, i: int, x: Configuration, inverse: bool = False) -> Configuration:
+        return self.twisted.apply(self.phi_word(i, x, inverse), x)
 
     def _back_offset(self, z: AxisView) -> int:
         """Offset of the 0 matched to z's origin symbol (0 on the 0-cylinder)."""
         i = z.value(0)
         return 0 if i == 0 else self.match(z, i, True)
 
-    def q0(self, z: Configuration) -> AxisView:
-        """z moved back onto the 0-cylinder, to the 0 matched to its origin."""
-        z = self._axis(z)
-        return z.shifted(self._back_offset(z))
-
     def eta_prime(self, n: int, z: Configuration) -> int:
-        """Inverse-direction return cocycle: q0(n.z) = eta'(n, z) * q0(z)."""
+        """Inverse-direction return cocycle: q0(n.z) = eta'(n, z) * q0(z),
+        where q0 moves a point back onto the 0 matched to its origin."""
         z = self._axis(z)
         p_z = self._back_offset(z)
         p_nz = self._back_offset(z.shifted(n))
-        return self.oracle.steps_to(self.q0(z), n + p_nz - p_z)
+        return self.oracle.steps_to(z.shifted(p_z), n + p_nz - p_z)
 
     # -- the transported action ---------------------------------------------
 
@@ -960,24 +909,11 @@ class CylinderAction(Action):
         if name == "a":
             n = self.oracle.eta(v, self.rho(x))
             return self.twisted.apply(self.a0 ** n, x)
+        # b_i^v carries the (i or i+1)-cylinder across b to the other one
         i = self.b_parts.index(name)
-        if v == 1:
-            return self.theta_inv(i + 1, self.twisted.apply(self.b0, self.theta(i, x)))
-        return self.theta_inv(i, self.twisted.apply(self.b0 ** -1,
-                                                    self.theta(i + 1, x)))
-
-    def apply(self, g: Word, x: Configuration) -> Configuration:
-        if g.is_identity:
-            return x
-        key = (g.syllables, x.point_key)
-        hit = self._apply_cache.get(key)
-        if hit is not None:
-            return hit
-        letter, rest = g.split_first_letter()
-        target = x if rest.is_identity else self.apply(rest, x)
-        out = self._letter_apply(letter, target)
-        self._apply_cache[key] = out
-        return out
+        src, dst = (i, i + 1) if v == 1 else (i + 1, i)
+        return self.theta(dst, self.twisted.apply(self.b0 ** v, self.theta(src, x)),
+                          inverse=True)
 
     # -- the two cocycles ----------------------------------------------------
 
@@ -990,7 +926,7 @@ class CylinderAction(Action):
             def entry(x, i=i):
                 phi = self.phi_word(i, x)
                 moved = self.twisted.apply(self.b0 * phi, x)
-                return self.psi_word(i + 1, moved) * self.b0 * phi
+                return self.phi_word(i + 1, moved, inverse=True) * self.b0 * phi
 
             entries[("g", self.spec_up.part_index(f"b{i}"))] = entry
         return Cocycle(self, target, entries, "cylinder-forward")
@@ -1018,9 +954,7 @@ class CylinderAction(Action):
         translates carry the fresh coordinates of grade |g| + 1."""
         gx = self.apply(g, x)
         w = om.evaluate(g, x, omega_cache)
-        if eps == 1:
-            return self.b0 * self.phi_word(i, gx) * w
-        return self.b0 ** -1 * self.phi_word(i + 1, gx) * w
+        return self.b0 ** eps * self.phi_word(i if eps == 1 else i + 1, gx) * w
 
 
 @dataclass
@@ -1032,6 +966,13 @@ class StableOE:
     forward: Cocycle
     partition_count: int
     partition_word: Callable       # 1-based: partition_word(1, x) = identity
+
+    def address(self, i: int, lam: Word, x: Configuration, cache: dict) -> Word:
+        """phi_i(lam * x) omega(lam, x): the fresh-coordinate address of the
+        extension at (i, lam)."""
+        lx = self.system.apply(lam, x)
+        w = self.forward.target.word_part(self.forward.evaluate(lam, x, cache))
+        return self.partition_word(i, lx) * w
 
 
 def degenerate_stable_oe(action: Action) -> StableOE:
@@ -1086,18 +1027,19 @@ def match_determinacy_report(kappa: int, scan_radius: int, samples: int,
     a larger context radius is reported alongside."""
     check = Check("match-determinacy", "monte-carlo", seed)
     space = IntShift(cyclic(kappa)).space
+    # a scan resolves at radius r exactly when its match offset is at most r,
+    # so one scan at the larger radius decides both counts
+    radius = max(scan_radius, context_radius)
     unresolved = unresolved_context = 0
     for i in range(samples):
         z = SeededConfiguration(space, derive_seed(seed, f"det/{i}"), {0: 0})
         for symbol in range(1, kappa):
             try:
-                parenthesis_match(z, symbol, scan_radius)
+                offset = parenthesis_match(z, symbol, radius)
             except UndeterminedError:
-                unresolved += 1
-            try:
-                parenthesis_match(z, symbol, context_radius)
-            except UndeterminedError:
-                unresolved_context += 1
+                offset = radius + 1
+            unresolved += offset > scan_radius
+            unresolved_context += offset > context_radius
     total = samples * (kappa - 1)
     freq = Fraction(unresolved, total)
     return check.report(
@@ -1123,38 +1065,32 @@ def match_measure_report(kappa: int, scan_radius: int, samples: int, seed: int,
     """
     check = Check("match-measure-preservation")
     shift = IntShift(cyclic(kappa))
-    space = shift.space
     coords = [-2, -1, 1, 2]
-    reports = []
-    for symbol in range(1, kappa):
-        images = []
-        skipped = 0
+
+    def draw(tag: str, symbol: int, inverse: bool) -> tuple[list, int]:
+        """Codes of the coords around each resolved sampled point: the
+        forward image of a 0-cylinder point, or a target-cylinder point
+        itself; and the count of unresolved scans."""
+        codes, skipped = [], 0
         for i in range(samples):
-            z = SeededConfiguration(space, derive_seed(seed, f"mm/{symbol}/{i}"), {0: 0})
+            z = SeededConfiguration(shift.space, derive_seed(seed, f"{tag}/{symbol}/{i}"),
+                                    {0: symbol if inverse else 0})
             try:
-                m = parenthesis_match(z, symbol, scan_radius)
+                m = parenthesis_match(z, symbol, scan_radius, inverse)
             except UndeterminedError:
                 skipped += 1
                 continue
-            image = shift.apply(m, z)
+            point = z if inverse else shift.apply(m, z)
             code = 0
             for c in coords:
-                code = code * kappa + image.value(c)
-            images.append(code)
-        reference = []
-        skipped_ref = 0
-        for i in range(samples):
-            w = SeededConfiguration(space, derive_seed(seed, f"mr/{symbol}/{i}"),
-                                    {0: symbol})
-            try:
-                parenthesis_match(w, symbol, scan_radius, inverse=True)
-            except UndeterminedError:
-                skipped_ref += 1
-                continue
-            code = 0
-            for c in coords:
-                code = code * kappa + w.value(c)
-            reference.append(code)
+                code = code * kappa + point.value(c)
+            codes.append(code)
+        return codes, skipped
+
+    reports = []
+    for symbol in range(1, kappa):
+        images, skipped = draw("mm", symbol, False)
+        reference, skipped_ref = draw("mr", symbol, True)
         rep = homogeneity_mc(images, reference, seed, quantile,
                              name=f"match-measure-{symbol}")
         rep.statistics["unresolved_forward"] = skipped
@@ -1211,44 +1147,41 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
     check = Check("fresh-coset-grades", seed=seed)
     om = system.omega()
     offsets = (-2, -1, 1, 2)
+    a_powers = [(m, system.a0 ** m) for m in offsets]
+    # the (i, eps, g) of each grade n, in the order they are checked
+    grades = [[(i, eps, g) for i in range(system.kappa) for eps in (1, -1)
+               for g in extension_sphere(system.spec_up,
+                                         system.spec_up.generator(f"b{i}", eps), n,
+                                         parts=system.b_parts, exponent_bound=1)]
+              for n in range(0, max_grade + 1)]
     for s in range(samples):
         x = system.sample_in_cylinder(derive_seed(seed, f"fresh/{s}"))
         cache: dict = {}
-        for n in range(0, max_grade + 1):
+        for n, grade in enumerate(grades):
             seen: dict = {}
-            for i in range(system.kappa):
-                for eps in (1, -1):
-                    letter = system.spec_up.generator(f"b{i}", eps)
-                    grade_n = extension_sphere(system.spec_up, letter, n,
-                                               parts=system.b_parts,
-                                               exponent_bound=1)
-                    for g in grade_n:
-                        try:
-                            wit = system.extension_word(i, eps, g, x, cache, om)
-                        except UndeterminedError:
-                            check.undetermined += 1
-                            continue
-                        if system.b_length_down(wit) != n + 1:
-                            return check.fail(counterexample={"witness": wit, "grade": n})
-                        first = wit.syllables[0]
-                        if first[1] != system.b_part or \
-                                (1 if first[2] > 0 else -1) != eps:
-                            return check.fail(
-                                notes=("leading letter of the witness is wrong",),
-                                counterexample={"witness": wit, "eps": eps})
-                        for m in offsets:
-                            c = coset(system.f2, "b", system.a0 ** m * wit)
-                            if c.rep.length("b") != n + 1:
-                                return check.fail(counterexample={"coset": c.rep,
-                                                                  "grade": n})
-                            if c in seen:
-                                return check.fail(
-                                    notes=("coset collision",),
-                                    counterexample={"coset": c.rep,
-                                                    "first": seen[c],
-                                                    "second": (i, eps, g.tokens(), m)})
-                            seen[c] = (i, eps, g.tokens(), m)
-                            check.checked += 1
+            for i, eps, g in grade:
+                try:
+                    wit = system.extension_word(i, eps, g, x, cache, om)
+                except UndeterminedError:
+                    check.undetermined += 1
+                    continue
+                if system.b_length_down(wit) != n + 1:
+                    return check.fail(counterexample={"witness": wit, "grade": n})
+                first = wit.syllables[0]
+                if first[1] != system.b_part or (1 if first[2] > 0 else -1) != eps:
+                    return check.fail(notes=("leading letter of the witness is wrong",),
+                                      counterexample={"witness": wit, "eps": eps})
+                for m, am in a_powers:
+                    c = coset(system.f2, "b", am * wit)
+                    if c.rep.length("b") != n + 1:
+                        return check.fail(counterexample={"coset": c.rep, "grade": n})
+                    if c in seen:
+                        return check.fail(notes=("coset collision",),
+                                          counterexample={"coset": c.rep,
+                                                          "first": seen[c],
+                                                          "second": (i, eps, g.tokens(), m)})
+                    seen[c] = (i, eps, g.tokens(), m)
+                    check.checked += 1
     return check.report(
         PASS, parameters={"max_grade": max_grade, "samples": samples,
                           "offsets": list(offsets)},
@@ -1264,16 +1197,10 @@ def extension_selectors(soe: StableOE, pairs: Sequence[tuple]) -> Callable:
     """Selector family x -> phi_i(lam * x) omega(lam, x) for the chosen
     (index, lambda) pairs; selected values are words of the downstairs
     group, the fresh-coordinate addresses of the extension."""
-    system = soe.system
 
     def selector_of_point(x):
         cache: dict = {}
-        out = []
-        for i, lam in pairs:
-            lx = system.apply(lam, x)
-            w = soe.forward.target.word_part(soe.forward.evaluate(lam, x, cache))
-            out.append((None, soe.partition_word(i, lx) * w))
-        return out
+        return [(None, soe.address(i, lam, x, cache)) for i, lam in pairs]
 
     return selector_of_point
 
@@ -1292,9 +1219,7 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
         try:
             for i in range(1, soe.partition_count + 1):
                 for lam in lam_words:
-                    lx = system.apply(lam, x)
-                    w = soe.forward.target.word_part(soe.forward.evaluate(lam, x, cache))
-                    address = soe.partition_word(i, lx) * w
+                    address = soe.address(i, lam, x, cache)
                     if address in seen:
                         return check.fail(counterexample={"address": address,
                                                           "first": seen[address],

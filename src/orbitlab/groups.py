@@ -152,12 +152,18 @@ def direct_power(group: FiniteGroup, n: int) -> FiniteGroup:
     out.factor = group
     out.arity = n
     out.component_tuples = tuple(idx_tuples)
+    out.component_index = pos
     return out
 
 
 def tuple_index(power_group: FiniteGroup, components: Sequence[int]) -> int:
     """Index of a component tuple inside a direct_power group."""
-    return power_group.component_tuples.index(tuple(components))
+    components = tuple(components)
+    try:
+        return power_group.component_index[components]
+    except KeyError:
+        raise ValueError(f"{components} is not an element of "
+                         f"{power_group.label}") from None
 
 
 def load_group_table(document) -> FiniteGroup:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -6,7 +7,9 @@ import pytest
 
 from orbitlab.cli import ConfigError, list_checks, main, parse_config, run_suite
 
-SUITES = Path(__file__).resolve().parents[1] / "src" / "orbitlab" / "suites"
+ROOT = Path(__file__).resolve().parents[1]
+SUITES = ROOT / "src" / "orbitlab" / "suites"
+PINNED = json.loads((ROOT / "bench" / "expected.json").read_text())
 
 
 def minimal_config(**overrides):
@@ -250,7 +253,29 @@ def test_main_list_checks(capsys):
     assert any(entry["name"] == "theorem-b" for entry in catalog)
 
 
+def pinned_reports(out_dir) -> list[dict]:
+    """Check, verdict and sha256 of each report body without its `timing`,
+    hashed as canonical JSON, in suite order: the benchmark's pinned form."""
+    out = []
+    for path in sorted(Path(out_dir).glob("[0-9][0-9]-*.json")):
+        body = {k: v for k, v in json.loads(path.read_text()).items() if k != "timing"}
+        text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        out.append({"check": body["check"], "verdict": body["report"]["verdict"],
+                    "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()})
+    return out
+
+
 def test_main_runs_shipped_config(tmp_path):
     code = main(["--config", str(SUITES / "theorem-b-z2.cfg"),
                  "--out", str(tmp_path / "out"), "--only", "theorem-b"])
-    assert code == 0
+    assert code == PINNED["exact-z2"]["exit_code"] == 0
+    assert pinned_reports(tmp_path / "out") == PINNED["exact-z2"]["checks"]
+
+
+def test_standard_suite_reports_match_the_pinned_hashes(tmp_path):
+    # the shipped standard suite is the benchmark's cylinder-standard document
+    path = SUITES / "standard.cfg"
+    assert json.loads(path.read_text())["seed"] == PINNED["cylinder-standard"]["seed"]
+    code = run_suite(path, tmp_path / "out", stream=io.StringIO())
+    assert code == PINNED["cylinder-standard"]["exit_code"] == 2
+    assert pinned_reports(tmp_path / "out") == PINNED["cylinder-standard"]["checks"]

@@ -150,7 +150,22 @@ def z2_system(twist_nontrivial=True):
 def test_component_twist_system_valid():
     sys_ = z2_system()
     eta, eta_prime = sys_.solve_transport()
-    assert len(eta) == 2 * sys_.alphabet.size
+    assert len(eta) == len(eta_prime) == 2 * sys_.alphabet.size
+    # the two directions invert each other on every point
+    for (l0, v), (l1, k) in eta.items():
+        l0_back, k_back = eta_prime[(l1, v)]
+        assert l0_back == l0
+        assert sys_.actk.act(k_back, sys_.act0.act(l0, v)) == sys_.act1.act(l1, v)
+
+
+def test_star_cocycles_keep_their_names_and_entry_keys():
+    star = StarAction(cyclic(2, "c"), z2_system())
+    om, omp = star.omega(), star.omega_prime()
+    assert (om.name, omp.name) == ("star-transport", "star-transport-inverse")
+    assert list(om.entries) == [("f", star.gamma0, 1), ("f", star.lam0, 1)]
+    assert list(omp.entries) == [("f", star.gamma1, 1), ("f", star.lam1, 1)]
+    assert om.source is star and omp.source is star.dot
+    assert (om.target.spec, omp.target.spec) == (star.spec1, star.spec0)
 
 
 def test_star_reports_z2():
@@ -220,6 +235,17 @@ def test_parenthesis_match_nested():
     assert parenthesis_match(z, 1, 8) == 3
     inner = IntShift(Z2).apply(1, z)
     assert parenthesis_match(inner, 1, 8) == 1
+
+
+@pytest.mark.parametrize("values, symbol, inverse", [
+    ({0: 0, 1: 0}, 0, False),
+    ({0: 0, -1: 0}, 0, True),
+    ({0: 1, 1: 1}, 1, False),
+    ({0: 0, -1: 0}, 1, True),
+], ids=["target-0-forward", "target-0-inverse", "forward-off-0", "inverse-off-target"])
+def test_parenthesis_match_rejects_a_bad_origin_or_target(values, symbol, inverse):
+    with pytest.raises(ValueError):
+        parenthesis_match(zconfig(values), symbol, 8, inverse)
 
 
 def test_parenthesis_match_involution():
@@ -462,6 +488,33 @@ def test_match_determinacy_reflects_recurrence_tail():
     assert float(report.statistics["context_frequency"]) < float(freq)
 
 
+@pytest.mark.parametrize("context_radius", [16, 32, 64])
+def test_match_determinacy_counts_equal_two_scans(context_radius):
+    # one scan at the larger radius decides both counts: compare with a scan
+    # at each radius
+    kappa, scan_radius, samples, seed = 3, 32, 300, 36
+    report = match_determinacy_report(kappa, scan_radius, samples, seed,
+                                      context_radius=context_radius)
+    space = IntShift(cyclic(kappa)).space
+    unresolved = {scan_radius: 0, context_radius: 0}
+    for i in range(samples):
+        z = SeededConfiguration(space, derive_seed(seed, f"det/{i}"), {0: 0})
+        for symbol in range(1, kappa):
+            for radius in {scan_radius, context_radius}:
+                try:
+                    parenthesis_match(z, symbol, radius)
+                except UndeterminedError:
+                    unresolved[radius] += 1
+    total = samples * (kappa - 1)
+    small, large = min(scan_radius, context_radius), max(scan_radius, context_radius)
+    assert unresolved[small] >= unresolved[large] > 0
+    assert report.statistics == {
+        "unresolved_frequency": Fraction(unresolved[scan_radius], total),
+        "unresolved": unresolved[scan_radius],
+        "context_radius": context_radius,
+        "context_frequency": Fraction(unresolved[context_radius], total)}
+
+
 def test_match_measure_preservation_gate():
     report = match_measure_report(2, 64, 2000, seed=29)
     assert report.verdict == "pass"
@@ -501,6 +554,32 @@ def test_extension_action_axiom():
     assert report.verdict in ("pass", "undetermined")
     assert report.counterexample is None
     assert report.statistics["checked"] > 50
+
+
+def _memo_case(kind):
+    """An action whose apply memoizes, a maker of one sampled point, and
+    words the action resolves at that point."""
+    if kind == "cylinder":
+        action = CylinderAction(2, 64)
+        up = action.spec_up
+        words = [up.generator("b0"), up.generator("a") * up.generator("b1", -1),
+                 up.generator("b1") * up.generator("b0")]
+        return action, lambda: action.sample_in_cylinder(derive_seed(37, "memo")), words
+    action = StarAction(cyclic(2, "c"), z2_system())
+    words = [g for g in ball(action.spec0, 2, mode="syllables") if not g.is_identity]
+    return action, lambda: sample(action.space, 38), words
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "star"])
+def test_apply_memo_returns_the_identical_image(kind):
+    action, point, words = _memo_case(kind)
+    x = point()
+    images = [action.apply(g, x) for g in words]
+    assert len({id(image) for image in images}) == len(words)
+    for g, image in zip(words, images):
+        assert action.apply(g, x) is image
+        # the memo keys points structurally, so an equal point hits too
+        assert action.apply(g, point()) is image
 
 
 def test_star_trivial_pairing_reproduces_the_action():

@@ -53,3 +53,10 @@ def test_direct_power():
     i = tuple_index(k2, (1, 0))
     j = tuple_index(k2, (0, 1))
     assert k2.mul(i, j) == tuple_index(k2, (1, 1))
+
+
+@pytest.mark.parametrize("components", [(2, 0), (0,), (0, 0, 0)])
+def test_tuple_index_rejects_a_tuple_outside_the_group(components):
+    k2 = direct_power(cyclic(2), 2)
+    with pytest.raises(ValueError, match="not an element"):
+        tuple_index(k2, components)
