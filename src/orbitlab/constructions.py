@@ -1176,11 +1176,12 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
                     if c.rep.length("b") != n + 1:
                         return check.fail(counterexample={"coset": c.rep, "grade": n})
                     if c in seen:
+                        fi, feps, fg, fm = seen[c]
                         return check.fail(notes=("coset collision",),
                                           counterexample={"coset": c.rep,
-                                                          "first": seen[c],
+                                                          "first": (fi, feps, fg.tokens(), fm),
                                                           "second": (i, eps, g.tokens(), m)})
-                    seen[c] = (i, eps, g.tokens(), m)
+                    seen[c] = (i, eps, g, m)
                     check.checked += 1
     return check.report(
         PASS, parameters={"max_grade": max_grade, "samples": samples,

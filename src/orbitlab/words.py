@@ -4,8 +4,11 @@ A group is declared as a free product of atomic parts: a rank-1 free part
 (one named generator, infinite cyclic) or a finite part (a FiniteGroup by
 table).  A reduced word is an alternating tuple of syllables, each syllable
 living in one part, with no identity syllables and no adjacent syllables
-from the same part.  This normal form is unique, so words compare and hash
-by value and serialize bit-exactly.
+from the same part.  This normal form is unique, so words serialize
+bit-exactly and can be interned: each spec keeps one `Word` object per
+reduced word, so equality is identity, and each word memoizes its products
+and its rendered tokens.  The table lives exactly as long as its spec;
+every check builds its own specs, so the tables are scoped to a check.
 
 Syllable encoding (plain tuples, hashable):
     ("g", part_index, exponent)       nonzero exponent of a free generator
@@ -57,6 +60,7 @@ class GroupSpec:
         if not parts:
             raise ValueError("a group spec needs at least one part")
         self.parts = tuple(parts)
+        self._words: dict[tuple, Word] = {}  # syllables -> the one interned Word
         self._identity = Word(self, ())
         self._gen_part: dict[str, int] = {}
         self._elem_token: dict[str, tuple[int, int]] = {}
@@ -209,14 +213,32 @@ def _reduce_concat(spec: GroupSpec, left: Sequence, right: Sequence) -> tuple:
 
 
 class Word:
-    """Reduced word; immutable, hashable, totally comparable via sort_key."""
+    """Reduced word; immutable, hashable, totally comparable via sort_key.
 
-    __slots__ = ("spec", "syllables", "_hash")
+    Words are interned per spec: `Word(spec, syllables)` returns the one
+    object of `spec` with those syllables, so equality is the default
+    identity test and words of two specs never compare equal.  The hash is
+    still `hash(syllables)`, so sets of words iterate in a value order.
 
-    def __init__(self, spec: GroupSpec, syllables: tuple):
-        self.spec = spec
-        self.syllables = syllables
-        self._hash = hash(syllables)
+    Products are memoized on the left operand, keyed by `id` of the right
+    one.  That is sound because an interned word lives as long as its
+    spec's table, and so as long as any word of the spec that memoizes it.
+    The memo and the rendered tokens sit in fixed slots, filled on first use.
+    """
+
+    __slots__ = ("spec", "syllables", "_hash", "_tokens", "_products")
+
+    def __new__(cls, spec: GroupSpec, syllables: tuple):
+        table = spec._words
+        word = table.get(syllables)
+        if word is None:
+            word = table[syllables] = object.__new__(cls)
+            word.spec = spec
+            word.syllables = syllables
+            word._hash = hash(syllables)
+            word._tokens = None
+            word._products = None
+        return word
 
     # -- basic structure ------------------------------------------------------
 
@@ -224,17 +246,22 @@ class Word:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    def __eq__(self, other):
-        return (isinstance(other, Word) and self.spec is other.spec
-                and self.syllables == other.syllables)
-
     def __hash__(self):
         return self._hash
 
     def __mul__(self, other: "Word") -> "Word":
         if self.spec is not other.spec:
             raise SpecMismatchError("words over different group specs")
-        return Word(self.spec, _reduce_concat(self.spec, self.syllables, other.syllables))
+        products = self._products
+        if products is None:
+            products = self._products = {}
+        else:
+            product = products.get(id(other))
+            if product is not None:
+                return product
+        product = products[id(other)] = Word(
+            self.spec, _reduce_concat(self.spec, self.syllables, other.syllables))
+        return product
 
     def inverse(self) -> "Word":
         out = []
@@ -305,16 +332,16 @@ class Word:
     # -- serialization --------------------------------------------------------
 
     def tokens(self) -> str:
-        if not self.syllables:
-            return "e"
-        toks = []
-        for kind, p, v in self.syllables:
-            part = self.spec.parts[p]
-            if kind == "g":
-                toks.append(f"{part.name}^{v}")
-            else:
-                toks.append(part.group.names[v])
-        return " ".join(toks)
+        if self._tokens is None:
+            toks = []
+            for kind, p, v in self.syllables:
+                part = self.spec.parts[p]
+                if kind == "g":
+                    toks.append(f"{part.name}^{v}")
+                else:
+                    toks.append(part.group.names[v])
+            self._tokens = " ".join(toks) if toks else "e"
+        return self._tokens
 
     def sort_key(self):
         return (self.length(), self.tokens())
@@ -484,8 +511,8 @@ class Coset:
         self._hash = hash((part, rep.syllables))
 
     def __eq__(self, other):
-        return (isinstance(other, Coset) and self.spec is other.spec
-                and self.part == other.part and self.rep == other.rep)
+        return (isinstance(other, Coset) and self.rep is other.rep
+                and self.part == other.part)
 
     def __hash__(self):
         return self._hash

@@ -32,7 +32,7 @@ from orbitlab.spaces import (Configuration, ExplicitConfiguration,
 from orbitlab.verify import (UndeterminedError, coordinate_variable, homogeneity_mc,
                              independence_exact)
 from orbitlab.actions import check_coinduced_characterization
-from orbitlab.words import ball, coset, free_group
+from orbitlab.words import Word, ball, coset, free_group
 
 Z2 = cyclic(2)
 F2 = free_group("a", "b")
@@ -475,6 +475,26 @@ def test_coset_freshness_small():
     report = coset_freshness_report(system, 1, 5, seed=27)
     assert report.verdict in ("pass", "undetermined")
     assert report.counterexample is None
+
+
+def test_coset_freshness_reports_a_collision(monkeypatch):
+    # a broken coset map that sends a^m w to a^sign(m) w makes m = -2 and
+    # m = -1 collide; both placements are reported by their tokens
+    import orbitlab.constructions as constructions
+
+    def collapsing_coset(spec, subgroup, g):
+        syl = g.syllables
+        if syl and syl[0][:2] == ("g", spec.part_index("a")):
+            g = Word(spec, (("g", syl[0][1], 1 if syl[0][2] > 0 else -1),) + syl[1:])
+        return coset(spec, subgroup, g)
+
+    monkeypatch.setattr(constructions, "coset", collapsing_coset)
+    system = CylinderAction(2, 64)
+    report = coset_freshness_report(system, 1, 2, seed=27)
+    assert report.verdict == "fail" and report.notes == ("coset collision",)
+    assert report.counterexample == {"coset": system.f2.word("a^-1 b^1 a^-1"),
+                                     "first": (0, 1, "a^-1", -2),
+                                     "second": (0, 1, "a^-1", -1)}
 
 
 def test_match_determinacy_reflects_recurrence_tail():

@@ -210,8 +210,8 @@ def test_group_window_enumeration_matches_reference():
     sp = f2space(Z3)
     window = ball(F2, 1)          # five slots; the variables leave b^-1 unread
     e, a_inv, a, _, b = window
-    fresh = [Word(F2, g.syllables) for g in (e, a, b)]   # equal, not identical
-    assert all(f == g and f is not g for f, g in zip(fresh, (e, a, b)))
+    fresh = [Word(F2, g.syllables) for g in (e, a, b)]   # interned: identical
+    assert all(f is g for f, g in zip(fresh, (e, a, b)))
 
     def pair_max(x, g=fresh[0], h=fresh[1]):
         return max(x.value(g), x.value(h))

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from orbitlab.groups import cyclic
-from orbitlab.words import (BallNotFiniteError, SpecMismatchError, ball, coset,
-                            cosets_ball, extension_sphere, free_group,
-                            free_product, omega_transfer, r_map, sphere,
-                            transversal_words)
+from orbitlab.words import (BallNotFiniteError, SpecMismatchError, Word,
+                            _reduce_concat, ball, coset, cosets_ball,
+                            extension_sphere, free_group, free_product,
+                            omega_transfer, r_map, sphere, transversal_words)
 
 
 F2 = free_group("a", "b")
@@ -35,6 +35,47 @@ def test_mixed_finite_reduction():
 def test_spec_mismatch():
     with pytest.raises(SpecMismatchError):
         A * G
+
+
+def _interning_specs():
+    """Fresh specs, so that every product memo starts empty."""
+    return [free_group("a", "b"), free_product("a", cyclic(3, "c"))]
+
+
+def test_words_are_interned_per_spec():
+    for spec in _interning_specs():
+        for w in ball(spec, 2):
+            assert Word(spec, w.syllables) is w
+            assert Word(spec, tuple(list(w.syllables))) is w   # an equal, new tuple
+            assert spec.word(w.tokens()) is w
+    twin = free_group("a", "b")
+    for w in ball(F2, 2):
+        other = Word(twin, w.syllables)
+        assert other != w and not other == w
+        assert hash(other) == hash(w)
+    assert len({A, twin.generator("a")}) == 2
+
+
+@pytest.mark.parametrize("spec", _interning_specs(), ids=["F2", "a*Z3"])
+def test_memoized_products_match_unmemoized_reduction(spec):
+    words = ball(spec, 2)
+    for _ in range(2):  # the second round is served by the memo
+        for u, v in itertools.product(words, words):
+            expected = _reduce_concat(spec, u.syllables, v.syllables)
+            product = u * v
+            assert product.syllables == expected
+            assert product is Word(spec, expected)
+
+
+def test_spec_mismatch_raises_with_a_warm_memo():
+    twin = free_group("a", "b")
+    twin_b = Word(twin, B.syllables)
+    for _ in range(2):
+        assert A * B is Word(F2, (("g", 0, 1), ("g", 1, 1)))
+        with pytest.raises(SpecMismatchError):
+            A * twin_b
+        with pytest.raises(SpecMismatchError):
+            A * G
 
 
 def test_serialization_roundtrip():
