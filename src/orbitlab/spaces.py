@@ -5,11 +5,15 @@ extends outside the window by a keyed pseudo-random function of the
 coordinate's canonical serialization.  The PRF keying makes every "a.e.
 point" reproducible: two reads of the same (seed, coordinate) agree no
 matter in which order coordinates are queried, and distinct seeds behave
-as independent samples.
+as independent samples.  `prf_value` is the one keyed PRF: a seeded read
+and a sampled window both evaluate it once per coordinate.
 
-Exact cylinder distributions are computed by full enumeration of a finite
-window with Fraction arithmetic; there is no floating point anywhere in
-the exact path.
+A finite window is one slot map (canonical coordinate -> index into a
+values tuple), shared by all of its states.  Exact cylinder distributions
+enumerate every state of the window with Fraction weights; there is no
+floating point anywhere in the exact path.  `sample_window_stream` draws
+the seeded points of `sample_stream` restricted to a window, on the same
+kind of slot map.
 """
 
 from __future__ import annotations
@@ -43,15 +47,20 @@ class BudgetExceededError(ValueError):
     """Exact enumeration would exceed the configured state budget."""
 
 
-def prf_value(seed: int, key: str, size: int) -> int:
-    digest = blake2b(key.encode("utf-8"), key=(seed & _MASK64).to_bytes(8, "little"),
-                     digest_size=8).digest()
+def _seed_key(seed: int) -> bytes:
+    """The 8-byte BLAKE2b key of a seed."""
+    return (seed & _MASK64).to_bytes(8, "little")
+
+
+def prf_value(seed_key: bytes, key: bytes, size: int) -> int:
+    """The PRF value in range(size) of the encoded coordinate key under a
+    seed key from `_seed_key`."""
+    digest = blake2b(key, key=seed_key, digest_size=8).digest()
     return int.from_bytes(digest, "little") % size
 
 
 def derive_seed(seed: int, tag: str) -> int:
-    digest = blake2b(tag.encode("utf-8"), key=(seed & _MASK64).to_bytes(8, "little"),
-                     digest_size=8).digest()
+    digest = blake2b(tag.encode("utf-8"), key=_seed_key(seed), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
@@ -165,21 +174,26 @@ class SeededConfiguration(Configuration):
     def __init__(self, space: Space, seed: int, overrides: Mapping | None = None):
         self.space = space
         self.seed = seed
-        self._overrides = dict(overrides or {})
+        self._index = index = space.index
+        self._size = space.alphabet.size
+        self._seed_key = _seed_key(seed)
+        self._overrides = {index.canonicalize(k): v for k, v in (overrides or {}).items()}
         self._cache: dict = dict(self._overrides)  # overrides, then PRF values read
         self._key = ("seeded", seed, tuple(sorted(
-            (space.coord_key(k), v) for k, v in self._overrides.items())))
+            (index.key(k), v) for k, v in self._overrides.items())))
 
     @property
     def point_key(self):
         return self._key
 
     def value(self, coord) -> int:
-        c = self.space.index.canonicalize(coord)
-        v = self._cache.get(c)
+        v = self._cache.get(coord)
         if v is None:
-            v = prf_value(self.seed, self.space.index.key(c), self.space.alphabet.size)
-            self._cache[c] = v
+            c = self._index.canonicalize(coord)
+            v = self._cache.get(c)
+            if v is None:
+                v = prf_value(self._seed_key, self._index.key(c).encode(), self._size)
+                self._cache[c] = v
         return v
 
     def window(self) -> dict:
@@ -260,15 +274,31 @@ def sample_stream(space, seed: int, count: int) -> Iterator[Configuration]:
         yield sample(space, derive_seed(seed, f"sample/{i}"))
 
 
+def sample_window_stream(space: Space, coords, seed: int, count: int
+                         ) -> Iterator[Configuration]:
+    """The points of `sample_stream(space, seed, count)` restricted to the
+    window `coords`: each agrees with its seeded point on the window, and a
+    read outside it raises MissingCoordinateError.
+
+    Every point shares one slot map, built as in `enumerate_window`, so a
+    read with one of the objects of `coords` hits by identity.
+    """
+    slots = window_slots(space, coords)
+    keys = [space.index.key(c).encode() for c in slots]
+    size = space.alphabet.size
+    prf, on_slots = prf_value, ExplicitConfiguration.on_slots
+    for i in range(count):
+        seed_key = _seed_key(derive_seed(seed, f"sample/{i}"))
+        yield on_slots(space, slots, tuple([prf(seed_key, k, size) for k in keys]))
+
+
 def resample_outside(x: Configuration, coords, seed: int) -> Configuration:
     """Configuration equal to x on `coords`, fresh pseudo-random elsewhere.
 
     Used to certify declared dependency windows: a window-sound map must
     take the same value on x and on the resampled configuration.
     """
-    space = x.space
-    window = {space.index.canonicalize(c): x.value(c) for c in coords}
-    return SeededConfiguration(space, seed, window)
+    return SeededConfiguration(x.space, seed, {c: x.value(c) for c in coords})
 
 
 def agree_on(x: Configuration, y: Configuration, coords) -> bool:
@@ -326,35 +356,33 @@ class CylinderDistribution:
         return all(q == p for q in self.outcomes.values())
 
 
-def window_slots(space: Space, coords) -> list[tuple[object, int]]:
-    """Deterministically ordered (coordinate, alphabet size) slots."""
-    seen = []
+def window_slots(space: Space, coords) -> dict:
+    """The slot map of a window: canonical coordinate -> slot index, one
+    slot per distinct coordinate, in coordinate-key order.  Each slot is
+    keyed by the first object of `coords` (after canonicalization) that
+    names it."""
+    seen: dict = {}
     for c in map(space.index.canonicalize, coords):
-        if c not in seen:
-            seen.append(c)
-    seen.sort(key=lambda c: space.coord_key(c))
-    return [(c, space.alphabet.size) for c in seen]
+        seen.setdefault(c, c)
+    return {c: i for i, c in enumerate(sorted(seen, key=space.coord_key))}
 
 
 def enumerate_window(space: Space, coords, budget: int = DEFAULT_BUDGET
                      ) -> Iterator[tuple[Configuration, Fraction]]:
     """All configurations of the window under the uniform product measure.
 
-    Every state shares one slot map, keyed by the coordinate objects of
-    `coords` (after canonicalization), so a read with one of those objects
-    hits by identity.
+    Every state shares one slot map (`window_slots`), so a read with one of
+    the objects of `coords` hits by identity.
     """
     slots = window_slots(space, coords)
-    total = 1
-    for _, size in slots:
-        total *= size
+    size = space.alphabet.size
+    total = size ** len(slots)
     if total > budget:
         raise BudgetExceededError(f"{total} window states exceed budget {budget}")
     weight = Fraction(1, total)
-    slot_map = {c: i for i, (c, _) in enumerate(slots)}
     on_slots = ExplicitConfiguration.on_slots
-    for values in itertools.product(*[range(size) for _, size in slots]):
-        yield on_slots(space, slot_map, values), weight
+    for values in itertools.product(range(size), repeat=len(slots)):
+        yield on_slots(space, slots, values), weight
 
 
 def exact_distribution(space, variables, window, budget: int = DEFAULT_BUDGET

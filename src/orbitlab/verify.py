@@ -19,7 +19,7 @@ from scipy.stats import chi2
 
 from .spaces import (BudgetExceededError, Configuration, DEFAULT_BUDGET,
                      derive_seed, enumerate_window, exact_distribution,
-                     resample_outside, sample, sample_stream)
+                     resample_outside, sample, sample_window_stream)
 from .words import Coset, Word
 
 PASS = "pass"
@@ -262,11 +262,18 @@ def _chi_square_gate(check: Check, stat: float, dof: int, quantile: float,
 def independence_mc(space, family: Sequence[WindowFunction], samples: int,
                     seed: int, quantile: float = 0.999,
                     name: str = "independence-mc") -> VerificationReport:
-    """Chi-square gate for joint-equals-product-of-marginals on sampled points."""
+    """Chi-square gate for joint-equals-product-of-marginals on sampled points.
+
+    Each sample is a point of `sample_stream(space, seed, samples)` read on
+    the family's declared window only (`sample_window_stream`): a variable
+    that reads outside the declared coords raises MissingCoordinateError,
+    as in `independence_exact`.
+    """
     check = Check(name, "monte-carlo", seed)
+    fns = [v.fn for v in family]
     counts: dict = {}
-    for x in sample_stream(space, seed, samples):
-        key = tuple(v.fn(x) for v in family)
+    for x in sample_window_stream(space, family_window(family), seed, samples):
+        key = tuple([fn(x) for fn in fns])
         counts[key] = counts.get(key, 0) + 1
     stat, dof = _chi_square_independence(counts, samples)
     return _chi_square_gate(check, stat, dof, quantile, samples,

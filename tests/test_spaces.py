@@ -8,12 +8,13 @@ from orbitlab.actions import diagonal_translate, quotient_normalize
 from orbitlab.groups import cyclic, klein_four
 from orbitlab.spaces import (BudgetExceededError, CosetIndex, ExplicitConfiguration,
                              GroupIndex, IntIndex, MissingCoordinateError,
-                             Space,
+                             SeededConfiguration, Space,
                              derive_seed, enumerate_window,
                              exact_distribution,
-                             resample_outside, sample, sample_stream, window_slots)
+                             resample_outside, sample, sample_stream,
+                             sample_window_stream, window_slots)
 from orbitlab.verify import WindowFunction
-from orbitlab.words import Word, ball, free_group
+from orbitlab.words import Word, ball, coset, free_group
 
 F2 = free_group("a", "b")
 Z2 = cyclic(2)
@@ -175,12 +176,49 @@ def test_coset_index_canonicalizes_words():
     assert x.value(b2a) == x.value(a)
 
 
+def test_equal_point_keys_read_equal_values_at_an_override():
+    """A Word override on a coset space overrides its coset, as the Coset
+    override with the same point key does."""
+    sp = Space(CosetIndex(F2, "b"), Z2)
+    w = F2.word("b^1 a^1")
+    c = coset(F2, "b", F2.word("a^1"))
+    for seed in range(10):
+        x = SeededConfiguration(sp, seed, {w: 1})
+        y = SeededConfiguration(sp, seed, {c: 1})
+        assert x.point_key == y.point_key
+        assert [x.value(w), x.value(c)] == [y.value(w), y.value(c)] == [1, 1]
+
+
+def window_stream_cases():
+    Z3 = cyclic(3)
+    group_window = ball(F2, 2) + [F2.word("a^1")]          # a listed twice
+    coset_space = Space(CosetIndex(F2, "b"), Z3)
+    coset_window = [F2.word("b^1 a^1"), coset(F2, "b", F2.word("a^1")),  # one coset
+                    F2.word("e"), F2.word("a^-1 b^1"),
+                    coset(F2, "b", F2.word("a^2 b^-1 a^1"))]
+    return [(f2space(Z3), group_window), (coset_space, coset_window)]
+
+
+@pytest.mark.parametrize("space, window", window_stream_cases(), ids=["group", "coset"])
+def test_window_stream_matches_sample_stream(space, window):
+    n = 60
+    windowed = list(sample_window_stream(space, window, 31, n))
+    seeded = list(sample_stream(space, 31, n))
+    assert len(windowed) == len(seeded) == n
+    for x, y in zip(windowed, seeded):
+        assert [x.value(c) for c in window] == [y.value(c) for c in window]
+        assert len(x.window()) == len(window_slots(space, window))
+    assert len({tuple(x.window().values()) for x in windowed}) > 1
+    with pytest.raises(MissingCoordinateError):
+        windowed[0].value(F2.word("b^-1 a^3"))
+
+
 # -- slot-indexed enumeration against a per-state reference --------------------
 
 
 def reference_distribution(space, variables, window):
     """One Mapping-built configuration and one Fraction add per state."""
-    keys = [c for c, _ in window_slots(space, window)]
+    keys = list(window_slots(space, window))
     weight = Fraction(1, space.alphabet.size ** len(keys))
     fns = [getattr(v, "fn", v) for v in variables]
     outcomes, count = {}, 0

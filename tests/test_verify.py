@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from orbitlab.groups import cyclic
-from orbitlab.spaces import GroupIndex, Space, sample_stream
+from orbitlab.spaces import GroupIndex, MissingCoordinateError, Space, sample_stream
 from orbitlab.verify import (Check, Selector, VerificationReport, WindowFunction,
+                             _chi_square_independence, chi_square_threshold,
                              coordinate_variable,
                              generation_check, goodness_of_fit_mc,
                              independence_exact, independence_mc,
@@ -52,6 +55,34 @@ def test_independence_mc_agrees_with_exact():
     bad_exact = independence_exact(SPACE, [v1, v1])
     bad_mc = independence_mc(SPACE, [v1, v1], 10 ** 4, seed=5)
     assert bad_exact.verdict == bad_mc.verdict == "fail"
+
+
+@pytest.mark.parametrize("dependent", [False, True])
+def test_independence_mc_matches_a_sample_stream_reference(dependent):
+    """The window-sampled gate gives the statistic, dof and verdict of a
+    plain loop over the seeded points of sample_stream."""
+    xor = WindowFunction("x0+xb", (E, B), 2, lambda c: (c.value(E) + c.value(B)) % 2)
+    family = [proj(E, "p"), proj(A, "q"), xor]
+    if dependent:
+        family.append(WindowFunction("q*xb", (A, B), 2,
+                                     lambda c: c.value(A) * c.value(B)))
+    n, seed = 3000, 13
+    report = independence_mc(SPACE, family, n, seed)
+    counts: dict = {}
+    for x in sample_stream(SPACE, seed, n):
+        key = tuple(v.fn(x) for v in family)
+        counts[key] = counts.get(key, 0) + 1
+    stat, dof = _chi_square_independence(counts, n)
+    threshold = chi_square_threshold(0.999, dof)
+    assert report.statistics == {"chi_square": stat, "dof": dof, "threshold": threshold}
+    assert report.verdict == ("fail" if dependent else "pass")
+    assert report.verdict == ("pass" if stat <= threshold else "fail")
+
+
+def test_independence_mc_rejects_an_undeclared_read():
+    sneaky = WindowFunction("sneaky", (E,), 2, lambda c: c.value(A))
+    with pytest.raises(MissingCoordinateError):
+        independence_mc(SPACE, [proj(B), sneaky], 10, seed=1)
 
 
 def test_independence_mc_uniform_marginal():
