@@ -2,9 +2,9 @@
 a commuting translation action, and first-return induced transformations.
 
 Applying a group element produces a view of the argument configuration;
-views of the same kind flatten (a chain of shifts is one shift), so window
-reads stay O(1) in the number of applied elements and a point's identity
-can be summarized by a structural key for caching.
+views of the same kind flatten (a chain of shifts is one shift), so a
+coordinate read stays O(1) in the number of applied elements and a point's
+identity can be summarized by a structural key for caching.
 """
 
 from __future__ import annotations
@@ -74,16 +74,8 @@ class SubgroupAlphabetAction:
             self.gen_perm = tuple(gen_perm)
             self.elem_perms = None
         else:
-            group: FiniteGroup = part.group
-            perms = tuple(tuple(p) for p in elem_perms)
-            for a in range(group.size):
-                for b in range(group.size):
-                    if compose_perms(perms[a], perms[b]) != perms[group.mul(a, b)]:
-                        raise ValueError(
-                            "element permutations are not a homomorphism at "
-                            f"({group.names[a]}, {group.names[b]})")
             self.gen_perm = None
-            self.elem_perms = perms
+            self.elem_perms = FiniteGroupAlphabetAction(part.group, alphabet, elem_perms).perms
         self._perm_cache: dict = {}
 
     def perm_of(self, w: Word) -> tuple:
@@ -152,20 +144,7 @@ def left_translation_action(group: FiniteGroup) -> FiniteGroupAlphabetAction:
 # -- flattened views -----------------------------------------------------------
 
 
-class _ShiftedView(Configuration):
-    """A view that reads its base at the coordinate translated by u; its
-    window is the base window translated back by u^-1."""
-
-    def window(self) -> dict:
-        inv = self.u.inverse() if isinstance(self.u, Word) else -self.u
-        out = {}
-        for k in self.base.window():
-            c = self.space.index.translate(k, inv)
-            out[c] = self.value(c)
-        return out
-
-
-class _RelocView(_ShiftedView):
+class _RelocView(Configuration):
     """value(c) = base(c . u) for the index translation by u."""
 
     def __init__(self, space, base: Configuration, u):
@@ -183,7 +162,7 @@ class _RelocView(_ShiftedView):
                 self.base.point_key)
 
 
-class _TwistedView(_ShiftedView):
+class _TwistedView(Configuration):
     """value(c) = (t + base(c . u)) mod kappa."""
 
     def __init__(self, space, base: Configuration, u: Word, t: int):
@@ -202,7 +181,7 @@ class _TwistedView(_ShiftedView):
         return ("twisted", self.u.syllables, self.t, self.base.point_key)
 
 
-class _CoinducedView(_ShiftedView):
+class _CoinducedView(Configuration):
     """value(c) = inner(transfer(c, u)) applied to base(c . u)."""
 
     def __init__(self, space, base: Configuration, u: Word,
@@ -233,9 +212,6 @@ class _ValueTwistView(Configuration):
 
     def value(self, coord) -> int:
         return self.perm[self.base.value(coord)]
-
-    def window(self) -> dict:
-        return {k: self.perm[v] for k, v in self.base.window().items()}
 
     @property
     def point_key(self):
@@ -453,15 +429,13 @@ class QuotientByDiagonal(Action):
 
 
 class FirstReturnOracle:
-    """Induced transformation on a one-coordinate cylinder of alphabet^Z.
+    """Induced transformation on the cylinder {z : z_0 = symbol} of alphabet^Z.
 
-    `symbol` None means the whole space (the identity instance: the induced
-    map is the shift itself).  All scans are bounded by scan_radius and an
-    unresolved scan raises UndeterminedError: a reported outcome, not a
-    silent failure.
+    All scans are bounded by scan_radius and an unresolved scan raises
+    UndeterminedError: a reported outcome, not a silent failure.
     """
 
-    def __init__(self, alphabet: Alphabet, symbol: int | None, scan_radius: int):
+    def __init__(self, alphabet: Alphabet, symbol: int, scan_radius: int):
         self.alphabet = alphabet
         self.symbol = symbol
         self.scan_radius = scan_radius
@@ -469,11 +443,9 @@ class FirstReturnOracle:
         self.space = self.shift.space
 
     def in_domain(self, z: Configuration) -> bool:
-        return self.symbol is None or z.value(0) == self.symbol
+        return z.value(0) == self.symbol
 
     def first_return(self, z: Configuration, direction: int) -> int:
-        if self.symbol is None:
-            return direction
         for j in range(1, self.scan_radius + 1):
             if z.value(direction * j) == self.symbol:
                 return direction * j
@@ -517,10 +489,6 @@ class FirstReturnOracle:
                 raise ValueError("target shift is not a return of the induced map")
 
 
-def identity_oracle(alphabet: Alphabet) -> FirstReturnOracle:
-    return FirstReturnOracle(alphabet, None, 1)
-
-
 # -- co-induction characterization ---------------------------------------------
 
 
@@ -539,7 +507,6 @@ def check_coinduced_characterization(
         action: Action, rho: WindowFunction, inner_act: Callable[[Word, int], int],
         subgroup, radius: int, *, samples: int = 25, seed: int = 0,
         budget: int = DEFAULT_BUDGET, transversal_kwargs: dict | None = None,
-        variable_coords: Callable[[Word], tuple] | None = None,
         reconstructor: Callable | None = None, canonicalize: Callable | None = None
         ) -> VerificationReport:
     """Decide the three defining properties of a co-induced action.
@@ -576,8 +543,6 @@ def check_coinduced_characterization(
 
     # the transversal variable family
     def coords_of(t: Word) -> tuple:
-        if variable_coords is not None:
-            return tuple(variable_coords(t))
         index = action.space.index
         return tuple(index.translate(index.canonicalize(c), t) for c in rho.coords)
 

@@ -212,15 +212,9 @@ def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
                                budget=ctx.budget, require_uniform=True,
                                name="restriction-independence-radius1")]
     _, _, act, _ = quotient_code(setting)
-
-    def variable_coords(t):
-        return tuple(coset(setting.spec, setting.gamma, w * t)
-                     for w in setting.lam_words(include_identity=True))
-
     subs.append(check_coinduced_characterization(
         setting.quotient, quotient_rho(setting), act, setting.lam, radius,
         transversal_kwargs={"parts": setting.gamma_group.label, "mode": "syllables"},
-        variable_coords=variable_coords,
         reconstructor=factor_quotient_reconstructor(setting, radius),
         canonicalize=setting.quotient.normalize,
         samples=samples, seed=derive_seed(ctx.seed, "lf/char"), budget=ctx.budget))

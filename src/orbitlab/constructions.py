@@ -66,15 +66,6 @@ class IncrementView(Configuration):
         comps = tuple(row[self.base.value(a * g)] for a in self.generators)
         return tuple_index(self.power_group, comps)
 
-    def window(self) -> dict:
-        # coordinates whose full increment star lies in the base window
-        base_window = self.base.window()
-        out = {}
-        for g in base_window:
-            if all((a * g) in base_window for a in self.generators):
-                out[g] = self.value(g)
-        return out
-
     @property
     def point_key(self):
         return ("increments", self.base.point_key)
@@ -771,9 +762,6 @@ class AxisView(Configuration):
 
     def shifted(self, n: int) -> "AxisView":
         return AxisView(self.space, self.tape, self.m + n, self.t)
-
-    def window(self) -> dict:
-        return {}
 
     @property
     def point_key(self):

@@ -1,8 +1,9 @@
 """Configuration spaces: finite-alphabet functions on group-like index sets.
 
-A configuration stores a finite window of coordinate values and optionally
-extends outside the window by a keyed pseudo-random function of the
-coordinate's canonical serialization.  The PRF keying makes every "a.e.
+A configuration is read one coordinate at a time.  A seeded one answers a
+read outside its overrides by a keyed pseudo-random function of the
+coordinate's canonical serialization; an explicit one holds a finite
+window and rejects reads outside it.  The PRF keying makes every "a.e.
 point" reproducible: two reads of the same (seed, coordinate) agree no
 matter in which order coordinates are queried, and distinct seeds behave
 as independent samples.  `prf_value` is the one keyed PRF: a seeded read
@@ -143,15 +144,12 @@ class Space:
 
 
 class Configuration:
-    """Immutable map coordinate -> alphabet index on an index set."""
+    """Immutable map coordinate -> alphabet index on an index set, read one
+    coordinate at a time through `value` and identified by `point_key`."""
 
     space: Space
 
     def value(self, coord) -> int:
-        raise NotImplementedError
-
-    def window(self) -> dict:
-        """Explicitly stored coordinates and their values."""
         raise NotImplementedError
 
     @property
@@ -177,10 +175,10 @@ class SeededConfiguration(Configuration):
         self._index = index = space.index
         self._size = space.alphabet.size
         self._seed_key = _seed_key(seed)
-        self._overrides = {index.canonicalize(k): v for k, v in (overrides or {}).items()}
-        self._cache: dict = dict(self._overrides)  # overrides, then PRF values read
+        overrides = {index.canonicalize(k): v for k, v in (overrides or {}).items()}
+        self._cache: dict = dict(overrides)  # overrides, then PRF values read
         self._key = ("seeded", seed, tuple(sorted(
-            (index.key(k), v) for k, v in self._overrides.items())))
+            (index.key(k), v) for k, v in overrides.items())))
 
     @property
     def point_key(self):
@@ -195,9 +193,6 @@ class SeededConfiguration(Configuration):
                 v = prf_value(self._seed_key, self._index.key(c).encode(), self._size)
                 self._cache[c] = v
         return v
-
-    def window(self) -> dict:
-        return dict(self._overrides)
 
 
 class ExplicitConfiguration(Configuration):
@@ -232,9 +227,6 @@ class ExplicitConfiguration(Configuration):
         except KeyError:
             raise MissingCoordinateError(c) from None
 
-    def window(self) -> dict:
-        return dict(zip(self._slots, self._values))
-
     @property
     def point_key(self):
         return ("explicit", tuple(sorted(
@@ -255,9 +247,6 @@ class RecordingConfiguration(Configuration):
     def value(self, coord) -> int:
         self.log.add(self.space.index.canonicalize(coord))
         return self.base.value(coord)
-
-    def window(self) -> dict:
-        return self.base.window()
 
     @property
     def point_key(self):

@@ -232,15 +232,9 @@ def test_criterion_7_factor_restriction_suite():
     indep = independence_exact(setting.shift.space, restriction_family(setting, 1),
                                require_uniform=True)
     _, _, act, _ = quotient_code(setting)
-
-    def variable_coords(t):
-        return tuple(coset(setting.spec, setting.gamma, w * t)
-                     for w in setting.lam_words(include_identity=True))
-
     char = check_coinduced_characterization(
         setting.quotient, quotient_rho(setting), act, setting.lam, 2,
         transversal_kwargs={"parts": "g2", "mode": "syllables"},
-        variable_coords=variable_coords,
         reconstructor=factor_quotient_reconstructor(setting, 2),
         canonicalize=setting.quotient.normalize,
         samples=100, seed=derive_seed(SEED, "c7/ch"))

@@ -4,9 +4,10 @@ import math
 import pytest
 
 from orbitlab.actions import (BernoulliShift, CoinducedAction,
-                              FirstReturnOracle, IntShift, QuotientByDiagonal,
+                              FiniteGroupAlphabetAction, FirstReturnOracle,
+                              IntShift, QuotientByDiagonal,
                               SubgroupAlphabetAction, TwistedCosetShift,
-                              check_coinduced_characterization, identity_oracle,
+                              check_coinduced_characterization,
                               left_translation_action, rotation_action)
 from orbitlab.groups import cyclic, direct_power, tuple_index
 from orbitlab.spaces import (agree_on, derive_seed, exact_distribution, sample,
@@ -48,8 +49,7 @@ def test_bernoulli_window_relocation():
     from orbitlab.spaces import ExplicitConfiguration
     x = ExplicitConfiguration(act.space, {e: 1, a: 0})
     y = act.apply(a, x)
-    w = y.window()
-    assert set(w) == {e * a.inverse(), a * a.inverse()}
+    assert y.value(e * a.inverse()) == x.value(e)
     assert y.value(a * a.inverse()) == x.value(a)
 
 
@@ -68,6 +68,14 @@ def test_bernoulli_preserves_cylinder_distributions():
 def inner_translation():
     # the finite factor h2 of G22 acting on Z/2 by translation
     return SubgroupAlphabetAction(G22, "h2", Z2, elem_perms=[(0, 1), (1, 0)])
+
+
+def test_non_homomorphic_element_perms_rejected():
+    bad = [(1, 0), (0, 1)]        # the identity acts by the swap
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        FiniteGroupAlphabetAction(Z2, Z2, bad)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        SubgroupAlphabetAction(G22, "h2", Z2, elem_perms=bad)
 
 
 def test_coinduced_base_coset_restriction():
@@ -208,14 +216,6 @@ def test_kac_mean_return_time():
     mean = total / n
     sigma = math.sqrt(2.0 / n)   # var of geometric(1/2) is 2
     assert abs(mean - kappa) <= 3 * sigma
-
-
-def test_identity_oracle():
-    oracle = identity_oracle(Z2)
-    z = sample(oracle.space, 21)
-    z1, eta = oracle.apply_power(5, z)
-    assert eta == 5
-    assert agree_on(z1, IntShift(Z2).apply(5, z), range(-4, 4))
 
 
 def test_undetermined_scan_reported():

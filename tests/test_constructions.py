@@ -122,16 +122,11 @@ def test_factor_quotient_characterization():
     rho = quotient_rho(st)
     _, _, act, _ = __import__("orbitlab.constructions", fromlist=["quotient_code"]) \
         .quotient_code(st)
-
-    def variable_coords(t):
-        return tuple(coset(st.spec, st.gamma, w * t)
-                     for w in st.lam_words(include_identity=True))
-
     reconstructor = factor_quotient_reconstructor(st, 2)
     report = check_coinduced_characterization(
         st.quotient, rho, act, st.lam, 2,
         transversal_kwargs={"parts": "g2", "mode": "syllables"},
-        variable_coords=variable_coords, reconstructor=reconstructor,
+        reconstructor=reconstructor,
         canonicalize=st.quotient.normalize, samples=10, seed=10)
     assert report.verdict == "pass"
 
@@ -391,9 +386,6 @@ class DirectAxis(Configuration):
     def value(self, coord):
         return (self.twist + self.x.value(self.system.a_coset(coord + self.shift))) \
             % self.system.kappa
-
-    def window(self):
-        return {}
 
     @property
     def point_key(self):

@@ -205,10 +205,11 @@ def test_window_stream_matches_sample_stream(space, window):
     windowed = list(sample_window_stream(space, window, 31, n))
     seeded = list(sample_stream(space, 31, n))
     assert len(windowed) == len(seeded) == n
+    slots = window_slots(space, window)
     for x, y in zip(windowed, seeded):
         assert [x.value(c) for c in window] == [y.value(c) for c in window]
-        assert len(x.window()) == len(window_slots(space, window))
-    assert len({tuple(x.window().values()) for x in windowed}) > 1
+        assert [x.value(c) for c in slots] == [y.value(c) for c in slots]
+    assert len({tuple(x.value(c) for c in slots) for x in windowed}) > 1
     with pytest.raises(MissingCoordinateError):
         windowed[0].value(F2.word("b^-1 a^3"))
 
@@ -237,9 +238,11 @@ def assert_matches_reference(space, variables, window):
     assert list(dist.outcomes) == list(outcomes)
     assert dist.state_count == count
     windows = {}
+    keys = list(window_slots(space, window))
     for state, _ in enumerate_window(space, window):
-        assert state.point_key == ExplicitConfiguration(space, state.window()).point_key
-        assert windows.setdefault(state.point_key, state.window()) == state.window()
+        values = {c: state.value(c) for c in keys}
+        assert state.point_key == ExplicitConfiguration(space, values).point_key
+        assert windows.setdefault(state.point_key, values) == values
     assert len(windows) == count
 
 
