@@ -277,7 +277,7 @@ class LetterAction(Action):
     def apply(self, g: Word, x: Configuration) -> Configuration:
         if g.is_identity:
             return x
-        key = (g.syllables, x.point_key)
+        key = (g, x.point_key)
         hit = self._memo.get(key)
         if hit is not None:
             return hit

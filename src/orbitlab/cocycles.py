@@ -105,7 +105,7 @@ class Cocycle:
             return self.target.identity()
         key = None
         if cache is not None:
-            key = (g.syllables, x.point_key)
+            key = (g, x.point_key)
             hit = cache.get(key)
             if hit is not None:
                 return hit

@@ -815,7 +815,7 @@ class CylinderAction(LetterAction):
             return self.a_coset(k)
         if k == 0:
             return coset(self.f2, self.b_part, Word(self.f2, u0))
-        return Coset(self.f2, self.b_part, Word(self.f2, (("g", self.a_part, k),) + u0))
+        return Coset(self.b_part, Word(self.f2, (("g", self.a_part, k),) + u0))
 
     def _tape(self, base: Configuration, u0: tuple | None) -> AxisTape:
         key = (base.point_key, u0)
@@ -1111,7 +1111,9 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
                 continue
             grade = system.b_length_up(g)
             budget = 2 * g.length() * system.scan_radius
-            for c in log:
+            # in coordinate-key order, so a failure reports the least failing
+            # coset whatever the set's (hash-seeded) order
+            for c in sorted(log, key=recorder.space.coord_key):
                 b_read = c.rep.length("b")
                 a_read = c.rep.length("a")
                 worst = max(worst, a_read)

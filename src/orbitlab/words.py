@@ -18,6 +18,7 @@ Syllable encoding (plain tuples, hashable):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .groups import FiniteGroup
@@ -216,17 +217,15 @@ class Word:
     """Reduced word; immutable, hashable, totally comparable via sort_key.
 
     Words are interned per spec: `Word(spec, syllables)` returns the one
-    object of `spec` with those syllables, so equality is the default
-    identity test and words of two specs never compare equal.  The hash is
-    still `hash(syllables)`, so sets of words iterate in a value order.
+    object of `spec` with those syllables, so equality and hash are the
+    default identity ones, computed in C, and words of two specs never
+    compare equal.  Sets of words iterate in an allocation order.
 
-    Products are memoized on the left operand, keyed by `id` of the right
-    one.  That is sound because an interned word lives as long as its
-    spec's table, and so as long as any word of the spec that memoizes it.
-    The memo and the rendered tokens sit in fixed slots, filled on first use.
+    Products are memoized in a dict on the left operand, keyed by the right
+    one; it and the rendered tokens sit in fixed slots, filled on first use.
     """
 
-    __slots__ = ("spec", "syllables", "_hash", "_tokens", "_products")
+    __slots__ = ("spec", "syllables", "_tokens", "_products")
 
     def __new__(cls, spec: GroupSpec, syllables: tuple):
         table = spec._words
@@ -235,7 +234,6 @@ class Word:
             word = table[syllables] = object.__new__(cls)
             word.spec = spec
             word.syllables = syllables
-            word._hash = hash(syllables)
             word._tokens = None
             word._products = None
         return word
@@ -246,9 +244,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    def __hash__(self):
-        return self._hash
-
     def __mul__(self, other: "Word") -> "Word":
         if self.spec is not other.spec:
             raise SpecMismatchError("words over different group specs")
@@ -256,10 +251,10 @@ class Word:
         if products is None:
             products = self._products = {}
         else:
-            product = products.get(id(other))
+            product = products.get(other)
             if product is not None:
                 return product
-        product = products[id(other)] = Word(
+        product = products[other] = Word(
             self.spec, _reduce_concat(self.spec, self.syllables, other.syllables))
         return product
 
@@ -499,26 +494,27 @@ def r_map(g: Word, subgroup, mode: str = "transversal") -> Word:
     raise ValueError(f"unknown r-map mode {mode!r}")
 
 
-class Coset:
-    """Right coset (subgroup)g, stored by its canonical representative."""
+class Coset(tuple):
+    """Right coset (subgroup)g as the pair (part, rep) of the subgroup's part
+    index and the canonical representative.  As a tuple it hashes and
+    compares in C, by the part and the rep's identity; it also equals the
+    plain pair (part, rep), and no dict mixes the two."""
 
-    __slots__ = ("spec", "part", "rep", "_hash")
+    __slots__ = ()
 
-    def __init__(self, spec: GroupSpec, part: int, rep: Word):
-        self.spec = spec
-        self.part = part
-        self.rep = rep
-        self._hash = hash((part, rep.syllables))
+    def __new__(cls, part: int, rep: Word):
+        return tuple.__new__(cls, (part, rep))
 
-    def __eq__(self, other):
-        return (isinstance(other, Coset) and self.rep is other.rep
-                and self.part == other.part)
+    part = property(itemgetter(0))
+    rep = property(itemgetter(1))
 
-    def __hash__(self):
-        return self._hash
+    @property
+    def spec(self) -> GroupSpec:
+        return self[1].spec
 
     def translate(self, g: Word) -> "Coset":
-        return coset(self.spec, self.part, self.rep * g)
+        part, rep = self
+        return coset(rep.spec, part, rep * g)
 
     def tokens(self) -> str:
         return self.rep.tokens()
@@ -532,14 +528,14 @@ class Coset:
 
 def coset(spec: GroupSpec, subgroup, g: Word) -> Coset:
     sub = spec.part_index(subgroup) if isinstance(subgroup, str) else subgroup
-    return Coset(spec, sub, split_subgroup_prefix(g, sub)[1])
+    return Coset(sub, split_subgroup_prefix(g, sub)[1])
 
 
 def cosets_ball(spec: GroupSpec, subgroup, radius: int, parts=None,
                 mode: str = "letters", exponent_bound: int | None = None) -> list[Coset]:
     """All cosets whose canonical representative has length <= radius."""
     sub = spec.part_index(subgroup) if isinstance(subgroup, str) else subgroup
-    return [Coset(spec, sub, w)
+    return [Coset(sub, w)
             for w in transversal_words(spec, sub, radius, parts, mode, exponent_bound)]
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,6 +249,41 @@ def test_reports_reproduce_byte_identically(tmp_path):
         assert strip_timing(tmp_path / "a" / name) == strip_timing(tmp_path / "b" / name)
 
 
+def run_cli_under_hash_seed(config: Path, out: Path, hash_seed: str):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+    return subprocess.run([sys.executable, "-m", "orbitlab.cli", "--config", str(config),
+                           "--out", str(out)], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_reports_reproduce_across_hash_seeds(tmp_path):
+    # sets of words and cosets iterate in an order that changes between
+    # processes; no report body may depend on it
+    doc = minimal_config(samples=5, scan_radius=64, groups={
+        "K": {"kind": "cyclic", "order": 2},
+        "G": {"kind": "cyclic", "order": 2, "prefix": "g"},
+        "L": {"kind": "cyclic", "order": 2, "prefix": "h"}}, checks=[
+        {"name": "lemma-factor", "params": {"radius": 2}},
+        {"name": "star-action", "params": {"injectivity_grade": 1, "orbit_radius": 1,
+                                           "relation_radius": 2}},
+        {"name": "coinduction-characterization",
+         "params": {"instance": "twisted-shift", "radius": 2}},
+        {"name": "lemma-3"},
+        {"name": "lemma-2", "params": {
+            "identity_length": 2, "inverse_length": 2, "dependency_grade": 2,
+            "dependency_samples": 2, "freshness_grade": 1, "determinacy": False,
+            "measure_samples": 50}}])
+    path = write_config(tmp_path, doc)
+    runs = [run_cli_under_hash_seed(path, tmp_path / seed, seed) for seed in ("0", "1")]
+    assert runs[0].returncode in (0, 2), runs[0].stderr[-2000:]
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+    names = sorted(p.name for p in (tmp_path / "0").glob("*.json"))
+    assert len(names) == 6
+    for name in names:
+        assert strip_timing(tmp_path / "0" / name) == strip_timing(tmp_path / "1" / name)
+
+
 def test_main_list_checks(capsys):
     assert main(["--list-checks"]) == 0
     out = capsys.readouterr().out
@@ -270,6 +308,15 @@ def test_main_runs_shipped_config(tmp_path):
                  "--out", str(tmp_path / "out"), "--only", "theorem-b"])
     assert code == PINNED["exact-z2"]["exit_code"] == 0
     assert pinned_reports(tmp_path / "out") == PINNED["exact-z2"]["checks"]
+
+
+def test_s3_suite_reports_match_the_pinned_hashes(tmp_path):
+    # the shipped theorem-b-s3 suite is the benchmark's mc-s3 document
+    path = SUITES / "theorem-b-s3.cfg"
+    assert json.loads(path.read_text())["seed"] == PINNED["mc-s3"]["seed"] == 20240602
+    code = run_suite(path, tmp_path / "out", stream=io.StringIO())
+    assert code == PINNED["mc-s3"]["exit_code"] == 0
+    assert pinned_reports(tmp_path / "out") == PINNED["mc-s3"]["checks"]
 
 
 def test_standard_suite_reports_match_the_pinned_hashes(tmp_path):

@@ -1,6 +1,11 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -460,6 +465,32 @@ def test_dependency_radius_small():
     report = dependency_radius_report(system, 2, 10, seed=26)
     assert report.verdict in ("pass", "undetermined")
     assert report.counterexample is None
+
+
+DEPENDENCY_FAILURE = """
+import json
+from orbitlab.constructions import CylinderAction, dependency_radius_report
+system = CylinderAction(2, 64)
+system.b_length_up = lambda w: 0   # every b-read now exceeds the allowed grade
+report = dependency_radius_report(system, 2, 2, 5)
+print(report.verdict, json.dumps(report.to_payload()["counterexample"], sort_keys=True))
+"""
+
+
+def test_dependency_radius_counterexample_ignores_the_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "1"):
+        done = subprocess.run([sys.executable, "-c", DEPENDENCY_FAILURE], cwd=root,
+                              env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    verdict, body = outputs[0].split(" ", 1)
+    assert verdict == "fail"
+    assert json.loads(body)["coset"] == "a^-1 b^-1 a^1"   # least in coord_key order
 
 
 def test_coset_freshness_small():

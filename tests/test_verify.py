@@ -12,7 +12,7 @@ from orbitlab.verify import (Check, Selector, VerificationReport, WindowFunction
                              independence_exact, independence_mc,
                              selector_independence_exact, soundness_spotcheck,
                              worst_verdict)
-from orbitlab.words import free_group
+from orbitlab.words import coset, free_group
 
 F2 = free_group("a", "b")
 Z2 = cyclic(2)
@@ -184,3 +184,14 @@ def test_report_payload_serializes_exact_fractions():
     assert payload["statistics"]["measure"] == "1/3"
     assert payload["statistics"]["witness"] == "a^1 b^1"
     json.dumps(payload)  # JSON-able end to end
+
+
+def test_report_payload_serializes_words_and_cosets_as_tokens():
+    # a coset is a (part, rep) tuple; it must serialize as a coset, not a list
+    c = coset(F2, "b", B * A * B)
+    report = Check("demo").fail(counterexample={
+        "coset": c, "word": A * B, "pair": (c, A),
+        "by_coset": {c: 1, (c, A): 2}, "by_word": {A * B: 3}})
+    assert report.to_payload()["counterexample"] == {
+        "coset": "a^1 b^1", "word": "a^1 b^1", "pair": ["a^1 b^1", "a^1"],
+        "by_coset": {"a^1 b^1": 1, "(a^1 b^1, a^1)": 2}, "by_word": {"a^1 b^1": 3}}

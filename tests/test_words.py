@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from orbitlab.groups import cyclic
-from orbitlab.words import (BallNotFiniteError, SpecMismatchError, Word,
+from orbitlab.words import (BallNotFiniteError, Coset, SpecMismatchError, Word,
                             _reduce_concat, ball, coset, cosets_ball,
                             extension_sphere, free_group, free_product,
                             omega_transfer, r_map, sphere, transversal_words)
@@ -52,8 +52,22 @@ def test_words_are_interned_per_spec():
     for w in ball(F2, 2):
         other = Word(twin, w.syllables)
         assert other != w and not other == w
-        assert hash(other) == hash(w)
+        assert len({w, other}) == 2
+        assert hash(Word(F2, w.syllables)) == hash(w)
     assert len({A, twin.generator("a")}) == 2
+
+
+def test_cosets_are_part_rep_pairs():
+    twin = free_group("a", "b")
+    for w in ball(F2, 2):
+        c = coset(F2, "b", w)
+        assert c.part == 1 and c.spec is F2 and c.rep.first_part() != 1
+        assert c == Coset(1, c.rep) == (1, c.rep) and hash(c) == hash(Coset(1, c.rep))
+        assert c == coset(F2, "b", B * w) and c.rep is coset(F2, "b", B * w).rep
+        assert c != coset(F2, "a", w)   # another part
+        other = coset(twin, "b", Word(twin, w.syllables))
+        assert other != c and len({c, other}) == 2   # twin specs
+    assert coset(F2, "b", A) != coset(F2, "b", A * A)
 
 
 @pytest.mark.parametrize("spec", _interning_specs(), ids=["F2", "a*Z3"])
