@@ -4,7 +4,12 @@ Exact mode is a decision procedure: joint laws are enumerated with rational
 arithmetic and compared for equality, so a pass is a proof about the finite
 window and a fail carries the violating cylinder.  Monte-Carlo mode is a
 chi-square gate at a configured quantile: a screening device for windows
-beyond the enumeration budget, never a proof.
+beyond the enumeration budget, never a proof.  A gate with an empty sample
+has no evidence and reports UNDETERMINED.
+
+The chi-square quantile is `2 * gammaincinv(dof / 2, q)` from
+`scipy.special`, the formula `scipy.stats.chi2.ppf` evaluates, so thresholds
+are bit-identical to it without loading `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .spaces import (BudgetExceededError, Configuration, DEFAULT_BUDGET,
                      derive_seed, enumerate_window, exact_distribution,
@@ -101,8 +106,8 @@ class Check:
 
     The clock starts when the check is built; every report the check
     returns carries the seconds since then in `runtime_s`.  A check that
-    counted an unresolved scan in `undetermined` reports UNDETERMINED in
-    place of PASS; `checked` counts what was verified.
+    counted an unresolved scan or an empty sample in `undetermined` reports
+    UNDETERMINED in place of PASS; `checked` counts what was verified.
     """
 
     def __init__(self, name: str, mode: str = "exact", seed: int | None = None):
@@ -218,12 +223,15 @@ def independence_exact(space, family: Sequence[WindowFunction], window=None,
 
 
 def chi_square_threshold(quantile: float, dof: int) -> float:
-    return float(chi2.ppf(quantile, dof))
+    """The `quantile` point of the chi-square law with `dof` degrees of freedom."""
+    return float(2 * gammaincinv(dof / 2, quantile))
 
 
 def _chi_square_independence(counts: Mapping[tuple, int], total: int):
     """Chi-square statistic of a joint table against the product of its
     empirical marginals; returns (statistic, dof) over observed supports."""
+    if not counts:
+        return 0.0, 1
     k = len(next(iter(counts)))
     marginals: list[dict] = [dict() for _ in range(k)]
     for outcome, c in counts.items():
@@ -251,12 +259,21 @@ def _chi_square_independence(counts: Mapping[tuple, int], total: int):
 
 def _chi_square_gate(check: Check, stat: float, dof: int, quantile: float,
                      samples, **parameters) -> VerificationReport:
-    """Pass iff the statistic is at most the chi-square quantile for dof."""
+    """Pass iff the statistic is at most the chi-square quantile for dof.
+
+    `samples` is the sample size, or the list of sizes of a two-sample
+    gate; an empty sample is no evidence, so the gate reports UNDETERMINED.
+    """
     threshold = chi_square_threshold(quantile, dof)
+    notes = ()
+    if 0 in (samples if isinstance(samples, list) else [samples]):
+        check.undetermined += 1
+        notes = ("empty sample: no evidence",)
     return check.report(
         PASS if stat <= threshold else FAIL,
         parameters={"samples": samples, "quantile": quantile, **parameters},
-        statistics={"chi_square": stat, "dof": dof, "threshold": threshold})
+        statistics={"chi_square": stat, "dof": dof, "threshold": threshold},
+        notes=notes)
 
 
 def independence_mc(space, family: Sequence[WindowFunction], samples: int,
@@ -291,9 +308,10 @@ def goodness_of_fit_mc(values: Iterable[int], expected: Mapping[int, Fraction],
         counts[v] = counts.get(v, 0) + 1
         n += 1
     stat = 0.0
-    for v, p in expected.items():
-        exp = float(p) * n
-        stat += (counts.get(v, 0) - exp) ** 2 / exp
+    if n:
+        for v, p in expected.items():
+            exp = float(p) * n
+            stat += (counts.get(v, 0) - exp) ** 2 / exp
     extra = set(counts) - set(expected)
     if extra:
         stat = float("inf")

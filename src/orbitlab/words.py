@@ -222,10 +222,11 @@ class Word:
     compare equal.  Sets of words iterate in an allocation order.
 
     Products are memoized in a dict on the left operand, keyed by the right
-    one; it and the rendered tokens sit in fixed slots, filled on first use.
+    one; it, the rendered tokens and the first-letter split sit in fixed
+    slots, filled on first use.
     """
 
-    __slots__ = ("spec", "syllables", "_tokens", "_products")
+    __slots__ = ("spec", "syllables", "_tokens", "_products", "_split")
 
     def __new__(cls, spec: GroupSpec, syllables: tuple):
         table = spec._words
@@ -236,6 +237,7 @@ class Word:
             word.syllables = syllables
             word._tokens = None
             word._products = None
+            word._split = None
         return word
 
     # -- basic structure ------------------------------------------------------
@@ -283,18 +285,23 @@ class Word:
 
     def split_first_letter(self) -> tuple["Word", "Word"]:
         """Peel one letter off the left: returns (letter, rest) with self = letter*rest."""
+        if self._split is not None:
+            return self._split
         if self.is_identity:
             raise ValueError("identity has no first letter")
         kind, p, v = self.syllables[0]
         if kind == "f":
-            return Word(self.spec, (self.syllables[0],)), Word(self.spec, self.syllables[1:])
-        step = 1 if v > 0 else -1
-        letter = Word(self.spec, (("g", p, step),))
-        if v == step:
+            letter = Word(self.spec, (self.syllables[0],))
             rest = Word(self.spec, self.syllables[1:])
         else:
-            rest = Word(self.spec, (("g", p, v - step),) + self.syllables[1:])
-        return letter, rest
+            step = 1 if v > 0 else -1
+            letter = Word(self.spec, (("g", p, step),))
+            if v == step:
+                rest = Word(self.spec, self.syllables[1:])
+            else:
+                rest = Word(self.spec, (("g", p, v - step),) + self.syllables[1:])
+        self._split = (letter, rest)
+        return self._split
 
     def letters(self) -> list["Word"]:
         """Left-to-right single-letter decomposition (self = product of letters)."""

@@ -284,6 +284,17 @@ def test_reports_reproduce_across_hash_seeds(tmp_path):
         assert strip_timing(tmp_path / "0" / name) == strip_timing(tmp_path / "1" / name)
 
 
+def test_cli_import_does_not_load_scipy_stats():
+    # the chi-square quantile comes from scipy.special; scipy.stats costs
+    # about 0.6 s and 45 MB per process
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, orbitlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "False"
+
+
 def test_main_list_checks(capsys):
     assert main(["--list-checks"]) == 0
     out = capsys.readouterr().out

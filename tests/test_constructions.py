@@ -563,6 +563,14 @@ def test_match_measure_preservation_gate():
     assert report.verdict == "pass"
 
 
+def test_match_measure_with_no_resolved_scan_is_undetermined():
+    # at scan radius 1 no scan resolves, so neither sample has a point
+    report = match_measure_report(2, 1, 1, 1)
+    assert report.verdict == "undetermined"
+    stats = report.subreports[0].statistics
+    assert (stats["unresolved_forward"], stats["unresolved_backward"]) == (1, 1)
+
+
 # -- diagonal extension ------------------------------------------------------------
 
 

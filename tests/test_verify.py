@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbitlab.groups import cyclic
@@ -8,7 +9,7 @@ from orbitlab.spaces import GroupIndex, MissingCoordinateError, Space, sample_st
 from orbitlab.verify import (Check, Selector, VerificationReport, WindowFunction,
                              _chi_square_independence, chi_square_threshold,
                              coordinate_variable,
-                             generation_check, goodness_of_fit_mc,
+                             generation_check, goodness_of_fit_mc, homogeneity_mc,
                              independence_exact, independence_mc,
                              selector_independence_exact, soundness_spotcheck,
                              worst_verdict)
@@ -90,6 +91,28 @@ def test_independence_mc_uniform_marginal():
     report = goodness_of_fit_mc(values, {0: Fraction(1, 2), 1: Fraction(1, 2)},
                                 seed=77)
     assert report.verdict == "pass"
+
+
+@pytest.mark.parametrize("run", [
+    lambda: homogeneity_mc([], [], 0),
+    lambda: homogeneity_mc([1, 1, 1], [], 0),
+    lambda: goodness_of_fit_mc([], {0: Fraction(1, 2), 1: Fraction(1, 2)}, 0),
+    lambda: independence_mc(SPACE, [proj(A), proj(B)], 0, seed=1),
+], ids=["both-empty", "one-empty", "gof-empty", "independence-empty"])
+def test_chi_square_gate_on_an_empty_sample_is_undetermined(run):
+    report = run()
+    assert report.verdict == "undetermined"
+    assert report.notes == ("empty sample: no evidence",)
+
+
+def test_chi_square_threshold_is_bit_identical_to_scipy_stats():
+    from scipy.stats import chi2
+    dofs = np.array(list(range(1, 2001)) + [10 ** 4, 10 ** 5])
+    for q in (0.5, 0.9, 0.95, 0.99, 0.999, 0.9999):
+        expected = chi2.ppf(q, dofs)
+        mismatches = [int(d) for d, e in zip(dofs, expected)
+                      if chi_square_threshold(q, int(d)) != float(e)]
+        assert mismatches == [], (q, mismatches[:10])
 
 
 def test_selector_engine_small_instance_passes():

@@ -71,6 +71,21 @@ def test_cosets_are_part_rep_pairs():
 
 
 @pytest.mark.parametrize("spec", _interning_specs(), ids=["F2", "a*Z3"])
+def test_first_letter_split_is_memoized(spec):
+    for w in ball(spec, 3):
+        if w.is_identity:
+            with pytest.raises(ValueError):
+                w.split_first_letter()
+            with pytest.raises(ValueError):   # nothing was cached on that path
+                w.split_first_letter()
+            continue
+        letter, rest = pair = w.split_first_letter()
+        assert letter * rest is w and letter.length() == 1
+        assert rest.length() == w.length() - 1
+        assert w.split_first_letter() is pair
+
+
+@pytest.mark.parametrize("spec", _interning_specs(), ids=["F2", "a*Z3"])
 def test_memoized_products_match_unmemoized_reduction(spec):
     words = ball(spec, 2)
     for _ in range(2):  # the second round is served by the memo
