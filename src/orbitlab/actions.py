@@ -61,7 +61,9 @@ class SubgroupAlphabetAction:
     For a rank-1 free part the action is generated by one permutation; for
     a finite part a permutation per element is supplied and checked to be a
     homomorphism against the multiplication table.
-    """
+
+    perm_of memoizes the permutation of each interned word.  The memo lives
+    as long as the action; every check builds its own."""
 
     def __init__(self, spec: GroupSpec, subgroup, alphabet: Alphabet,
                  gen_perm: Sequence[int] | None = None,
@@ -259,9 +261,6 @@ class Action:
 
     def apply(self, g, x: Configuration) -> Configuration:
         raise NotImplementedError
-
-    def orbit_map(self, g) -> Callable[[Configuration], Configuration]:
-        return lambda x: self.apply(g, x)
 
 
 class LetterAction(Action):

@@ -12,62 +12,45 @@ trust anchor for well-definedness of a generator table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .groups import FiniteGroup
 from .verify import PASS, Check, UndeterminedError, VerificationReport
 from .words import GroupSpec, Word
 
 
-class CocycleSolveError(RuntimeError):
-    """The defining relation of a transported cocycle has no unique solution."""
-
-
 @dataclass
 class CocycleTarget:
-    """Target group: a word group, optionally paired with a finite group.
+    """Target group: a word group, or its direct product with a finite group.
 
-    Elements are Words, or (Word, int) pairs for the direct product with a
-    finite group.
+    Elements are Words, or (Word, int) pairs when k_group is given.
     """
 
-    spec: GroupSpec | None = None
+    spec: GroupSpec
     k_group: FiniteGroup | None = None
 
-    @property
-    def paired(self) -> bool:
-        return self.spec is not None and self.k_group is not None
-
     def identity(self):
-        if self.paired:
+        if self.k_group is not None:
             return (self.spec.identity(), self.k_group.identity)
-        if self.spec is not None:
-            return self.spec.identity()
-        return self.k_group.identity
+        return self.spec.identity()
 
     def mul(self, a, b):
-        if self.paired:
+        if self.k_group is not None:
             return (a[0] * b[0], self.k_group.mul(a[1], b[1]))
-        if self.spec is not None:
-            return a * b
-        return self.k_group.mul(a, b)
+        return a * b
 
     def inv(self, a):
-        if self.paired:
+        if self.k_group is not None:
             return (a[0].inverse(), self.k_group.inv(a[1]))
-        if self.spec is not None:
-            return a.inverse()
-        return self.k_group.inv(a)
+        return a.inverse()
 
     def word_part(self, a) -> Word:
-        return a[0] if self.paired else a
+        return a[0] if self.k_group is not None else a
 
     def describe(self, a):
-        if self.paired:
+        if self.k_group is not None:
             return (a[0].tokens(), self.k_group.names[a[1]])
-        if self.spec is not None:
-            return a.tokens()
-        return self.k_group.names[a]
+        return a.tokens()
 
 
 class Cocycle:
@@ -154,83 +137,6 @@ def identity_cocycle(source) -> Cocycle:
         elif kind == "f":
             images[spec.parts[p].group.names[v]] = w
     return homomorphism_cocycle(source, target, images, "identity")
-
-
-def glue_free_product(c1: Cocycle, c2: Cocycle) -> Cocycle:
-    """The unique cocycle restricting to each input on its own free factors."""
-    if c1.source is not c2.source:
-        raise ValueError("cocycles to glue must share their source action")
-    if (c1.target.spec is not c2.target.spec
-            or c1.target.k_group is not c2.target.k_group):
-        raise ValueError("cocycles to glue must share their target")
-    overlap = set(c1.entries) & set(c2.entries)
-    if overlap:
-        raise ValueError(f"generator tables overlap on {sorted(overlap)}")
-    entries = dict(c1.entries)
-    entries.update(c2.entries)
-    return Cocycle(c1.source, c1.target, entries, "glued")
-
-
-def cohomology_transform(c: Cocycle, phi: Callable) -> Cocycle:
-    """w'(g, x) = phi(g . x) w(g, x) phi(x)^-1 for a point map phi."""
-    target = c.target
-    entries = {}
-    spec = c.source.group_spec
-    for key, fn in c.entries.items():
-        if key[0] == "g":
-            letter = Word(spec, (("g", key[1], 1),))
-        else:
-            letter = Word(spec, (("f", key[1], key[2]),))
-
-        def transformed(x, fn=fn, letter=letter):
-            return target.mul(phi(c.source.apply(letter, x)),
-                              target.mul(fn(x), target.inv(phi(x))))
-
-        entries[key] = transformed
-    return Cocycle(c.source, target, entries, f"{c.name}-transformed")
-
-
-def zimmer_from_oe(delta: Callable, source, target_action,
-                   candidates: Sequence[Word], compare_coords: Sequence,
-                   p: Callable | None = None) -> Cocycle:
-    """Cocycle transported through an orbit map delta.
-
-    Solves delta(p(g . x)) = h . delta(p(x)) for h among the candidate
-    words, comparing on compare_coords; a missing or ambiguous solution
-    raises CocycleSolveError (freeness of the target action is what makes
-    the solution unique).  p defaults to the identity (plain orbit
-    equivalence); supplying a projection onto the domain subset gives the
-    stable variant.
-    """
-    target = CocycleTarget(spec=target_action.group_spec)
-
-    def solve(g: Word, x):
-        x0 = p(x) if p is not None else x
-        x1 = source.apply(g, x)
-        x1 = p(x1) if p is not None else x1
-        y0, y1 = delta(x0), delta(x1)
-        hits = []
-        for h in candidates:
-            hy = target_action.apply(h, y0)
-            if all(hy.value(c) == y1.value(c) for c in compare_coords):
-                hits.append(h)
-        if len(hits) != 1:
-            raise CocycleSolveError(
-                f"{len(hits)} candidate solutions at {g.tokens()} "
-                "(expected exactly one)")
-        return hits[0]
-
-    spec = source.group_spec
-    entries = {}
-    for w in spec.atomic_letters():
-        kind, part, v = w.syllables[0]
-        if kind == "g" and v == 1:
-            entries[("g", part)] = (lambda x, w=w: solve(w, x))
-        elif kind == "f":
-            entries[("f", part, v)] = (lambda x, w=w: solve(w, x))
-    cocycle = Cocycle(source, target, entries, "zimmer")
-    cocycle.solve = solve
-    return cocycle
 
 
 # -- verification --------------------------------------------------------------

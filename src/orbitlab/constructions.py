@@ -699,17 +699,17 @@ class AxisTape:
     """The values of one point along its a-axis, read one coordinate at a
     time and kept.
 
-    Position k holds base.value(coset(k, u0)): the coset (b)a^k u0 of a
-    coset-indexed base, or, with u0 None, the integer k of a Z-indexed one.
-    Every twisted translate of the base by a^m u0 reads this tape shifted
-    by m, so the translates share its reads, and the parenthesis matches
-    found on it, keyed by small ints.  Positions low .. low + len(cells) - 1
-    have a cell, _UNREAD until read; widening the cells reads nothing.
+    Position k holds base.value(coset(k, u0)), the coset (b)a^k u0 of a
+    coset-indexed base.  Every twisted translate of the base by a^m u0 reads
+    this tape shifted by m, so the translates share its reads, and the
+    parenthesis matches found on it, keyed by small ints.  Positions
+    low .. low + len(cells) - 1 have a cell, _UNREAD until read; widening
+    the cells reads nothing.
     """
 
     __slots__ = ("base", "u0", "coset", "low", "cells", "matches")
 
-    def __init__(self, base: Configuration, u0: tuple | None, coset: Callable):
+    def __init__(self, base: Configuration, u0: tuple, coset: Callable):
         self.base = base
         self.u0 = u0
         self.coset = coset
@@ -727,7 +727,7 @@ class AxisTape:
             i = self._widen(k)
         v = self.cells[i]
         if v == _UNREAD:
-            v = self.base.value(k if self.u0 is None else self.coset(k, self.u0))
+            v = self.base.value(self.coset(k, self.u0))
             self.cells[i] = v
         return v
 
@@ -817,7 +817,7 @@ class CylinderAction(LetterAction):
             return coset(self.f2, self.b_part, Word(self.f2, u0))
         return Coset(self.b_part, Word(self.f2, (("g", self.a_part, k),) + u0))
 
-    def _tape(self, base: Configuration, u0: tuple | None) -> AxisTape:
+    def _tape(self, base: Configuration, u0: tuple) -> AxisTape:
         key = (base.point_key, u0)
         tape = self._tapes.get(key)
         if tape is None:
@@ -834,17 +834,10 @@ class CylinderAction(LetterAction):
             u0, m = u0[1:], u0[0][2]
         return AxisView(self.zshift.space, self._tape(base, u0), m, t)
 
-    def _axis(self, z: Configuration) -> AxisView:
-        """A Z-indexed point as a view of its tape (its own, unless z is one)."""
-        if isinstance(z, AxisView):
-            return z
-        return AxisView(self.zshift.space, self._tape(z, None), 0, 0)
-
-    def match(self, z: Configuration, symbol: int, inverse: bool = False) -> int:
-        """parenthesis_match(z, symbol, scan_radius, inverse) for a Z-indexed
-        point, scanned once per tape: the outcome depends only on which tape
+    def match(self, z: AxisView, symbol: int, inverse: bool = False) -> int:
+        """parenthesis_match(z, symbol, scan_radius, inverse) for an a-axis
+        view, scanned once per tape: the outcome depends only on which tape
         symbols open and close and on where the scan starts."""
-        z = self._axis(z)
         kappa = self.kappa
         key = (-z.t % kappa, (symbol - z.t) % kappa, z.m, inverse)
         matches = z.tape.matches
@@ -881,10 +874,9 @@ class CylinderAction(LetterAction):
         i = z.value(0)
         return 0 if i == 0 else self.match(z, i, True)
 
-    def eta_prime(self, n: int, z: Configuration) -> int:
+    def eta_prime(self, n: int, z: AxisView) -> int:
         """Inverse-direction return cocycle: q0(n.z) = eta'(n, z) * q0(z),
         where q0 moves a point back onto the 0 matched to its origin."""
-        z = self._axis(z)
         p_z = self._back_offset(z)
         p_nz = self._back_offset(z.shifted(n))
         return self.oracle.steps_to(z.shifted(p_z), n + p_nz - p_z)

@@ -8,7 +8,7 @@ computable with rational arithmetic.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class GroupTableError(ValueError):
@@ -92,12 +92,6 @@ class FiniteGroup(Alphabet):
 
     def inv(self, a: int) -> int:
         return self.inverse_table[a]
-
-    def product(self, elems: Iterable[int]) -> int:
-        out = self.identity
-        for a in elems:
-            out = self.table[out][a]
-        return out
 
     def element_order(self, a: int) -> int:
         n, x = 1, a

@@ -281,15 +281,6 @@ def sample_window_stream(space: Space, coords, seed: int, count: int
         yield on_slots(space, slots, tuple([prf(seed_key, k, size) for k in keys]))
 
 
-def resample_outside(x: Configuration, coords, seed: int) -> Configuration:
-    """Configuration equal to x on `coords`, fresh pseudo-random elsewhere.
-
-    Used to certify declared dependency windows: a window-sound map must
-    take the same value on x and on the resampled configuration.
-    """
-    return SeededConfiguration(x.space, seed, {c: x.value(c) for c in coords})
-
-
 def agree_on(x: Configuration, y: Configuration, coords) -> bool:
     return all(x.value(c) == y.value(c) for c in coords)
 

@@ -23,8 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from scipy.special import gammaincinv
 
 from .spaces import (BudgetExceededError, Configuration, DEFAULT_BUDGET,
-                     derive_seed, enumerate_window, exact_distribution,
-                     resample_outside, sample, sample_window_stream)
+                     enumerate_window, exact_distribution, sample_window_stream)
 from .words import Coset, Word
 
 PASS = "pass"
@@ -173,22 +172,6 @@ def family_window(family: Sequence[WindowFunction]) -> list:
     return out
 
 
-def soundness_spotcheck(family: Sequence[WindowFunction], space,
-                        seed: int) -> VerificationReport:
-    """Spot-check that each declared dependency window is sound: the value
-    must not move when everything outside the window is resampled."""
-    check = Check("window-soundness", seed=seed)
-    trials = 10
-    for i in range(trials):
-        x = sample(space, derive_seed(seed, f"sound/{i}"))
-        for v in family:
-            y = resample_outside(x, v.coords, derive_seed(seed, f"sound/{i}/fresh"))
-            if v.fn(x) != v.fn(y):
-                return check.fail(parameters={"trials": trials},
-                                  counterexample={"variable": v.name, "trial": i})
-    return check.report(PASS, parameters={"trials": trials})
-
-
 # -- exact independence -------------------------------------------------------
 
 
@@ -295,27 +278,6 @@ def independence_mc(space, family: Sequence[WindowFunction], samples: int,
     stat, dof = _chi_square_independence(counts, samples)
     return _chi_square_gate(check, stat, dof, quantile, samples,
                             variables=[v.name for v in family])
-
-
-def goodness_of_fit_mc(values: Iterable[int], expected: Mapping[int, Fraction],
-                       seed: int | None) -> VerificationReport:
-    """Chi-square goodness of fit of sampled values against an exact law,
-    gated at the 0.999 quantile."""
-    check = Check("gof-mc", "monte-carlo", seed)
-    counts: dict = {}
-    n = 0
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-        n += 1
-    stat = 0.0
-    if n:
-        for v, p in expected.items():
-            exp = float(p) * n
-            stat += (counts.get(v, 0) - exp) ** 2 / exp
-    extra = set(counts) - set(expected)
-    if extra:
-        stat = float("inf")
-    return _chi_square_gate(check, stat, max(len(expected) - 1, 1), 0.999, n)
 
 
 def homogeneity_mc(values_a: Iterable[int], values_b: Iterable[int],

@@ -11,7 +11,7 @@ from orbitlab.spaces import (BudgetExceededError, CosetIndex, ExplicitConfigurat
                              SeededConfiguration, Space,
                              derive_seed, enumerate_window,
                              exact_distribution,
-                             resample_outside, sample, sample_stream,
+                             sample, sample_stream,
                              sample_window_stream, window_slots)
 from orbitlab.verify import WindowFunction
 from orbitlab.words import Word, ball, coset, free_group
@@ -156,16 +156,6 @@ def test_quotient_orbit_count():
         nx = quotient_normalize(config, window[0])
         reps.add(tuple(nx.value(c) for c in window))
     assert len(reps) == K.size ** (len(window) - 1)
-
-
-def test_resample_outside_agrees_inside():
-    sp = f2space(Z2)
-    x = sample(sp, 11)
-    coords = ball(F2, 1)
-    y = resample_outside(x, coords, derive_seed(11, "fresh"))
-    assert all(y.value(c) == x.value(c) for c in coords)
-    outside = [g for g in ball(F2, 3) if g not in coords]
-    assert any(y.value(g) != x.value(g) for g in outside)
 
 
 def test_coset_index_canonicalizes_words():

@@ -9,10 +9,9 @@ from orbitlab.spaces import GroupIndex, MissingCoordinateError, Space, sample_st
 from orbitlab.verify import (Check, Selector, VerificationReport, WindowFunction,
                              _chi_square_independence, chi_square_threshold,
                              coordinate_variable,
-                             generation_check, goodness_of_fit_mc, homogeneity_mc,
+                             generation_check, homogeneity_mc,
                              independence_exact, independence_mc,
-                             selector_independence_exact, soundness_spotcheck,
-                             worst_verdict)
+                             selector_independence_exact, worst_verdict)
 from orbitlab.words import coset, free_group
 
 F2 = free_group("a", "b")
@@ -86,19 +85,11 @@ def test_independence_mc_rejects_an_undeclared_read():
         independence_mc(SPACE, [proj(B), sneaky], 10, seed=1)
 
 
-def test_independence_mc_uniform_marginal():
-    values = [x.value(E) for x in sample_stream(SPACE, 77, 10 ** 4)]
-    report = goodness_of_fit_mc(values, {0: Fraction(1, 2), 1: Fraction(1, 2)},
-                                seed=77)
-    assert report.verdict == "pass"
-
-
 @pytest.mark.parametrize("run", [
     lambda: homogeneity_mc([], [], 0),
     lambda: homogeneity_mc([1, 1, 1], [], 0),
-    lambda: goodness_of_fit_mc([], {0: Fraction(1, 2), 1: Fraction(1, 2)}, 0),
     lambda: independence_mc(SPACE, [proj(A), proj(B)], 0, seed=1),
-], ids=["both-empty", "one-empty", "gof-empty", "independence-empty"])
+], ids=["both-empty", "one-empty", "independence-empty"])
 def test_chi_square_gate_on_an_empty_sample_is_undetermined(run):
     report = run()
     assert report.verdict == "undetermined"
@@ -171,13 +162,6 @@ def test_generation_check_missing_coordinate_witness_pair():
     report = generation_check(SPACE, family, window)
     assert report.verdict == "fail"
     assert "first" in report.counterexample and "second" in report.counterexample
-
-
-def test_soundness_spotcheck_detects_undeclared_read():
-    honest = proj(E, "fine")
-    liar = WindowFunction("liar", (E,), 2, lambda c: c.value(A))
-    assert soundness_spotcheck([honest], SPACE, seed=3).verdict == "pass"
-    assert soundness_spotcheck([liar], SPACE, seed=3).verdict == "fail"
 
 
 def test_worst_verdict_and_combine():
