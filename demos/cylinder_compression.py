@@ -26,7 +26,7 @@ print("inducing cylinder measure:",
 
 # The matching pairs symbol occurrences like parentheses: nested pairs
 # resolve inside out.
-z = SeededConfiguration(system.zshift.space, 0, {0: 0, 1: 0, 2: 1, 3: 1})
+z = SeededConfiguration(system.oracle.space, 0, {0: 0, 1: 0, 2: 1, 3: 1})
 print("outer 0 of the pattern 0 0 1 1 matches the 1 at offset:",
       parenthesis_match(z, 1, 16))
 

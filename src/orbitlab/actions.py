@@ -160,8 +160,7 @@ class _RelocView(Configuration):
 
     @property
     def point_key(self):
-        return ("reloc", self.u if isinstance(self.u, int) else self.u.syllables,
-                self.base.point_key)
+        return ("reloc", self.u.syllables, self.base.point_key)
 
 
 class _TwistedView(Configuration):
@@ -256,10 +255,10 @@ def quotient_normalize(x: Configuration, base_coord) -> Configuration:
 class Action:
     """p.m.p. action interface: apply(g, x) with g a Word of group_spec."""
 
-    group_spec: GroupSpec | None
+    group_spec: GroupSpec
     space: object
 
-    def apply(self, g, x: Configuration) -> Configuration:
+    def apply(self, g: Word, x: Configuration) -> Configuration:
         raise NotImplementedError
 
 
@@ -300,27 +299,10 @@ class BernoulliShift(Action):
             return x
         if isinstance(x, _RelocView) and x.space is self.space:
             u = g * x.u
-            return x.base if (isinstance(u, Word) and u.is_identity) else \
-                _RelocView(self.space, x.base, u)
+            return x.base if u.is_identity else _RelocView(self.space, x.base, u)
         if isinstance(x, _ValueTwistView):
             return value_twist(self.apply(g, x.base), x.perm)
         return _RelocView(self.space, x, g)
-
-
-class IntShift(Action):
-    """(n . z)_h = z_{h+n} on alphabet^Z."""
-
-    def __init__(self, alphabet: Alphabet):
-        self.group_spec = None
-        self.space = Space(IntIndex(), alphabet)
-
-    def apply(self, n: int, z: Configuration) -> Configuration:
-        if n == 0:
-            return z
-        if isinstance(z, _RelocView) and isinstance(z.u, int):
-            total = n + z.u
-            return z.base if total == 0 else _RelocView(self.space, z.base, total)
-        return _RelocView(self.space, z, n)
 
 
 class TwistedCosetShift(Action):
@@ -430,45 +412,35 @@ class QuotientByDiagonal(Action):
 class FirstReturnOracle:
     """Induced transformation on the cylinder {z : z_0 = symbol} of alphabet^Z.
 
-    All scans are bounded by scan_radius and an unresolved scan raises
+    Scans read z at offsets from its origin: the n-th return of z lies at
+    offset eta(n, z), and no shifted copy of z is built to find it.  All
+    scans are bounded by scan_radius and an unresolved scan raises
     UndeterminedError: a reported outcome, not a silent failure.
     """
 
     def __init__(self, alphabet: Alphabet, symbol: int, scan_radius: int):
-        self.alphabet = alphabet
         self.symbol = symbol
         self.scan_radius = scan_radius
-        self.shift = IntShift(alphabet)
-        self.space = self.shift.space
+        self.space = Space(IntIndex(), alphabet)
 
-    def in_domain(self, z: Configuration) -> bool:
-        return z.value(0) == self.symbol
-
-    def first_return(self, z: Configuration, direction: int) -> int:
+    def first_return(self, z: Configuration, direction: int, start: int = 0) -> int:
+        """Offset from start to the first return of z after start."""
         for j in range(1, self.scan_radius + 1):
-            if z.value(direction * j) == self.symbol:
+            if z.value(start + direction * j) == self.symbol:
                 return direction * j
         raise UndeterminedError(
             f"no return to the cylinder within scan radius {self.scan_radius}")
 
-    def apply_power(self, n: int, z: Configuration) -> tuple[Configuration, int]:
-        """n-th power of the induced map; returns (image, return-time cocycle).
-
-        The cocycle value is the accumulated shift: image = shift(eta, z).
-        """
-        if not self.in_domain(z):
+    def eta(self, n: int, z: Configuration) -> int:
+        """Return-time cocycle: the n-th power of the induced map shifts z by
+        eta(n, z)."""
+        if z.value(0) != self.symbol:
             raise ValueError("point outside the inducing cylinder")
         eta = 0
-        current = z
         step = 1 if n >= 0 else -1
         for _ in range(abs(n)):
-            r = self.first_return(current, step)
-            eta += r
-            current = self.shift.apply(r, current)
-        return current, eta
-
-    def eta(self, n: int, z: Configuration) -> int:
-        return self.apply_power(n, z)[1]
+            eta += self.first_return(z, step, eta)
+        return eta
 
     def steps_to(self, z: Configuration, total_shift: int) -> int:
         """The m with eta(m, z) = total_shift; the target must be a return."""
@@ -476,12 +448,9 @@ class FirstReturnOracle:
             return 0
         direction = 1 if total_shift > 0 else -1
         eta, m = 0, 0
-        current = z
         while True:
-            r = self.first_return(current, direction)
-            eta += r
+            eta += self.first_return(z, direction, eta)
             m += direction
-            current = self.shift.apply(r, current)
             if eta == total_shift:
                 return m
             if abs(eta) > abs(total_shift):

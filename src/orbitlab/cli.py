@@ -5,10 +5,11 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 undetermined outcomes
 (and no failures), 3 malformed config or a window over the enumeration
 budget, with one message naming the field (`checks[i].params.<key>` for
 a check parameter of the wrong type, below its least value, or an
-unknown mode, case, group, twist or instance; `samples`, `budget` or
-`scan_radius` that is not a positive integer, `quantile` outside (0, 1);
-`groups.<name>.order` for a cyclic order that is not a positive
-integer).  Report files are `NN-<check>.json`, NN being the check's
+unknown mode, case, group, twist or instance, or a `lam` group clashing
+with `gamma`; `samples`, `budget` or `scan_radius` that is not a positive
+integer, `quantile` outside (0, 1); `groups.<name>.order` for a cyclic
+order that is not a positive integer; `groups.<name>` for an invalid
+table).  Report files are `NN-<check>.json`, NN being the check's
 index in the config's `checks` (also under --only).  Reports are
 deterministic functions of (config, seeds); wall-clock data, with the
 check's own clock as `runtime_s`, lives in a separate `timing` section so
@@ -79,6 +80,20 @@ class SuiteContext:
         if name not in self.groups:
             raise ConfigError(key, f"group {name!r} is not declared")
         return self.groups[name]
+
+
+def _free_factors(ctx: SuiteContext, params: dict) -> tuple[FiniteGroup, FiniteGroup]:
+    """The groups `gamma` and `lam` of a free product.  Words name its parts
+    by label and its elements by name, so the two may share neither."""
+    gamma, lam = ctx.group(params, "gamma"), ctx.group(params, "lam")
+    other = params["gamma"]
+    gamma_tokens = set(gamma.names) - {gamma.names[gamma.identity]}
+    for i, name in enumerate(lam.names):
+        if i != lam.identity and name in gamma_tokens:
+            raise ConfigError("lam", f"element name {name!r} is also in group {other!r}")
+    if gamma.label == lam.label:
+        raise ConfigError("lam", f"group {other!r} has the same label {lam.label!r}")
+    return gamma, lam
 
 
 def _build_group(name: str, doc: dict) -> FiniteGroup:
@@ -200,8 +215,7 @@ def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
           {"radius": 0, "samples": 1})
 def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-factor")
-    setting = FactorSetting(ctx.group(params, "gamma"), ctx.group(params, "lam"),
-                            ctx.group(params, "K"))
+    setting = FactorSetting(*_free_factors(ctx, params), ctx.group(params, "K"))
     samples = params["samples"] or ctx.samples
     radius = params["radius"]
     subs = [restriction_consequence_report(setting, radius, samples,
@@ -230,8 +244,7 @@ def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
           {"relation_radius": 0, "orbit_radius": 0, "injectivity_grade": 0, "samples": 1})
 def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("star-action")
-    gamma = ctx.group(params, "gamma")
-    lam = ctx.group(params, "lam")
+    gamma, lam = _free_factors(ctx, params)
     K = ctx.group(params, "K")
     twist = params["twist"]
     if not 0 <= twist < K.size:
@@ -275,9 +288,10 @@ def _run_lemma_2(ctx: SuiteContext, params: dict) -> VerificationReport:
     system = CylinderAction(kappa, scan_radius)
     om, omp = system.omega(), system.omega_prime()
     subs = [cylinder_measure_report(system)]
-    words_id = ball(system.spec_up, params["identity_length"])
-    pairs = [(g, h) for g in words_id for h in words_id
-             if g.length() + h.length() <= params["identity_length"]]
+    max_length = params["identity_length"]
+    sized = [(w, w.length()) for w in ball(system.spec_up, max_length)]
+    pairs = [(g, h) for g, g_len in sized for h, h_len in sized
+             if g_len + h_len <= max_length]
     points = [system.sample_in_cylinder(derive_seed(ctx.seed, f"l2/id/{i}"))
               for i in range(samples)]
     subs.append(verify_identity(om, pairs, points, name="forward-cocycle-identity"))

@@ -19,16 +19,15 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .actions import (Action, BernoulliShift, CoinducedAction,
-                      FiniteGroupAlphabetAction, FirstReturnOracle, IntShift,
-                      LetterAction, QuotientByDiagonal, SubgroupAlphabetAction,
-                      TwistedCosetShift, left_translation_action, quotient_normalize,
-                      value_twist)
+                      FiniteGroupAlphabetAction, FirstReturnOracle, LetterAction,
+                      QuotientByDiagonal, SubgroupAlphabetAction, TwistedCosetShift,
+                      left_translation_action, quotient_normalize, value_twist)
 from .cocycles import Cocycle, CocycleTarget, identity_cocycle
 from .groups import Alphabet, FiniteGroup, cyclic, direct_power, tuple_index
 from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
-                     GroupIndex, RecordingConfiguration, SeededConfiguration,
-                     Space, agree_on, derive_seed, exact_distribution, sample,
-                     sample_stream)
+                     GroupIndex, IntIndex, RecordingConfiguration,
+                     SeededConfiguration, Space, agree_on, derive_seed,
+                     exact_distribution, sample, sample_stream)
 from .verify import (FAIL, PASS, Check, UndeterminedError, VerificationReport,
                      WindowFunction, homogeneity_mc,
                      independence_exact, selector_independence_on_samples)
@@ -113,12 +112,10 @@ def increment_family(spec: GroupSpec, K: FiniteGroup, radius: int
     out = []
     generators = [spec.generator(p.name) for p in spec.parts]
     words = ball(spec, radius)
-    shared = {g: g for g in words}  # equal coordinates read as one object
     table, inverse = K.table, K.inverse_table
     for g in words:
         for a in generators:
             ag = a * g
-            ag = shared.setdefault(ag, ag)
             out.append(WindowFunction(
                 f"{a.tokens()}|{g.tokens()}", (g, ag), K.size,
                 (lambda x, g=g, ag=ag: table[inverse[x.value(g)]][x.value(ag)])))
@@ -794,7 +791,6 @@ class CylinderAction(LetterAction):
         self.a_part, self.b_part = self.f2.part_index("a"), self.f2.part_index("b")
         self.base = coset(self.f2, "b", self.f2.identity())
         self.oracle = FirstReturnOracle(cyclic(kappa), 0, scan_radius)
-        self.zshift = IntShift(cyclic(kappa))
         self._a_cosets: dict = {}
         self._tapes: dict = {}
         self._axis_coset = self.axis_coset   # one bound method shared by the tapes
@@ -832,7 +828,7 @@ class CylinderAction(LetterAction):
         u0, m = u.syllables, 0
         if u0 and u0[0][0] == "g" and u0[0][1] == self.a_part:
             u0, m = u0[1:], u0[0][2]
-        return AxisView(self.zshift.space, self._tape(base, u0), m, t)
+        return AxisView(self.oracle.space, self._tape(base, u0), m, t)
 
     def match(self, z: AxisView, symbol: int, inverse: bool = False) -> int:
         """parenthesis_match(z, symbol, scan_radius, inverse) for an a-axis
@@ -1006,7 +1002,7 @@ def match_determinacy_report(kappa: int, scan_radius: int, samples: int,
     sampled cylinder points, gated at the threshold.  The same frequency at
     a larger context radius is reported alongside."""
     check = Check("match-determinacy", "monte-carlo", seed)
-    space = IntShift(cyclic(kappa)).space
+    space = Space(IntIndex(), cyclic(kappa))
     # a scan resolves at radius r exactly when its match offset is at most r,
     # so one scan at the larger radius decides both counts
     radius = max(scan_radius, context_radius)
@@ -1044,7 +1040,7 @@ def match_measure_report(kappa: int, scan_radius: int, samples: int, seed: int,
     compared by a two-sample chi-square gate.
     """
     check = Check("match-measure-preservation")
-    shift = IntShift(cyclic(kappa))
+    space = Space(IntIndex(), cyclic(kappa))
     coords = [-2, -1, 1, 2]
 
     def draw(tag: str, symbol: int, inverse: bool) -> tuple[list, int]:
@@ -1053,17 +1049,17 @@ def match_measure_report(kappa: int, scan_radius: int, samples: int, seed: int,
         itself; and the count of unresolved scans."""
         codes, skipped = [], 0
         for i in range(samples):
-            z = SeededConfiguration(shift.space, derive_seed(seed, f"{tag}/{symbol}/{i}"),
+            z = SeededConfiguration(space, derive_seed(seed, f"{tag}/{symbol}/{i}"),
                                     {0: symbol if inverse else 0})
             try:
                 m = parenthesis_match(z, symbol, scan_radius, inverse)
             except UndeterminedError:
                 skipped += 1
                 continue
-            point = z if inverse else shift.apply(m, z)
+            origin = 0 if inverse else m
             code = 0
             for c in coords:
-                code = code * kappa + point.value(c)
+                code = code * kappa + z.value(origin + c)
             codes.append(code)
         return codes, skipped
 

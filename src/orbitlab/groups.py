@@ -164,13 +164,19 @@ def load_group_table(document) -> FiniteGroup:
     """Build a validated group from a table document.
 
     The document is a mapping (or a JSON string parsing to one) with fields
-    `name`, `elements` (array of strings) and `table` (array of arrays of
-    element indices).
+    `name`, `elements` (array of distinct strings, where only the identity
+    may be named `e`) and `table` (array of arrays of element indices).
     """
     if isinstance(document, str):
         document = json.loads(document)
     for field in ("elements", "table"):
         if field not in document:
             raise GroupTableError(f"group table document is missing field {field!r}")
-    return FiniteGroup(document["elements"], document["table"],
-                       label=document.get("name", ""))
+    names = [str(n) for n in document["elements"]]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise GroupTableError(f"element name {name!r} is repeated")
+    group = FiniteGroup(names, document["table"], label=document.get("name", ""))
+    if "e" in names and names.index("e") != group.identity:
+        raise GroupTableError("element name 'e' is reserved for the identity")
+    return group

@@ -124,9 +124,6 @@ class IntIndex:
     def key(self, coord: int) -> str:
         return str(coord)
 
-    def translate(self, coord: int, n: int) -> int:
-        return coord + n
-
     def __repr__(self):
         return "IntIndex()"
 

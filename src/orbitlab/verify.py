@@ -152,9 +152,6 @@ class WindowFunction:
     support: int
     fn: Callable[[Configuration], int]
 
-    def __call__(self, x: Configuration) -> int:
-        return self.fn(x)
-
 
 def coordinate_variable(space, coord, name: str | None = None) -> WindowFunction:
     canon = space.index.canonicalize(coord)

@@ -526,9 +526,6 @@ class Coset(tuple):
     def tokens(self) -> str:
         return self.rep.tokens()
 
-    def sort_key(self):
-        return self.rep.sort_key()
-
     def __repr__(self):
         return f"Coset[{self.spec.part_name(self.part)}]<{self.rep.tokens()}>"
 

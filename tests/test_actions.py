@@ -5,13 +5,12 @@ import pytest
 
 from orbitlab.actions import (BernoulliShift, CoinducedAction,
                               FiniteGroupAlphabetAction, FirstReturnOracle,
-                              IntShift, QuotientByDiagonal,
-                              SubgroupAlphabetAction, TwistedCosetShift,
-                              check_coinduced_characterization,
+                              QuotientByDiagonal, SubgroupAlphabetAction,
+                              TwistedCosetShift, check_coinduced_characterization,
                               left_translation_action, rotation_action)
 from orbitlab.groups import cyclic, direct_power, tuple_index
-from orbitlab.spaces import (agree_on, derive_seed, exact_distribution, sample,
-                             sample_stream)
+from orbitlab.spaces import (Configuration, agree_on, derive_seed, exact_distribution,
+                             sample, sample_stream)
 from orbitlab.verify import UndeterminedError, WindowFunction
 from orbitlab.words import ball, coset, cosets_ball, free_group, free_product
 
@@ -24,11 +23,6 @@ def test_bernoulli_identity_and_shift():
     act = BernoulliShift(F2, Z2)
     x = sample(act.space, 3)
     assert act.apply(F2.identity(), x) is x
-    z = IntShift(Z2)
-    zz = sample(z.space, 4)
-    moved = z.apply(1, zz)
-    for h in range(-5, 5):
-        assert moved.value(h) == zz.value(h + 1)
 
 
 def test_bernoulli_action_axiom_sampled():
@@ -172,13 +166,29 @@ def test_twisted_equals_coinduced_with_retraction():
             assert agree_on(twisted.apply(g, x), coind.apply(g, x), window)
 
 
+class ShiftedZ(Configuration):
+    """value(n) = z.value(n + shift): the reference shift of a Z-point that
+    the oracle's offset reads must agree with."""
+
+    def __init__(self, z, shift):
+        self.space, self.z, self.shift = z.space, z, shift
+
+    def value(self, coord):
+        return self.z.value(coord + self.shift)
+
+    @property
+    def point_key(self):
+        return ("shifted-z", self.shift, self.z.point_key)
+
+
 def test_first_return_immediate():
     oracle = FirstReturnOracle(Z2, 0, 64)
     from orbitlab.spaces import SeededConfiguration
     z = SeededConfiguration(oracle.space, 3, {0: 0, 1: 0})
-    z1, eta = oracle.apply_power(1, z)
+    eta = oracle.eta(1, z)
     assert eta == 1
-    assert z1.value(0) == 0
+    assert oracle.first_return(z, 1) == 1
+    assert z.value(eta) == 0
 
 
 def test_first_return_invertible():
@@ -186,10 +196,12 @@ def test_first_return_invertible():
     for i, z in enumerate(sample_stream(oracle.space, 14, 20)):
         from orbitlab.spaces import SeededConfiguration
         z = SeededConfiguration(oracle.space, derive_seed(14, str(i)), {0: 0})
-        forward, eta = oracle.apply_power(1, z)
-        back, eta_back = oracle.apply_power(-1, forward)
+        eta = oracle.eta(1, z)
+        forward = ShiftedZ(z, eta)
+        eta_back = oracle.eta(-1, forward)
+        assert oracle.first_return(z, -1, eta) == eta_back
         assert eta_back == -eta
-        assert agree_on(back, z, range(-8, 8))
+        assert agree_on(ShiftedZ(forward, eta_back), z, range(-8, 8))
 
 
 def test_first_return_cocycle_additive():
@@ -199,8 +211,8 @@ def test_first_return_cocycle_additive():
         z = SeededConfiguration(oracle.space, derive_seed(15, str(i)), {0: 0})
         for n in range(-3, 4):
             for m in range(-3, 4):
-                zn, eta_n = oracle.apply_power(n, z)
-                _, eta_m_at = oracle.apply_power(m, zn)
+                eta_n = oracle.eta(n, z)
+                eta_m_at = oracle.eta(m, ShiftedZ(z, eta_n))
                 assert oracle.eta(m + n, z) == eta_m_at + eta_n
 
 
@@ -223,7 +235,9 @@ def test_undetermined_scan_reported():
     from orbitlab.spaces import ExplicitConfiguration
     z = ExplicitConfiguration(oracle.space, {i: 0 if i == 0 else 1 for i in range(-8, 9)})
     with pytest.raises(UndeterminedError):
-        oracle.apply_power(1, z)
+        oracle.eta(1, z)
+    with pytest.raises(UndeterminedError):
+        oracle.first_return(z, -1, 0)
 
 
 def test_quotient_action_well_defined():

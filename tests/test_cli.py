@@ -142,6 +142,35 @@ def test_budget_overflow_exits_3(tmp_path):
     assert (tmp_path / "factor" / "04-lemma-factor.json").exists()
 
 
+Z2_DOC = {"kind": "cyclic", "order": 2}
+G2_DOC = {"kind": "cyclic", "order": 2, "prefix": "g"}
+
+
+def _table(*elements):
+    return {"kind": "table", "name": "T", "elements": list(elements),
+            "table": [[0, 1], [1, 0]]}
+
+
+# groups that a free product gamma * lam, or a table document, cannot take
+GROUP_CLASHES = [
+    ({"groups": {"G": Z2_DOC, "L": Z2_DOC, "K": Z2_DOC},
+      "checks": [{"name": "lemma-factor"}]},
+     "checks[0].params.lam", "element name '1' is also in group 'G'"),
+    ({"groups": {"G": G2_DOC, "K": Z2_DOC},
+      "checks": [{"name": "star-action", "params": {"lam": "G"}}]},
+     "checks[0].params.lam", "element name 'g1' is also in group 'G'"),
+    ({"groups": {"G": G2_DOC, "L": _table("1", "e"), "K": Z2_DOC},
+      "checks": [{"name": "lemma-factor"}]},
+     "groups.L", "element name 'e' is reserved for the identity"),
+    ({"groups": {"G": G2_DOC, "L": _table("x", "x"), "K": Z2_DOC},
+      "checks": [{"name": "lemma-factor"}]},
+     "groups.L", "element name 'x' is repeated"),
+    ({"groups": {"G": _table("1", "p"), "L": _table("1", "q"), "K": Z2_DOC},
+      "checks": [{"name": "star-action"}]},
+     "checks[0].params.lam", "group 'G' has the same label 'T'"),
+]
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"checks": ["lemma-indep"]}, "checks[0]"),
     ({"checks": [{"name": "lemma-indep", "params": [1]}]}, "checks[0].params"),
@@ -182,12 +211,21 @@ def test_budget_overflow_exits_3(tmp_path):
     ({"scan_radius": False}, "scan_radius"),
     ({"quantile": 2}, "quantile"),
     ({"quantile": True}, "quantile"),
+    *[(overrides, field) for overrides, field, _ in GROUP_CLASHES],
 ])
 def test_malformed_config_exits_3(tmp_path, overrides, field):
     path = write_config(tmp_path, minimal_config(**overrides))
     stream = io.StringIO()
     assert run_suite(path, tmp_path / "out", stream=stream) == 3
     assert stream.getvalue().startswith(f"config error at {field}: ")
+
+
+@pytest.mark.parametrize("overrides, field, message", GROUP_CLASHES)
+def test_group_clash_message_names_the_token(tmp_path, overrides, field, message):
+    path = write_config(tmp_path, minimal_config(**overrides))
+    stream = io.StringIO()
+    run_suite(path, tmp_path / "out", stream=stream)
+    assert stream.getvalue() == f"config error at {field}: {message}\n"
 
 
 def _report_nodes(report):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitlab.actions import BernoulliShift, IntShift
+from orbitlab.actions import BernoulliShift
 from orbitlab.cocycles import Cocycle, CocycleTarget, verify_identity, verify_inverse_pair
 from orbitlab.constructions import (AxisView, CylinderAction, FactorSetting,
                                     StarAction, build_cylinder_oe,
@@ -31,7 +31,7 @@ from orbitlab.constructions import (AxisView, CylinderAction, FactorSetting,
                                     star_injectivity_report, star_orbit_report,
                                     star_relation_report)
 from orbitlab.groups import cyclic, direct_power, s3
-from orbitlab.spaces import (Configuration, ExplicitConfiguration,
+from orbitlab.spaces import (Configuration, ExplicitConfiguration, IntIndex,
                              RecordingConfiguration, SeededConfiguration, Space,
                              agree_on, derive_seed, sample, sample_stream)
 from orbitlab.verify import (UndeterminedError, coordinate_variable, homogeneity_mc,
@@ -220,9 +220,22 @@ def test_star_point_dependent_word_part():
 # -- parenthesis matching and the cylinder system ---------------------------------
 
 
+class ShiftedZ(Configuration):
+    """value(n) = z.value(n + shift): the reference shift of a Z-point."""
+
+    def __init__(self, z, shift):
+        self.space, self.z, self.shift = z.space, z, shift
+
+    def value(self, coord):
+        return self.z.value(coord + self.shift)
+
+    @property
+    def point_key(self):
+        return ("shifted-z", self.shift, self.z.point_key)
+
+
 def zconfig(values: dict, seed=0):
-    space = IntShift(Z2).space
-    return SeededConfiguration(space, seed, values)
+    return SeededConfiguration(Space(IntIndex(), Z2), seed, values)
 
 
 def test_parenthesis_match_adjacent():
@@ -233,7 +246,7 @@ def test_parenthesis_match_adjacent():
 def test_parenthesis_match_nested():
     z = zconfig({0: 0, 1: 0, 2: 1, 3: 1})
     assert parenthesis_match(z, 1, 8) == 3
-    inner = IntShift(Z2).apply(1, z)
+    inner = ShiftedZ(z, 1)
     assert parenthesis_match(inner, 1, 8) == 1
 
 
@@ -249,15 +262,14 @@ def test_parenthesis_match_rejects_a_bad_origin_or_target(values, symbol, invers
 
 
 def test_parenthesis_match_involution():
-    space = IntShift(Z2).space
-    shift = IntShift(Z2)
+    space = Space(IntIndex(), Z2)
     for i in range(50):
         z = SeededConfiguration(space, derive_seed(20, str(i)), {0: 0})
         try:
             m = parenthesis_match(z, 1, 128)
         except UndeterminedError:
             continue
-        back = parenthesis_match(shift.apply(m, z), 1, 128, inverse=True)
+        back = parenthesis_match(ShiftedZ(z, m), 1, 128, inverse=True)
         assert back == -m
 
 
@@ -265,7 +277,7 @@ def test_parenthesis_escape_arithmetic():
     # A forward match escapes radius n exactly when the nesting depth of the
     # n fair symbols after the origin never drops below zero, which happens
     # for C(n, n/2) of the 2^n sequences: C(64,32)/2^64 = 9.93% at radius 64.
-    space = IntShift(Z2).space
+    space = Space(IntIndex(), Z2)
     escapes = 0
     for bits in itertools.product((0, 1), repeat=14):
         z = ExplicitConfiguration(space, dict(enumerate((0,) + bits)))
@@ -383,7 +395,7 @@ class DirectAxis(Configuration):
     coordinate at a time through x: the reference the tapes must agree with."""
 
     def __init__(self, system, x, shift=0, twist=0):
-        self.space = system.zshift.space
+        self.space = system.oracle.space
         self.system = system
         self.x = x
         self.shift = shift
@@ -457,6 +469,76 @@ def test_tape_reads_the_cosets_a_direct_scan_reads():
             _outcome(lambda: system.oracle.first_return(direct, step))
     assert len(direct_log) > 100
     assert tape_log == direct_log
+
+
+def _reference_return(z, direction, radius):
+    """Offset of the first 0 after the origin of z, scanned one cell at a time."""
+    for j in range(1, radius + 1):
+        if z.value(direction * j) == 0:
+            return direction * j
+    raise UndeterminedError("no return")
+
+
+def _reference_eta(z, n, radius):
+    """eta(n, z) found from the origin of z shifted by each return so far."""
+    if z.value(0) != 0:
+        raise ValueError("point outside the inducing cylinder")
+    eta, step = 0, 1 if n >= 0 else -1
+    for _ in range(abs(n)):
+        eta += _reference_return(ShiftedZ(z, eta), step, radius)
+    return eta
+
+
+def _reference_steps_to(z, total, radius):
+    direction = 1 if total > 0 else -1
+    eta = m = 0
+    while abs(eta) < abs(total):
+        eta += _reference_return(ShiftedZ(z, eta), direction, radius)
+        m += direction
+    if eta != total:
+        raise ValueError("target shift is not a return of the induced map")
+    return m
+
+
+def _outcome_or_error(scan):
+    try:
+        return scan()
+    except (UndeterminedError, ValueError) as err:
+        return type(err).__name__
+
+
+@pytest.mark.parametrize("kappa", [2, 3])
+def test_return_offsets_equal_scans_of_shifted_views(kappa):
+    # the oracle reads a point at offsets from its origin; the reference
+    # scans the origin of a view shifted by each return.  Both must give the
+    # same offsets and outcomes and read the same coordinates, on seeded
+    # Z-points and on tape views of the a-axis.
+    radius = 6
+    system = CylinderAction(kappa, radius)
+    oracle = system.oracle
+
+    def points(log):
+        seeded = [RecordingConfiguration(
+            SeededConfiguration(oracle.space, derive_seed(43, f"{kappa}/{i}"), {0: 0}), log)
+            for i in range(10)]
+        base = RecordingConfiguration(system.sample_in_cylinder(derive_seed(43, "axis")), log)
+        return seeded + [system.rho(system.twisted.apply(w, base))
+                         for w in _axis_words(system)]
+
+    oracle_log, reference_log = set(), set()
+    for z, ref in zip(points(oracle_log), points(reference_log)):
+        for n in range(-3, 4):
+            eta = _outcome_or_error(lambda: oracle.eta(n, z))
+            assert eta == _outcome_or_error(lambda: _reference_eta(ref, n, radius))
+            for total in (n, eta) if isinstance(eta, int) else (n,):
+                assert _outcome_or_error(lambda: oracle.steps_to(z, total)) == \
+                    _outcome_or_error(lambda: _reference_steps_to(ref, total, radius))
+            for step in (1, -1):
+                assert _outcome_or_error(lambda: oracle.first_return(z, step, n)) == \
+                    _outcome_or_error(lambda: _reference_return(ShiftedZ(ref, n), step,
+                                                                radius))
+    assert len(reference_log) > 100
+    assert oracle_log == reference_log
 
 
 def test_dependency_radius_small():
@@ -537,7 +619,7 @@ def test_match_determinacy_counts_equal_two_scans(context_radius):
     kappa, scan_radius, samples, seed = 3, 32, 300, 36
     report = match_determinacy_report(kappa, scan_radius, samples, seed,
                                       context_radius=context_radius)
-    space = IntShift(cyclic(kappa)).space
+    space = Space(IntIndex(), cyclic(kappa))
     unresolved = {scan_radius: 0, context_radius: 0}
     for i in range(samples):
         z = SeededConfiguration(space, derive_seed(seed, f"det/{i}"), {0: 0})

@@ -1,10 +1,11 @@
 """Structural guards over the package source: no dead entry points and no
 dead imports.
 
-An entry point is a public top-level function or a public method of a
-top-level class in `src/orbitlab/*.py`.  It is live if its name appears in
-`src/` or `demos/` outside its own `def`, as a name or an attribute.  Tests
-do not count: a path that only tests reach is not part of the workbench.
+An entry point is a public top-level function or class, or a public
+method of a top-level class, in `src/orbitlab/*.py`.  It is live if its
+name appears in `src/` or `demos/` outside its own `def` or `class` body,
+as a name or an attribute.  Tests do not count: a path that only tests
+reach is not part of the workbench.
 """
 
 import ast
@@ -29,12 +30,15 @@ def _parse(path):
 
 
 def _entry_points(tree):
-    """(qualified name, def node) of every public function and method."""
+    """(qualified name, def node) of every public function, class and
+    method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not node.name.startswith("_"):
                 yield node.name, node
         elif isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                yield node.name, node
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not item.name.startswith("_")):
