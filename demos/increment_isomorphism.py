@@ -30,7 +30,7 @@ print("increments ignore the diagonal translation:",
       all(v.value(g) == vk.value(g) for g in ball(F2, 2)))
 
 # Integration pins the base vertex to the identity and walks the tree.
-rebuilt = integrate_increments(v, radius=3)
+rebuilt = integrate_increments(v, 3, K)
 print("integrated value at the base vertex:",
       K.names[rebuilt.value(F2.identity())])
 print("roundtrip report:",

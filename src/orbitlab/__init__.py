@@ -12,8 +12,8 @@ Subsystems:
     cli            batch harness over config documents
 """
 
-from .groups import (Alphabet, FiniteGroup, GroupTableError, cyclic, direct_power,
-                     klein_four, load_group_table, s3, tuple_index)
+from .groups import (Alphabet, FiniteGroup, GroupTableError, cyclic, klein_four,
+                     load_group_table, s3)
 from .words import (BallNotFiniteError, Coset, GroupSpec, SpecMismatchError, Word,
                     ball, coset, cosets_ball, extension_sphere, free_group,
                     free_product, omega_transfer, r_map, sphere, transversal_words)

@@ -5,9 +5,10 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 undetermined outcomes
 (and no failures), 3 malformed config or a window over the enumeration
 budget, with one message naming the field (`checks[i].params.<key>` for
 a check parameter of the wrong type, below its least value, or an
-unknown mode, case, group, twist or instance, or a `lam` group clashing
-with `gamma`; `samples`, `budget` or `scan_radius` that is not a positive
-integer, `quantile` outside (0, 1); `groups.<name>.order` for a cyclic
+unknown mode, case, group, twist or instance, a `twist` that gives no
+homomorphism from `lam`, or a `lam` group clashing with `gamma`;
+`samples`, `budget` or `scan_radius` that is not a positive integer,
+`quantile` outside (0, 1); `groups.<name>.order` for a cyclic
 order that is not a positive integer; `groups.<name>` for an invalid
 table).  Report files are `NN-<check>.json`, NN being the check's
 index in the config's `checks` (also under --only).  Reports are
@@ -251,10 +252,12 @@ def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
         raise ConfigError("twist", "twist must index a K element")
     ident_aut = tuple(range(lam.size))
     trivial = [K.identity] * lam.size
-    twisted = [K.identity] * lam.size
-    for i in range(lam.size):
-        if i != lam.identity:
-            twisted[i] = twist
+    twisted = [K.identity if i == lam.identity else twist for i in range(lam.size)]
+    if any(twisted[lam.mul(a, b)] != K.mul(twisted[a], twisted[b])
+           for a in range(lam.size) for b in range(lam.size)):
+        raise ConfigError("twist", f"sending every non-identity element of group "
+                          f"{params['lam']!r} to {K.names[twist]!r} is not a "
+                          f"homomorphism into group {params['K']!r}")
     system = component_twist_system(lam, K, [(ident_aut, trivial),
                                              (ident_aut, twisted)])
     star = StarAction(gamma, system)
@@ -388,25 +391,25 @@ def _run_lemma_indep(ctx: SuiteContext, params: dict) -> VerificationReport:
     def act(h, v):
         return h[v] if h is not None else v
 
+    def decide(slot_size, slots, family, name):
+        return selector_independence_exact([("x", slot_size)], list(range(slots)),
+                                           value_size, act, family, name=name,
+                                           budget=ctx.budget)
+
     positive = [
         Selector("twisted-by-x", lambda x: (flip if x("x") % 2 else ident,
                                             x("x") % index_size)),
         Selector("fixed-slot", lambda x: (ident, index_size - 1)),
     ]
-    subs = [selector_independence_exact([("x", x_size)], list(range(index_size)),
-                                        value_size, act, positive,
-                                        name="selector-independence-positive")]
+    subs = [decide(x_size, index_size, positive, "selector-independence-positive")]
     duplicated = [
         Selector("first", lambda x: (ident, x("x") % index_size)),
         Selector("clash", lambda x: (ident, x("x") % index_size)),
     ]
-    subs.append(expect_failure("duplicated-index-rejected", lambda: (
-        selector_independence_exact([("x", x_size)], list(range(index_size)),
-                                    value_size, act, duplicated,
-                                    name="selector-independence-duplicated"))))
+    subs.append(expect_failure("duplicated-index-rejected", lambda: decide(
+        x_size, index_size, duplicated, "selector-independence-duplicated")))
     single = [Selector("y0", lambda x: (ident, 0))]
-    subs.append(selector_independence_exact([("x", 1)], [0], value_size, act, single,
-                                            name="selector-single-marginal"))
+    subs.append(decide(1, 1, single, "selector-single-marginal"))
     return check.combine(subs, parameters={"x_size": x_size, "value_size": value_size,
                                            "index_size": index_size})
 

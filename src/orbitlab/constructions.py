@@ -23,7 +23,7 @@ from .actions import (Action, BernoulliShift, CoinducedAction,
                       QuotientByDiagonal, SubgroupAlphabetAction, TwistedCosetShift,
                       left_translation_action, quotient_normalize, value_twist)
 from .cocycles import Cocycle, CocycleTarget, identity_cocycle
-from .groups import Alphabet, FiniteGroup, cyclic, direct_power, tuple_index
+from .groups import Alphabet, FiniteGroup, cyclic
 from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
                      GroupIndex, IntIndex, RecordingConfiguration,
                      SeededConfiguration, Space, agree_on, derive_seed,
@@ -44,17 +44,35 @@ from .words import (Coset, GroupSpec, Word, ball, coset, cosets_ball,
 # increment map is invariant under diagonal left translation, equivariant
 # for the shift, and invertible on windows after normalization: integrating
 # the increments along the left Cayley tree from the base vertex recovers
-# the orbit representative.
+# the orbit representative.  Increment tuples in K^n are mixed-radix codes.
+
+
+def radix_encode(digits, base: int) -> int:
+    """The code sum d_i base^(n-i) of digits d_1..d_n, first most significant."""
+    code = 0
+    for d in digits:
+        code = code * base + d
+    return code
+
+
+def radix_decode(code: int, base: int, n: int) -> tuple[int, ...]:
+    """The n digits of a mixed-radix code, first digit most significant."""
+    return tuple(code // base ** (n - 1 - i) % base for i in range(n))
+
+
+def increment_alphabet(K: FiniteGroup, n: int) -> Alphabet:
+    """Labels of the increment codes: the code of (k_1, ..., k_n) is k_1|...|k_n."""
+    return Alphabet(["|".join(t) for t in itertools.product(K.names, repeat=n)],
+                    label=f"{K.label}^{n}")
 
 
 class IncrementView(Configuration):
-    """K^n-valued view of a K-valued configuration over a free group."""
+    """K^n-valued view (increment codes) of a K-valued free-group configuration."""
 
-    def __init__(self, base: Configuration, power_group: FiniteGroup,
+    def __init__(self, base: Configuration, codes: Alphabet,
                  generators: Sequence[Word]):
-        self.space = Space(base.space.index, power_group)
+        self.space = Space(base.space.index, codes)
         self.base = base
-        self.power_group = power_group
         self.generators = tuple(generators)
         k_group = base.space.alphabet
         self._table, self._inverse = k_group.table, k_group.inverse_table
@@ -62,47 +80,42 @@ class IncrementView(Configuration):
     def value(self, coord) -> int:
         g = self.space.index.canonicalize(coord)
         row = self._table[self._inverse[self.base.value(g)]]
-        comps = tuple(row[self.base.value(a * g)] for a in self.generators)
-        return tuple_index(self.power_group, comps)
+        code = 0
+        for a in self.generators:
+            code = code * len(row) + row[self.base.value(a * g)]
+        return code
 
     @property
     def point_key(self):
         return ("increments", self.base.point_key)
 
 
-def edge_increments(x: Configuration, power_group: FiniteGroup | None = None
+def edge_increments(x: Configuration, codes: Alphabet | None = None
                     ) -> IncrementView:
     """The increment configuration of a group-valued free-group configuration."""
     spec = x.space.index.spec
     generators = [spec.generator(p.name) for p in spec.parts]
-    if power_group is None:
-        power_group = direct_power(x.space.alphabet, len(generators))
-    return IncrementView(x, power_group, generators)
+    if codes is None:
+        codes = increment_alphabet(x.space.alphabet, len(generators))
+    return IncrementView(x, codes, generators)
 
 
-def integrate_increments(v: Configuration, radius: int) -> Configuration:
+def integrate_increments(v: Configuration, radius: int, K: FiniteGroup
+                         ) -> Configuration:
     """Inverse of the increment map on a ball: the base vertex is pinned to
     the identity and values propagate along the left Cayley tree."""
-    power_group: FiniteGroup = v.space.alphabet
-    K: FiniteGroup = power_group.factor
     spec = v.space.index.spec
-    gen_index = {p.name: i for i, p in enumerate(spec.parts)}
     window: dict = {}
     for w in ball(spec, radius):
         if w.is_identity:
             window[w] = K.identity
             continue
         letter, rest = w.split_first_letter()
-        _, part, exp = letter.syllables[0]
-        i = gen_index[spec.parts[part].name]
-        if exp == 1:
-            # w = a_i . rest: x_w = x_rest * increment(rest)_i
-            inc = power_group.component_tuples[v.value(rest)][i]
-            window[w] = K.mul(window[rest], inc)
-        else:
-            # w = a_i^-1 . rest: x_rest = x_w * increment(w)_i
-            inc = power_group.component_tuples[v.value(w)][i]
-            window[w] = K.mul(window[rest], K.inv(inc))
+        _, i, exp = letter.syllables[0]
+        # w = a_i . rest: x_w = x_rest * increment(rest)_i;
+        # w = a_i^-1 . rest: x_rest = x_w * increment(w)_i
+        inc = radix_decode(v.value(rest if exp == 1 else w), K.size, len(spec.parts))[i]
+        window[w] = K.mul(window[rest], inc if exp == 1 else K.inv(inc))
     return ExplicitConfiguration(Space(GroupIndex(spec), K), window)
 
 
@@ -127,14 +140,14 @@ def increment_equivariance_report(spec: GroupSpec, K: FiniteGroup, radius: int,
     """theta(h.x)_g = theta(x)_{gh}, exactly, over the output window."""
     check = Check("increment-equivariance", seed=seed)
     shift = BernoulliShift(spec, K)
-    power = direct_power(K, len(spec.parts))
+    codes = increment_alphabet(K, len(spec.parts))
     window = ball(spec, radius)
     words = ball(spec, 3)
     shifted = [(h, [(g, g * h) for g in window]) for h in words]
     for x in sample_stream(shift.space, seed, samples):
-        v = edge_increments(x, power)
+        v = edge_increments(x, codes)
         for h, pairs in shifted:
-            vh = edge_increments(shift.apply(h, x), power)
+            vh = edge_increments(shift.apply(h, x), codes)
             for g, gh in pairs:
                 if vh.value(g) != v.value(gh):
                     return check.fail(counterexample={"h": h, "g": g})
@@ -150,19 +163,19 @@ def increment_roundtrip_report(spec: GroupSpec, K: FiniteGroup, radius: int,
     x on the radius ball, and increments(integrate(v)) returns v."""
     check = Check("increment-roundtrip", seed=seed)
     shift = BernoulliShift(spec, K)
-    power = direct_power(K, len(spec.parts))
+    codes = increment_alphabet(K, len(spec.parts))
     window = ball(spec, radius)
     inner_window = ball(spec, radius - 1)
     e = spec.identity()
     for x in sample_stream(shift.space, seed, samples):
-        rebuilt = integrate_increments(edge_increments(x, power), radius)
+        rebuilt = integrate_increments(edge_increments(x, codes), radius, K)
         normalized = quotient_normalize(x, e)
         if not agree_on(rebuilt, normalized, window):
             return check.fail(notes=("integrate(increments(x)) != normalized x",))
-    vspace = Space(shift.space.index, power)
+    vspace = Space(shift.space.index, codes)
     for v in sample_stream(vspace, derive_seed(seed, "v"), samples):
-        x = integrate_increments(v, radius)
-        v2 = edge_increments(x, power)
+        x = integrate_increments(v, radius, K)
+        v2 = edge_increments(x, codes)
         if not agree_on(v2, v, inner_window):
             return check.fail(notes=("increments(integrate(v)) != v",))
     return check.report(PASS, parameters={"radius": radius, "samples": samples})
@@ -313,25 +326,19 @@ def restriction_family(setting: FactorSetting, radius: int) -> list[WindowFuncti
 
 
 def quotient_code(setting: FactorSetting):
-    """Encoding of the diagonal quotient of K^Lambda as normalized increment
-    tuples, plus the induced subgroup action on codes."""
+    """Encoding of the diagonal quotient of K^Lambda as the mixed-radix codes
+    of normalized increment tuples, plus the induced subgroup action on codes."""
     K, lam_group = setting.K, setting.lam_group
     nontrivial = [i for i in range(lam_group.size) if i != lam_group.identity]
     size = K.size ** len(nontrivial)
 
     def encode(values: dict) -> int:
         base_inv = K.inv(values[lam_group.identity])
-        code = 0
-        for i in nontrivial:
-            code = code * K.size + K.mul(base_inv, values[i])
-        return code
+        return radix_encode((K.mul(base_inv, values[i]) for i in nontrivial), K.size)
 
     def decode(code: int) -> dict:
-        values = {lam_group.identity: K.identity}
-        for i in reversed(nontrivial):
-            values[i] = code % K.size
-            code //= K.size
-        return values
+        digits = radix_decode(code, K.size, len(nontrivial))
+        return {lam_group.identity: K.identity, **dict(zip(nontrivial, digits))}
 
     def act(lam_word: Word, code: int) -> int:
         values = decode(code)
@@ -492,8 +499,7 @@ class StarAction(LetterAction):
     co-induction and Lam0 acts through the transport cocycle evaluated at
     the base coset."""
 
-    def __init__(self, gamma: FiniteGroup, system: CommutingSystem,
-                 r_mode: str = "transversal"):
+    def __init__(self, gamma: FiniteGroup, system: CommutingSystem):
         super().__init__()
         self.system = system
         self.gamma_group = gamma
@@ -505,7 +511,7 @@ class StarAction(LetterAction):
         self.lam1 = self.spec1.part_index(system.lam1.label)
         self.inner = SubgroupAlphabetAction(self.spec1, self.lam1, system.alphabet,
                                             elem_perms=system.act1.perms)
-        self.dot = CoinducedAction(self.spec1, self.lam1, self.inner, r_mode)
+        self.dot = CoinducedAction(self.spec1, self.lam1, self.inner)
         self.space = self.dot.space
         self.group_spec = self.spec0
         self.base = coset(self.spec1, self.lam1, self.spec1.identity())

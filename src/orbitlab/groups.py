@@ -2,7 +2,8 @@
 
 Every alphabet carries the uniform probability measure (weight 1/size per
 symbol), which is what makes all downstream distribution checks exactly
-computable with rational arithmetic.
+computable with rational arithmetic.  A value set that nothing multiplies
+in, such as the increment codes of K^n, is a plain alphabet.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ from typing import Sequence
 
 
 class GroupTableError(ValueError):
-    """A multiplication table fails one of the group axioms."""
+    """A group table document is malformed or fails one of the group axioms."""
+
+
+def _is_array(value) -> bool:
+    return isinstance(value, (list, tuple))
 
 
 class Alphabet:
@@ -48,14 +53,14 @@ class FiniteGroup(Alphabet):
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]], label: str = ""):
         super().__init__(names, label or "G%d" % len(names))
         m = self.size
-        if len(table) != m or any(len(row) != m for row in table):
-            raise GroupTableError(f"table must be {m}x{m}")
-        tab = tuple(tuple(int(v) for v in row) for row in table)
-        for row in tab:
-            for v in row:
-                if not 0 <= v < m:
-                    raise GroupTableError(f"table entry {v} out of range 0..{m - 1}")
-        self.table = tab
+        if not _is_array(table) or len(table) != m \
+                or not all(_is_array(row) and len(row) == m for row in table):
+            raise GroupTableError(f"table must be an array of {m} arrays of {m} entries")
+        bad = [v for row in table for v in row if type(v) is not int or not 0 <= v < m]
+        if bad:  # bools and floats are refused, not truncated
+            raise GroupTableError(f"table entry {bad[0]!r} is not an integer "
+                                  f"in 0..{m - 1}")
+        self.table = tuple(tuple(row) for row in table)
         self.identity = self._find_identity()
         self.inverse_table = self._find_inverses()
         self._check_associativity()
@@ -131,35 +136,6 @@ def s3() -> FiniteGroup:
     return FiniteGroup(names, table, label="S3")
 
 
-def direct_power(group: FiniteGroup, n: int) -> FiniteGroup:
-    """n-fold direct product of a group with itself; elements are tuples."""
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    idx_tuples = [()]
-    for _ in range(n):
-        idx_tuples = [t + (i,) for t in idx_tuples for i in range(group.size)]
-    names = ["|".join(group.names[i] for i in t) for t in idx_tuples]
-    pos = {t: k for k, t in enumerate(idx_tuples)}
-    table = [[pos[tuple(group.mul(a, b) for a, b in zip(s, t))] for t in idx_tuples]
-             for s in idx_tuples]
-    out = FiniteGroup(names, table, label=f"{group.label}^{n}")
-    out.factor = group
-    out.arity = n
-    out.component_tuples = tuple(idx_tuples)
-    out.component_index = pos
-    return out
-
-
-def tuple_index(power_group: FiniteGroup, components: Sequence[int]) -> int:
-    """Index of a component tuple inside a direct_power group."""
-    components = tuple(components)
-    try:
-        return power_group.component_index[components]
-    except KeyError:
-        raise ValueError(f"{components} is not an element of "
-                         f"{power_group.label}") from None
-
-
 def load_group_table(document) -> FiniteGroup:
     """Build a validated group from a table document.
 
@@ -172,6 +148,8 @@ def load_group_table(document) -> FiniteGroup:
     for field in ("elements", "table"):
         if field not in document:
             raise GroupTableError(f"group table document is missing field {field!r}")
+    if not _is_array(document["elements"]) or not document["elements"]:
+        raise GroupTableError("elements must be a nonempty array of names")
     names = [str(n) for n in document["elements"]]
     for i, name in enumerate(names):
         if name in names[:i]:

@@ -15,7 +15,9 @@ are bit-identical to it without loading `scipy.stats`.
 from __future__ import annotations
 
 import itertools
+import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -316,6 +318,17 @@ class Selector:
     fn: Callable[[Callable], tuple]   # x_lookup -> (h, index)
 
 
+def _selection_law_defect(sel: Sequence[tuple], value_size: int,
+                          act: Callable[[object, int], int]):
+    """None if lookups (h_j, i_j) at distinct indices are jointly uniform,
+    that is if y -> (act(h_j, y_j))_j hits each outcome in V^n once; else
+    the lexicographically first outcome not hit once, with its hit count."""
+    hits = Counter(tuple(act(h, y) for (h, _), y in zip(sel, ys))
+                   for ys in itertools.product(range(value_size), repeat=len(sel)))
+    outcomes = itertools.product(range(value_size), repeat=len(sel))
+    return next(((vs, hits[vs]) for vs in outcomes if hits[vs] != 1), None)
+
+
 def selector_independence_exact(x_slots: Sequence[tuple], index_set: Sequence,
                                 value_size: int, act: Callable[[object, int], int],
                                 family: Sequence[Selector],
@@ -335,9 +348,7 @@ def selector_independence_exact(x_slots: Sequence[tuple], index_set: Sequence,
     x_keys = [k for k, _ in x_slots]
     x_sizes = [s for _, s in x_slots]
     index_set = list(index_set)
-    total_x = 1
-    for s in x_sizes:
-        total_x *= s
+    total_x = math.prod(x_sizes)
     states = total_x * value_size ** len(index_set)
     if states > budget:
         raise BudgetExceededError(f"{states} states exceed budget {budget}")
@@ -360,28 +371,22 @@ def selector_independence_exact(x_slots: Sequence[tuple], index_set: Sequence,
                     counterexample={"x": dict(zip(x_keys, xs)), "index": i})
         selections.append((xs, sel))
 
-    joint: dict = {}
-    weight = Fraction(1, states)
+    cylinders = total_x * value_size ** len(family)
     for xs, sel in selections:
-        for ys in itertools.product(range(value_size), repeat=len(index_set)):
-            y = dict(zip(index_set, ys))
-            outcome = (xs, tuple(act(h, y[i]) for h, i in sel))
-            joint[outcome] = joint.get(outcome, Fraction(0)) + weight
-
-    expected = Fraction(1, total_x) * Fraction(1, value_size) ** len(family)
-    for xs, _ in selections:
-        for vs in itertools.product(range(value_size), repeat=len(family)):
-            if joint.get((xs, vs), Fraction(0)) != expected:
-                return check.fail(
-                    statistics={"states": states},
-                    counterexample={"cylinder": {"x": dict(zip(x_keys, xs)), "values": vs},
-                                    "probability": joint.get((xs, vs), Fraction(0)),
-                                    "expected": expected})
+        defect = _selection_law_defect(sel, value_size, act)
+        if defect is not None:
+            vs, hits = defect
+            return check.fail(
+                statistics={"states": states},
+                counterexample={"cylinder": {"x": dict(zip(x_keys, xs)), "values": vs},
+                                "probability": Fraction(hits, cylinders),
+                                "expected": Fraction(1, cylinders)})
     return check.report(
         PASS,
         parameters={"family": [f.name for f in family], "index_set_size": len(index_set),
                     "value_size": value_size},
-        statistics={"states": states, "per_cylinder_probability": expected})
+        statistics={"states": states,
+                    "per_cylinder_probability": Fraction(1, cylinders)})
 
 
 def selector_independence_on_samples(points: Iterable, selector_of_point: Callable,
@@ -406,16 +411,10 @@ def selector_independence_on_samples(points: Iterable, selector_of_point: Callab
                 notes=("precondition violation: selected indices collide",),
                 counterexample={"point": str(getattr(x, "point_key", x)),
                                 "selected": [str(s) for s in sel]})
-        joint: dict = {}
-        weight = Fraction(1, value_size ** len(picked))
-        for ys in itertools.product(range(value_size), repeat=len(picked)):
-            outcome = tuple(act(h, y) for (h, _), y in zip(sel, ys))
-            joint[outcome] = joint.get(outcome, Fraction(0)) + weight
-        expected = Fraction(1, value_size) ** len(sel)
-        for vs in itertools.product(range(value_size), repeat=len(sel)):
-            if joint.get(vs, Fraction(0)) != expected:
-                return check.fail(counterexample={"point": str(getattr(x, "point_key", x)),
-                                                  "values": vs})
+        defect = _selection_law_defect(sel, value_size, act)
+        if defect is not None:
+            return check.fail(counterexample={"point": str(getattr(x, "point_key", x)),
+                                              "values": defect[0]})
         check.checked += 1
     return check.report(
         PASS, parameters={"family": list(family_names)},

@@ -8,7 +8,7 @@ from orbitlab.actions import (BernoulliShift, CoinducedAction,
                               QuotientByDiagonal, SubgroupAlphabetAction,
                               TwistedCosetShift, check_coinduced_characterization,
                               left_translation_action, rotation_action)
-from orbitlab.groups import cyclic, direct_power, tuple_index
+from orbitlab.groups import Alphabet, cyclic
 from orbitlab.spaces import (Configuration, agree_on, derive_seed, exact_distribution,
                              sample, sample_stream)
 from orbitlab.verify import UndeterminedError, WindowFunction
@@ -98,22 +98,21 @@ def test_coinduction_of_bernoulli_is_bernoulli():
     # the shift on X0^G matches the co-induction of the inner shift on
     # X0^(subgroup), under the coordinate pairing (coset, subgroup element)
     X0 = Z2
-    X = direct_power(X0, 2)          # values over the 2-element subgroup
-    mu_order = [0, 1]                # subgroup elements: identity, h1
+    # values over the 2-element subgroup (identity, h1): the pair (u, v) is 2u + v
+    X = Alphabet(["0|0", "0|1", "1|0", "1|1"], label="Z2^2")
 
-    def swap_perm():
-        # inner shift: (lam.v)_mu = v_{mu lam}; for lam = h1 this swaps slots
-        return [tuple_index(X, (t[1], t[0])) for t in X.component_tuples]
+    def pair(u, v):
+        return 2 * u + v
 
-    inner = SubgroupAlphabetAction(G22, "h2", X,
-                                   elem_perms=[tuple(range(4)), tuple(swap_perm())])
+    # inner shift: (lam.v)_mu = v_{mu lam}; for lam = h1 this swaps slots
+    swap = tuple(pair(v, u) for u in range(2) for v in range(2))
+    inner = SubgroupAlphabetAction(G22, "h2", X, elem_perms=[tuple(range(4)), swap])
     coind = CoinducedAction(G22, "h2", inner)
     bern = BernoulliShift(G22, X0)
     h1 = G22.element("h1")
 
     def pack(x, c):
-        vals = tuple(x.value(mu * c.rep) for mu in (G22.identity(), h1))
-        return tuple_index(X, vals)
+        return pair(*(x.value(mu * c.rep) for mu in (G22.identity(), h1)))
 
     # pack commutes with the actions: pack(g.x) = g . pack(x)
     window = cosets_ball(G22, "h2", 2, parts="g2", mode="syllables")

@@ -136,6 +136,15 @@ def test_budget_overflow_exits_3(tmp_path):
         assert code == 3
         assert stream.getvalue() == (f"config error at checks[{index}] ({name}): "
                                      f"{states} window states exceed budget 10\n")
+    # lemma-indep enumerates x_size * value_size^index_size states
+    doc = minimal_config(checks=[{"name": "lemma-indep", "params": {"index_size": 12}}])
+    message = "config error at checks[0] (lemma-indep): 8192 states exceed budget 100\n"
+    for budget, override in [(100, None), (None, 100)]:
+        stream = io.StringIO()
+        path = write_config(tmp_path, dict(doc, budget=budget) if budget else doc)
+        assert run_suite(path, tmp_path / "indep", budget_override=override,
+                         stream=stream) == 3
+        assert stream.getvalue() == message
     # --only keeps the check's index in the config in the report file name
     assert run_suite(SUITES / "standard.cfg", tmp_path / "factor", only="lemma-factor",
                      stream=io.StringIO()) == 0
@@ -146,12 +155,20 @@ Z2_DOC = {"kind": "cyclic", "order": 2}
 G2_DOC = {"kind": "cyclic", "order": 2, "prefix": "g"}
 
 
-def _table(*elements):
+def _table(*elements, table=None):
     return {"kind": "table", "name": "T", "elements": list(elements),
-            "table": [[0, 1], [1, 0]]}
+            "table": [[0, 1], [1, 0]] if table is None else table}
 
 
-# groups that a free product gamma * lam, or a table document, cannot take
+def _star(lam_order, k_order):
+    return {"groups": {"G": G2_DOC,
+                       "L": {"kind": "cyclic", "order": lam_order, "prefix": "h"},
+                       "K": {"kind": "cyclic", "order": k_order, "prefix": "k"}},
+            "checks": [{"name": "star-action"}]}
+
+
+# groups that a free product gamma * lam, a table document or a star-action
+# twist cannot take
 GROUP_CLASHES = [
     ({"groups": {"G": Z2_DOC, "L": Z2_DOC, "K": Z2_DOC},
       "checks": [{"name": "lemma-factor"}]},
@@ -168,6 +185,26 @@ GROUP_CLASHES = [
     ({"groups": {"G": _table("1", "p"), "L": _table("1", "q"), "K": Z2_DOC},
       "checks": [{"name": "star-action"}]},
      "checks[0].params.lam", "group 'G' has the same label 'T'"),
+    ({"groups": {"K": dict(_table(), elements=5)}},
+     "groups.K", "elements must be a nonempty array of names"),
+    ({"groups": {"K": _table()}},
+     "groups.K", "elements must be a nonempty array of names"),
+    ({"groups": {"K": dict(_table("0"), table=3)}},
+     "groups.K", "table must be an array of 1 arrays of 1 entries"),
+    ({"groups": {"K": _table("0", "1", table=[[0, 1], 3])}},
+     "groups.K", "table must be an array of 2 arrays of 2 entries"),
+    ({"groups": {"K": _table("0", table=[["a"]])}},
+     "groups.K", "table entry 'a' is not an integer in 0..0"),
+    ({"groups": {"K": _table("0", "1", table=[[0, 1], [True, 0]])}},
+     "groups.K", "table entry True is not an integer in 0..1"),
+    ({"groups": {"K": _table("0", "1", table=[[0, 1], [1.0, 0]])}},
+     "groups.K", "table entry 1.0 is not an integer in 0..1"),
+    (_star(3, 2), "checks[0].params.twist",
+     "sending every non-identity element of group 'L' to 'k1' is not a "
+     "homomorphism into group 'K'"),
+    (_star(2, 3), "checks[0].params.twist",
+     "sending every non-identity element of group 'L' to 'k1' is not a "
+     "homomorphism into group 'K'"),
 ]
 
 

@@ -21,16 +21,17 @@ from orbitlab.constructions import (AxisView, CylinderAction, FactorSetting,
                                     extension_independence_report,
                                     factor_quotient_reconstructor, factor_restriction,
                                     free_action_on_cosets, increment_equivariance_report,
-                                    increment_grouped_reports,
+                                    increment_alphabet, increment_grouped_reports,
                                     increment_roundtrip_report, integrate_increments,
                                     match_determinacy_report, match_measure_report,
                                     orbit_section, parenthesis_match, quotient_rho,
+                                    radix_decode, radix_encode,
                                     restriction_consequence_report,
                                     restriction_equivariance_report, restriction_family,
                                     section_report, star_conjugation_report,
                                     star_injectivity_report, star_orbit_report,
                                     star_relation_report)
-from orbitlab.groups import cyclic, direct_power, s3
+from orbitlab.groups import cyclic, s3
 from orbitlab.spaces import (Configuration, ExplicitConfiguration, IntIndex,
                              RecordingConfiguration, SeededConfiguration, Space,
                              agree_on, derive_seed, sample, sample_stream)
@@ -50,9 +51,9 @@ def test_increments_constant_configuration():
     shift = BernoulliShift(F2, Z2)
     x = ExplicitConfiguration(shift.space, {g: 1 for g in ball(F2, 2)})
     v = edge_increments(x)
-    power = v.space.alphabet
     for g in ball(F2, 1):
-        assert power.component_tuples[v.value(g)] == (0, 0)
+        assert v.value(g) == 0
+        assert v.space.alphabet.names[v.value(g)] == "0|0"
 
 
 def test_increments_diagonal_invariance():
@@ -75,11 +76,37 @@ def test_increment_roundtrip_reports():
 
 
 def test_integrate_trivial_increments():
-    power = direct_power(Z2, 2)
-    vspace = Space(BernoulliShift(F2, power).space.index, power)
-    v = ExplicitConfiguration(vspace, {g: power.identity for g in ball(F2, 2)})
-    x = integrate_increments(v, 2)
+    codes = increment_alphabet(Z2, 2)
+    vspace = Space(BernoulliShift(F2, Z2).space.index, codes)
+    v = ExplicitConfiguration(vspace, {g: codes.index("0|0") for g in ball(F2, 2)})
+    x = integrate_increments(v, 2, Z2)
     assert all(x.value(g) == Z2.identity for g in ball(F2, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_increment_codes_are_mixed_radix(n):
+    # the code of (k_1, ..., k_n) is sum k_i 6^(n-i), which is the position
+    # of the tuple when the last component varies fastest; the sampled
+    # increment configurations of the roundtrip rely on that order
+    K = s3()
+    tuples = [()]
+    for _ in range(n):
+        tuples = [t + (k,) for t in tuples for k in range(K.size)]
+    codes = increment_alphabet(K, n)
+    assert codes.label == f"S3^{n}" and codes.size == 6 ** n
+    for position, t in enumerate(tuples):
+        assert radix_encode(t, K.size) == sum(k * 6 ** (n - 1 - i) for i, k in enumerate(t))
+        assert radix_encode(t, K.size) == position
+        assert radix_decode(position, K.size, n) == t
+        assert codes.names[position] == "|".join(K.names[k] for k in t)
+    # an increment view's value is the code of its component tuple
+    spec = free_group(*"abc"[:n])
+    x = sample(BernoulliShift(spec, K).space, 3)
+    v = edge_increments(x)
+    for g in ball(spec, 1):
+        comps = tuple(K.mul(K.inv(x.value(g)), x.value(spec.generator(p.name) * g))
+                      for p in spec.parts)
+        assert v.value(g) == radix_encode(comps, K.size)
 
 
 def test_increment_grouped_exact_checks_s3():

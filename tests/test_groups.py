@@ -1,7 +1,7 @@
 import pytest
 
-from orbitlab.groups import (FiniteGroup, GroupTableError, cyclic, direct_power,
-                             klein_four, load_group_table, s3, tuple_index)
+from orbitlab.groups import (FiniteGroup, GroupTableError, cyclic, klein_four,
+                             load_group_table, s3)
 
 
 def test_cyclic_two_table():
@@ -44,19 +44,3 @@ def test_load_group_table_document():
     with pytest.raises(GroupTableError, match="missing field"):
         load_group_table({"elements": ["0"]})
 
-
-def test_direct_power():
-    k2 = direct_power(cyclic(2), 2)
-    assert k2.size == 4
-    e = k2.identity
-    assert k2.names[e] == "0|0"
-    i = tuple_index(k2, (1, 0))
-    j = tuple_index(k2, (0, 1))
-    assert k2.mul(i, j) == tuple_index(k2, (1, 1))
-
-
-@pytest.mark.parametrize("components", [(2, 0), (0,), (0, 0, 0)])
-def test_tuple_index_rejects_a_tuple_outside_the_group(components):
-    k2 = direct_power(cyclic(2), 2)
-    with pytest.raises(ValueError, match="not an element"):
-        tuple_index(k2, components)

@@ -11,7 +11,8 @@ from orbitlab.verify import (Check, Selector, VerificationReport, WindowFunction
                              coordinate_variable,
                              generation_check, homogeneity_mc,
                              independence_exact, independence_mc,
-                             selector_independence_exact, worst_verdict)
+                             selector_independence_exact,
+                             selector_independence_on_samples, worst_verdict)
 from orbitlab.words import coset, free_group
 
 F2 = free_group("a", "b")
@@ -142,6 +143,37 @@ def test_selector_engine_single_coordinate():
     report = selector_independence_exact([("x", 1)], [0], 3,
                                          lambda h, v: v, fam)
     assert report.verdict == "pass"
+
+
+def halve(h, v):
+    # not a bijection of {0, 1, 2}: 0 and 1 go to 0, and nothing goes to 2
+    return v // 2
+
+
+def test_selector_engine_non_bijective_act_fails_the_law():
+    fam = [Selector("moving", lambda x: (None, x("x"))),
+           Selector("fixed", lambda x: (None, 2))]
+    report = selector_independence_exact([("x", 2)], [0, 1, 2], 3, halve, fam)
+    assert report.verdict == "fail"
+    assert report.statistics["states"] == 2 * 3 ** 3
+    # (0, 0) is hit by 4 of the 9 lookups at x = 0 and has law 4/(2 * 3^2)
+    assert report.counterexample == {"cylinder": {"x": {"x": 0}, "values": (0, 0)},
+                                     "probability": Fraction(2, 9),
+                                     "expected": Fraction(1, 18)}
+
+
+def test_sampled_selector_engine_non_bijective_act_fails_the_law():
+    def selector_of_point(x):
+        return [(None, x), (None, x + 1)]
+
+    report = selector_independence_on_samples([0, 1], selector_of_point, 3, halve,
+                                              ["first", "second"])
+    assert report.verdict == "fail"
+    assert report.counterexample == {"point": "0", "values": (0, 0)}
+    bijective = selector_independence_on_samples(
+        [0, 1], selector_of_point, 3, lambda h, v: (v + 1) % 3, ["first", "second"])
+    assert bijective.verdict == "pass"
+    assert bijective.statistics["points_checked"] == 2
 
 
 def test_generation_check_projections_with_reconstructor():
