@@ -1,10 +1,13 @@
 """The action engine: shifts, co-induced and twisted actions, quotients by
 a commuting translation action, and first-return induced transformations.
 
-Applying a group element produces a view of the argument configuration;
-views of the same kind flatten (a chain of shifts is one shift), so a
-coordinate read stays O(1) in the number of applied elements and a point's
-identity can be summarized by a structural key for caching.
+The Bernoulli shift, the twisted coset shift and the co-induced action are
+all co-inductions: each reads the argument at c . g and acts on the value
+by its own rule.  They share one apply, which returns one kind of view, a
+shift view of the argument; views of the same action flatten (a chain of
+shifts is one shift), so a coordinate read stays O(1) in the number of
+applied elements, and a point's identity is summarized by a structural key
+(the action's tag, the shift and the base's key) for caching.
 """
 
 from __future__ import annotations
@@ -146,61 +149,25 @@ def left_translation_action(group: FiniteGroup) -> FiniteGroupAlphabetAction:
 # -- flattened views -----------------------------------------------------------
 
 
-class _RelocView(Configuration):
-    """value(c) = base(c . u) for the index translation by u."""
+class _ShiftView(Configuration):
+    """value(c) = the base read at c . u, transformed by the shift action's
+    own rule (ShiftAction._read); t is the action's twist of u."""
 
-    def __init__(self, space, base: Configuration, u):
-        self.space = space
+    def __init__(self, action: "ShiftAction", base: Configuration, u: Word):
+        self.action = action
+        self.space = action.space
         self.base = base
         self.u = u
+        self.t = action.twist(u)
 
     def value(self, coord) -> int:
-        c = self.space.index.canonicalize(coord)
-        return self.base.value(self.space.index.translate(c, self.u))
+        index = self.space.index
+        c = index.canonicalize(coord)
+        return self.action._read(self, c, self.base.value(index.translate(c, self.u)))
 
     @property
     def point_key(self):
-        return ("reloc", self.u.syllables, self.base.point_key)
-
-
-class _TwistedView(Configuration):
-    """value(c) = (t + base(c . u)) mod kappa."""
-
-    def __init__(self, space, base: Configuration, u: Word, t: int):
-        self.space = space
-        self.base = base
-        self.u = u
-        self.t = t
-
-    def value(self, coord) -> int:
-        c = self.space.index.canonicalize(coord)
-        return (self.t + self.base.value(self.space.index.translate(c, self.u))) \
-            % self.space.alphabet.size
-
-    @property
-    def point_key(self):
-        return ("twisted", self.u.syllables, self.t, self.base.point_key)
-
-
-class _CoinducedView(Configuration):
-    """value(c) = inner(transfer(c, u)) applied to base(c . u)."""
-
-    def __init__(self, space, base: Configuration, u: Word,
-                 inner: SubgroupAlphabetAction, r_mode: str):
-        self.space = space
-        self.base = base
-        self.u = u
-        self.inner = inner
-        self.r_mode = r_mode
-
-    def value(self, coord) -> int:
-        c = self.space.index.canonicalize(coord)
-        lam = omega_transfer(c, self.u, self.r_mode)
-        return self.inner.act(lam, self.base.value(c.translate(self.u)))
-
-    @property
-    def point_key(self):
-        return ("coind", self.u.syllables, self.r_mode, self.base.point_key)
+        return (self.action.tag, self.u.syllables, self.base.point_key)
 
 
 class _ValueTwistView(Configuration):
@@ -286,26 +253,52 @@ class LetterAction(Action):
         return out
 
 
-class BernoulliShift(Action):
+class ShiftAction(Action):
+    """A co-induced shift: (g . x)_c is the value x_{c g} acted on by the
+    action's own rule, so g . x is a view of x at g.
+
+    Applying g to a view of the same action gives the view at g u (a chain
+    of shifts is one shift), and the base itself at the identity.  A value
+    twist the action commutes with is passed through to the outside.  tag
+    identifies the action's rule structurally in every view's point key.
+    """
+
+    tag: tuple
+
+    def twist(self, g: Word) -> int:
+        """The constant the rule adds to every value of g . x (mod the
+        alphabet size): 0 unless the action twists values."""
+        return 0
+
+    def _read(self, view: _ShiftView, c, v: int) -> int:
+        return v
+
+    def _commutes_with(self, perm: tuple) -> bool:
+        return True
+
+    def apply(self, g: Word, x: Configuration) -> Configuration:
+        if g.is_identity:
+            return x
+        if isinstance(x, _ShiftView) and x.action is self:
+            u = g * x.u
+            return x.base if u.is_identity else _ShiftView(self, x.base, u)
+        if isinstance(x, _ValueTwistView) and self._commutes_with(x.perm):
+            return value_twist(self.apply(g, x.base), x.perm)
+        return _ShiftView(self, x, g)
+
+
+class BernoulliShift(ShiftAction):
     """(g . x)_h = x_{hg} on alphabet^index for a group or coset index set."""
+
+    tag = ("reloc",)
 
     def __init__(self, spec: GroupSpec, alphabet: Alphabet, subgroup=None):
         self.group_spec = spec
         index = GroupIndex(spec) if subgroup is None else CosetIndex(spec, subgroup)
         self.space = Space(index, alphabet)
 
-    def apply(self, g: Word, x: Configuration) -> Configuration:
-        if g.is_identity:
-            return x
-        if isinstance(x, _RelocView) and x.space is self.space:
-            u = g * x.u
-            return x.base if u.is_identity else _RelocView(self.space, x.base, u)
-        if isinstance(x, _ValueTwistView):
-            return value_twist(self.apply(g, x.base), x.perm)
-        return _RelocView(self.space, x, g)
 
-
-class TwistedCosetShift(Action):
+class TwistedCosetShift(ShiftAction):
     """(g . x)_c = twist(g) + x_{c g} on (Z/kappa)^(subgroup\\G).
 
     twist is the homomorphism to Z/kappa defined by integer weights on the
@@ -318,6 +311,7 @@ class TwistedCosetShift(Action):
         self.kappa = kappa
         self.space = Space(CosetIndex(spec, subgroup), cyclic(kappa))
         self._weights = {spec.part_index(name): w % kappa for name, w in weights.items()}
+        self.tag = ("twisted", kappa, tuple(sorted(self._weights.items())))
 
     def twist(self, g: Word) -> int:
         total = 0
@@ -326,26 +320,21 @@ class TwistedCosetShift(Action):
                 total += self._weights.get(p, 0) * v
         return total % self.kappa
 
+    def _read(self, view: _ShiftView, c, v: int) -> int:
+        return (view.t + v) % self.kappa
+
+    def _commutes_with(self, perm: tuple) -> bool:
+        return False
+
     def decompose(self, x: Configuration) -> tuple[Configuration, Word, int]:
         """(base, u, t) with x_c = (t + base_{c u}) mod kappa, base not a view
         of this action."""
-        if isinstance(x, _TwistedView) and x.space is self.space:
+        if isinstance(x, _ShiftView) and x.action is self:
             return x.base, x.u, x.t
         return x, self.group_spec.identity(), 0
 
-    def apply(self, g: Word, x: Configuration) -> Configuration:
-        if g.is_identity:
-            return x
-        if isinstance(x, _TwistedView) and x.space is self.space:
-            u = g * x.u
-            t = (self.twist(g) + x.t) % self.kappa
-            if u.is_identity and t == 0:
-                return x.base
-            return _TwistedView(self.space, x.base, u, t)
-        return _TwistedView(self.space, x, g, self.twist(g))
 
-
-class CoinducedAction(Action):
+class CoinducedAction(ShiftAction):
     """(g . y)_c = transfer(c, g) . y_{c g} for an inner subgroup action.
 
     The transfer cocycle is computed from the canonical transversal or, in
@@ -359,18 +348,13 @@ class CoinducedAction(Action):
         self.inner = inner
         self.r_mode = r_mode
         self.space = Space(CosetIndex(spec, self.part), inner.alphabet)
+        self.tag = ("coind", r_mode, inner.gen_perm, inner.elem_perms)
 
-    def apply(self, g: Word, y: Configuration) -> Configuration:
-        if g.is_identity:
-            return y
-        if isinstance(y, _CoinducedView) and y.space is self.space \
-                and y.inner is self.inner and y.r_mode == self.r_mode:
-            u = g * y.u
-            return y.base if u.is_identity else \
-                _CoinducedView(self.space, y.base, u, self.inner, self.r_mode)
-        if isinstance(y, _ValueTwistView) and self.inner.commutes_with(y.perm):
-            return value_twist(self.apply(g, y.base), y.perm)
-        return _CoinducedView(self.space, y, g, self.inner, self.r_mode)
+    def _read(self, view: _ShiftView, c, v: int) -> int:
+        return self.inner.act(omega_transfer(c, view.u, self.r_mode), v)
+
+    def _commutes_with(self, perm: tuple) -> bool:
+        return self.inner.commutes_with(perm)
 
 
 class QuotientByDiagonal(Action):

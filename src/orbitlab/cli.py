@@ -9,8 +9,10 @@ unknown mode, case, group, twist or instance, a `twist` that gives no
 homomorphism from `lam`, or a `lam` group clashing with `gamma`;
 `samples`, `budget` or `scan_radius` that is not a positive integer,
 `quantile` outside (0, 1); `groups.<name>.order` for a cyclic
-order that is not a positive integer; `groups.<name>` for an invalid
-table).  Report files are `NN-<check>.json`, NN being the check's
+order that is not a positive integer, `groups.<name>.prefix` for a cyclic
+prefix that is not a string; `groups.<name>` for an invalid table, or a
+table name or element name that is not a string: group text is refused,
+not coerced).  Report files are `NN-<check>.json`, NN being the check's
 index in the config's `checks` (also under --only).  Reports are
 deterministic functions of (config, seeds); wall-clock data, with the
 check's own clock as `runtime_s`, lives in a separate `timing` section so
@@ -106,7 +108,11 @@ def _build_group(name: str, doc: dict) -> FiniteGroup:
         if type(order) is not int or order < 1:
             raise ConfigError(f"groups.{name}.order",
                               "cyclic groups need a positive integer order")
-        return cyclic(order, doc.get("prefix", ""))
+        prefix = doc.get("prefix", "")
+        if not isinstance(prefix, str):
+            raise ConfigError(f"groups.{name}.prefix",
+                              f"a cyclic prefix must be a string, got {prefix!r}")
+        return cyclic(order, prefix)
     if kind == "klein":
         return klein_four()
     if kind == "s3":

@@ -59,6 +59,9 @@ class Cocycle:
     entries maps ("g", part) to the value function of the +1 generator
     letter and ("f", part, elem) to that of a finite-part element; every
     value function takes a point of the source space.
+
+    evaluate memoizes every value on (word, point key).  The memo lives as
+    long as the cocycle; every check builds its own.
     """
 
     def __init__(self, source, target: CocycleTarget, entries: dict,
@@ -67,6 +70,7 @@ class Cocycle:
         self.target = target
         self.entries = dict(entries)
         self.name = name
+        self._memo: dict = {}
 
     def _letter_value(self, letter: Word, x):
         kind, p, v = letter.syllables[0]
@@ -83,24 +87,21 @@ class Cocycle:
         # w(l^-1, x) = w(l, l^-1 . x)^-1
         return self.target.inv(fn(self.source.apply(letter, x)))
 
-    def evaluate(self, g: Word, x, cache: dict | None = None):
+    def evaluate(self, g: Word, x):
         if g.is_identity:
             return self.target.identity()
-        key = None
-        if cache is not None:
-            key = (g, x.point_key)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        key = (g, x.point_key)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         letter, rest = g.split_first_letter()
         if rest.is_identity:
             out = self._letter_value(letter, x)
         else:
-            tail = self.evaluate(rest, x, cache)
+            tail = self.evaluate(rest, x)
             out = self.target.mul(self._letter_value(letter, self.source.apply(rest, x)),
                                   tail)
-        if cache is not None:
-            cache[key] = out
+        self._memo[key] = out
         return out
 
     def __call__(self, g: Word, x):
@@ -152,12 +153,10 @@ def verify_identity(c: Cocycle, pairs: Iterable[tuple[Word, Word]],
     check = Check(name or f"{c.name}-identity")
     pairs = list(pairs)
     for x in points:
-        cache: dict = {}
         for g, h in pairs:
             try:
-                lhs = c.evaluate(g * h, x, cache)
-                rhs = c.target.mul(c.evaluate(g, c.source.apply(h, x), cache),
-                                   c.evaluate(h, x, cache))
+                lhs = c.evaluate(g * h, x)
+                rhs = c.target.mul(c.evaluate(g, c.source.apply(h, x)), c.evaluate(h, x))
             except UndeterminedError:
                 check.undetermined += 1
                 continue
@@ -182,12 +181,10 @@ def verify_inverse_pair(forward: Cocycle, backward: Cocycle, words: Iterable[Wor
     check = Check(name)
     words = list(words)
     for x in points:
-        fcache: dict = {}
-        bcache: dict = {}
         for g in words:
             try:
-                w = forward.target.word_part(forward.evaluate(g, x, fcache))
-                back = backward.target.word_part(backward.evaluate(w, x, bcache))
+                w = forward.target.word_part(forward.evaluate(g, x))
+                back = backward.target.word_part(backward.evaluate(w, x))
             except UndeterminedError:
                 check.undetermined += 1
                 continue

@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 from .actions import (Action, BernoulliShift, CoinducedAction,
                       FiniteGroupAlphabetAction, FirstReturnOracle, LetterAction,
                       QuotientByDiagonal, SubgroupAlphabetAction, TwistedCosetShift,
-                      left_translation_action, quotient_normalize, value_twist)
+                      diagonal_translate, left_translation_action,
+                      quotient_normalize, value_twist)
 from .cocycles import Cocycle, CocycleTarget, identity_cocycle
 from .groups import Alphabet, FiniteGroup, cyclic
 from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
@@ -302,7 +303,7 @@ def restriction_equivariance_report(setting: FactorSetting, samples: int,
                     return check.fail(counterexample={"lambda": lw,
                                                       "mu": setting.lam_group.names[mu]})
         for k in range(K.size):
-            kx = value_twist(x, left_translation_action(K).perms[k])
+            kx = diagonal_translate(x, k)
             kvalues, _ = factor_restriction(kx, setting.gamma, setting.lam_group,
                                             setting.lam)
             if any(kvalues[mu] != K.mul(k, values[mu]) for mu in lam_all):
@@ -581,10 +582,9 @@ def star_relation_report(star: StarAction, radius: int, samples: int,
     window = cosets_ball(star.spec1, star.lam1, radius + 1,
                          parts=star.gamma_group.label, mode="syllables")
     for y in sample_stream(star.space, seed, samples):
-        cache: dict = {}
         for g in words:
             left = star.apply(g, y)
-            right = star.apply_pair(om.evaluate(g, y, cache), y)
+            right = star.apply_pair(om.evaluate(g, y), y)
             if not agree_on(left, right, window):
                 return check.fail(counterexample={"g": g})
     return check.report(PASS, parameters={"radius": radius, "samples": samples,
@@ -628,11 +628,10 @@ def star_injectivity_report(star: StarAction, max_grade: int, samples: int,
                                 mode="syllables", exact=True)
               for n in range(1, max_grade + 1)]
     for y in sample_stream(star.space, seed, samples):
-        cache: dict = {}
         for n, slice_n in enumerate(slices, 1):
             images = []
             for g in slice_n:
-                w, _ = om.evaluate(g, y, cache)
+                w, _ = om.evaluate(g, y)
                 if w.length(gname, "syllables") != n or w.first_part() != star.gamma1:
                     return check.fail(counterexample={"g": g, "image": w, "grade": n})
                 images.append(w)
@@ -931,11 +930,11 @@ class CylinderAction(LetterAction):
         return w.length("b")
 
     def extension_word(self, i: int, eps: int, g: Word, x: Configuration,
-                       omega_cache: dict, om: Cocycle) -> Word:
+                       om: Cocycle) -> Word:
         """The first-letter witness b^eps phi(g * x) omega(g, x) whose coset
         translates carry the fresh coordinates of grade |g| + 1."""
         gx = self.apply(g, x)
-        w = om.evaluate(g, x, omega_cache)
+        w = om.evaluate(g, x)
         return self.b0 ** eps * self.phi_word(i if eps == 1 else i + 1, gx) * w
 
 
@@ -949,11 +948,11 @@ class StableOE:
     partition_count: int
     partition_word: Callable       # 1-based: partition_word(1, x) = identity
 
-    def address(self, i: int, lam: Word, x: Configuration, cache: dict) -> Word:
+    def address(self, i: int, lam: Word, x: Configuration) -> Word:
         """phi_i(lam * x) omega(lam, x): the fresh-coordinate address of the
         extension at (i, lam)."""
         lx = self.system.apply(lam, x)
-        w = self.forward.target.word_part(self.forward.evaluate(lam, x, cache))
+        w = self.forward.target.word_part(self.forward.evaluate(lam, x))
         return self.partition_word(i, lx) * w
 
 
@@ -1140,12 +1139,11 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
               for n in range(0, max_grade + 1)]
     for s in range(samples):
         x = system.sample_in_cylinder(derive_seed(seed, f"fresh/{s}"))
-        cache: dict = {}
         for n, grade in enumerate(grades):
             seen: dict = {}
             for i, eps, g in grade:
                 try:
-                    wit = system.extension_word(i, eps, g, x, cache, om)
+                    wit = system.extension_word(i, eps, g, x, om)
                 except UndeterminedError:
                     check.undetermined += 1
                     continue
@@ -1184,8 +1182,7 @@ def extension_selectors(soe: StableOE, pairs: Sequence[tuple]) -> Callable:
     group, the fresh-coordinate addresses of the extension."""
 
     def selector_of_point(x):
-        cache: dict = {}
-        return [(None, soe.address(i, lam, x, cache)) for i, lam in pairs]
+        return [(None, soe.address(i, lam, x)) for i, lam in pairs]
 
     return selector_of_point
 
@@ -1199,12 +1196,11 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
     system = soe.system
     for s in range(samples):
         x = system.sample_in_cylinder(derive_seed(seed, f"ext/{s}"))
-        cache: dict = {}
         seen: dict = {}
         try:
             for i in range(1, soe.partition_count + 1):
                 for lam in lam_words:
-                    address = soe.address(i, lam, x, cache)
+                    address = soe.address(i, lam, x)
                     if address in seen:
                         return check.fail(counterexample={"address": address,
                                                           "first": seen[address],
@@ -1232,20 +1228,19 @@ def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
     window = ball(down_spec, 2)
     x_window = [system.a_coset(n) for n in range(-2, 3)]
 
-    def ext_apply(lam, x, y, cache):
-        w = soe.forward.target.word_part(soe.forward.evaluate(lam, x, cache))
+    def ext_apply(lam, x, y):
+        w = soe.forward.target.word_part(soe.forward.evaluate(lam, x))
         return system.apply(lam, x), bern.apply(w, y)
 
     for s in range(samples):
         x = system.sample_in_cylinder(derive_seed(seed, f"ea/{s}"))
         y = sample(bern.space, derive_seed(seed, f"ea/y/{s}"))
-        cache: dict = {}
         for l1 in words:
             for l2 in words:
                 try:
-                    x1, y1 = ext_apply(l1, x, y, cache)
-                    x2, y2 = ext_apply(l2, x1, y1, cache)
-                    x12, y12 = ext_apply(l2 * l1, x, y, cache)
+                    x1, y1 = ext_apply(l1, x, y)
+                    x2, y2 = ext_apply(l2, x1, y1)
+                    x12, y12 = ext_apply(l2 * l1, x, y)
                 except UndeterminedError:
                     check.undetermined += 1
                     continue

@@ -140,21 +140,28 @@ def load_group_table(document) -> FiniteGroup:
     """Build a validated group from a table document.
 
     The document is a mapping (or a JSON string parsing to one) with fields
-    `name`, `elements` (array of distinct strings, where only the identity
-    may be named `e`) and `table` (array of arrays of element indices).
+    `name` (a string, optional), `elements` (array of distinct strings,
+    where only the identity may be named `e`) and `table` (array of arrays
+    of element indices).  Names are refused, not coerced, when they are not
+    strings.
     """
     if isinstance(document, str):
         document = json.loads(document)
     for field in ("elements", "table"):
         if field not in document:
             raise GroupTableError(f"group table document is missing field {field!r}")
-    if not _is_array(document["elements"]) or not document["elements"]:
+    names = document["elements"]
+    if not _is_array(names) or not names:
         raise GroupTableError("elements must be a nonempty array of names")
-    names = [str(n) for n in document["elements"]]
     for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise GroupTableError(f"element name {name!r} is not a string")
         if name in names[:i]:
             raise GroupTableError(f"element name {name!r} is repeated")
-    group = FiniteGroup(names, document["table"], label=document.get("name", ""))
+    label = document.get("name", "")
+    if not isinstance(label, str):
+        raise GroupTableError(f"group name {label!r} is not a string")
+    group = FiniteGroup(names, document["table"], label=label)
     if "e" in names and names.index("e") != group.identity:
         raise GroupTableError("element name 'e' is reserved for the identity")
     return group

@@ -167,8 +167,8 @@ def _star(lam_order, k_order):
             "checks": [{"name": "star-action"}]}
 
 
-# groups that a free product gamma * lam, a table document or a star-action
-# twist cannot take
+# groups that a free product gamma * lam, a table document, a cyclic prefix or a
+# star-action twist cannot take
 GROUP_CLASHES = [
     ({"groups": {"G": Z2_DOC, "L": Z2_DOC, "K": Z2_DOC},
       "checks": [{"name": "lemma-factor"}]},
@@ -205,6 +205,12 @@ GROUP_CLASHES = [
     (_star(2, 3), "checks[0].params.twist",
      "sending every non-identity element of group 'L' to 'k1' is not a "
      "homomorphism into group 'K'"),
+    ({"groups": {"K": _table(1, True)}},
+     "groups.K", "element name 1 is not a string"),
+    ({"groups": {"K": dict(_table("0", "1"), name=5)}},
+     "groups.K", "group name 5 is not a string"),
+    ({"groups": {"K": {"kind": "cyclic", "order": 2, "prefix": 5}}},
+     "groups.K.prefix", "a cyclic prefix must be a string, got 5"),
 ]
 
 

@@ -1,11 +1,12 @@
 """Structural guards over the package source: no dead entry points and no
 dead imports.
 
-An entry point is a public top-level function or class, or a public
-method of a top-level class, in `src/orbitlab/*.py`.  It is live if its
-name appears in `src/` or `demos/` outside its own `def` or `class` body,
-as a name or an attribute.  Tests do not count: a path that only tests
-reach is not part of the workbench.
+An entry point is a top-level function or class, or a method of a
+top-level class, in `src/orbitlab/*.py`, public or private; dunders and
+decorated private ones (registered runners, properties) are not checked.
+It is live if its name appears in `src/` or `demos/` outside its own `def`
+or `class` body, as a name or an attribute.  Tests do not count: a path
+that only tests reach is not part of the workbench.
 """
 
 import ast
@@ -29,19 +30,27 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _checked(node) -> bool:
+    """Public names, and private non-dunder names that carry no decorator."""
+    name = node.name
+    if name.startswith("__") and name.endswith("__"):
+        return False
+    return not name.startswith("_") or not node.decorator_list
+
+
 def _entry_points(tree):
-    """(qualified name, def node) of every public function, class and
+    """(qualified name, def node) of every checked function, class and
     method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not node.name.startswith("_"):
+        if isinstance(node, defs):
+            if _checked(node):
                 yield node.name, node
         elif isinstance(node, ast.ClassDef):
-            if not node.name.startswith("_"):
+            if _checked(node):
                 yield node.name, node
             for item in node.body:
-                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not item.name.startswith("_")):
+                if isinstance(item, defs) and _checked(item):
                     yield f"{node.name}.{item.name}", item
 
 
