@@ -38,6 +38,8 @@ print("roundtrip report:",
 
 # The full joint law of the ten radius-1 increment variables over the
 # 2^17-state window is exactly uniform: 1024 outcomes, 128 states each.
+# The increments read 11 of the 17 coordinates, so the other 6 are summed
+# out and 2^11 states are enumerated.
 family = increment_family(F2, K, 1)
 started = time.perf_counter()
 dist = exact_distribution(shift.space, family, ball(F2, 2))

@@ -11,8 +11,12 @@ and a sampled window both evaluate it once per coordinate.
 
 A finite window is one slot map (canonical coordinate -> index into a
 values tuple), shared by all of its states.  Exact cylinder distributions
-enumerate every state of the window with Fraction weights; there is no
-floating point anywhere in the exact path.  `sample_window_stream` draws
+count states with integers and report Fraction masses; there is no
+floating point anywhere in the exact path.  When every variable declares
+the coordinates it reads, the window coordinates that none declares are
+summed out exactly (each contributes the same factor to every count), so
+only the declared ones are enumerated; `state_count` still counts the
+states of the whole window.  `sample_window_stream` draws
 the seeded points of `sample_stream` restricted to a window, on the same
 kind of slot map.
 """
@@ -20,6 +24,7 @@ kind of slot map.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
@@ -291,37 +296,37 @@ class CylinderDistribution:
 
     names: tuple[str, ...]
     outcomes: dict          # tuple of values -> Fraction, summing to 1
-    state_count: int        # number of enumerated window states
+    state_count: int        # states of the whole window, enumerated or summed out
 
     def probability(self, outcome: tuple) -> Fraction:
         return self.outcomes.get(tuple(outcome), Fraction(0))
 
-    def marginal(self, i: int) -> dict:
-        out: dict = {}
-        for o, p in self.outcomes.items():
-            out[o[i]] = out.get(o[i], Fraction(0)) + p
-        return out
+    def worst_product_deviation(self) -> tuple[Fraction, tuple | None]:
+        """The largest |P(o) - prod_i P_i(o_i)| over outcomes o, and the
+        first outcome that attains it (None for a product law).
 
-    def product_of_marginals(self) -> dict:
-        margs = [self.marginal(i) for i in range(len(self.names))]
+        Decided on integer counts over the law's common denominator n: the
+        product of marginal counts against count(o) * n^(k-1)."""
+        n = math.lcm(*[p.denominator for p in self.outcomes.values()])
+        counts = {o: p.numerator * (n // p.denominator) for o, p in self.outcomes.items()}
+        margs: list[dict] = [{} for _ in self.names]
+        for o, c in counts.items():
+            for m, v in zip(margs, o):
+                m[v] = m.get(v, 0) + c
         prod: dict = {}
         for combo in itertools.product(*[sorted(m.items()) for m in margs]):
-            outcome = tuple(v for v, _ in combo)
-            p = Fraction(1)
-            for _, q in combo:
-                p *= q
-            prod[outcome] = p
-        return prod
-
-    def worst_product_deviation(self) -> tuple[Fraction, tuple | None]:
-        prod = self.product_of_marginals()
-        keys = set(prod) | set(self.outcomes)
-        worst, witness = Fraction(0), None
-        for k in keys:
-            d = abs(prod.get(k, Fraction(0)) - self.outcomes.get(k, Fraction(0)))
+            q = 1
+            for _, c in combo:
+                q *= c
+            prod[tuple([v for v, _ in combo])] = q
+        k = len(self.names)
+        scale = n ** k // n   # n^(k-1); 1 for an empty family, whose n is 1
+        worst, witness = 0, None
+        for key in set(prod) | set(self.outcomes):
+            d = abs(prod.get(key, 0) - counts.get(key, 0) * scale)
             if d > worst:
-                worst, witness = d, k
-        return worst, witness
+                worst, witness = d, key
+        return Fraction(worst, n ** k), witness
 
     def is_uniform(self, support_sizes: Sequence[int]) -> bool:
         total = 1
@@ -344,6 +349,14 @@ def window_slots(space: Space, coords) -> dict:
     return {c: i for i, c in enumerate(sorted(seen, key=space.coord_key))}
 
 
+def _window_states(space: Space, slots, budget: int) -> int:
+    """The number of states of a window with these slots, within the budget."""
+    total = space.alphabet.size ** len(slots)
+    if total > budget:
+        raise BudgetExceededError(f"{total} window states exceed budget {budget}")
+    return total
+
+
 def enumerate_window(space: Space, coords, budget: int = DEFAULT_BUDGET
                      ) -> Iterator[tuple[Configuration, Fraction]]:
     """All configurations of the window under the uniform product measure.
@@ -352,13 +365,9 @@ def enumerate_window(space: Space, coords, budget: int = DEFAULT_BUDGET
     the objects of `coords` hits by identity.
     """
     slots = window_slots(space, coords)
-    size = space.alphabet.size
-    total = size ** len(slots)
-    if total > budget:
-        raise BudgetExceededError(f"{total} window states exceed budget {budget}")
-    weight = Fraction(1, total)
+    weight = Fraction(1, _window_states(space, slots, budget))
     on_slots = ExplicitConfiguration.on_slots
-    for values in itertools.product(range(size), repeat=len(slots)):
+    for values in itertools.product(range(space.alphabet.size), repeat=len(slots)):
         yield on_slots(space, slots, values), weight
 
 
@@ -370,19 +379,31 @@ def exact_distribution(space, variables, window, budget: int = DEFAULT_BUDGET
     outside it surfaces as MissingCoordinateError.  A window coordinate
     equal to one a variable declares (its `coords`) is enumerated as the
     variable's own object, so that variable's reads hit by identity.
+
+    When every variable declares its coordinates, the window coordinates
+    that none declares are summed out exactly: only the declared ones are
+    enumerated, and each outcome's mass is its count over those states,
+    the same rational as over the whole window.  A read of an undeclared
+    coordinate then raises MissingCoordinateError.  If any variable is a
+    bare callable, the whole window is enumerated.  Either way the budget
+    bounds, and `state_count` counts, the states of the whole window.
     """
     names = tuple(getattr(v, "name", f"var{i}") for i, v in enumerate(variables))
     fns = [getattr(v, "fn", v) for v in variables]
+    canonicalize = space.index.canonicalize
     declared: dict = {}
     for v in variables:
-        for c in getattr(v, "coords", ()):
+        for c in map(canonicalize, getattr(v, "coords", ())):
             declared.setdefault(c, c)
-    window = [declared.get(c, c) for c in map(space.index.canonicalize, window)]
+    window = [declared.get(c, c) for c in map(canonicalize, window)]
+    window = list(window_slots(space, window))
+    total = _window_states(space, window, budget)
+    if all(hasattr(v, "coords") for v in variables):
+        window = [c for c in window if c in declared]
     counts: dict = {}
-    total = 0
     for config, _ in enumerate_window(space, window, budget):
-        total += 1
         key = tuple([fn(config) for fn in fns])
         counts[key] = counts.get(key, 0) + 1
-    outcomes = {key: Fraction(n, total) for key, n in counts.items()}
+    enumerated = space.alphabet.size ** len(window)
+    outcomes = {key: Fraction(n, enumerated) for key, n in counts.items()}
     return CylinderDistribution(names, outcomes, total)

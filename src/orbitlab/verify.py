@@ -264,9 +264,11 @@ def independence_mc(space, family: Sequence[WindowFunction], samples: int,
     """Chi-square gate for joint-equals-product-of-marginals on sampled points.
 
     Each sample is a point of `sample_stream(space, seed, samples)` read on
-    the family's declared window only (`sample_window_stream`): a variable
-    that reads outside the declared coords raises MissingCoordinateError,
-    as in `independence_exact`.
+    the family's declared window only (`sample_window_stream`).  The
+    contract is the one `exact_distribution` keeps for a family that
+    declares its coords, and so `independence_exact`: a variable is read
+    only at the coordinates the family declares, and a read of any other
+    coordinate raises MissingCoordinateError.
     """
     check = Check(name, "monte-carlo", seed)
     fns = [v.fn for v in family]

@@ -1,23 +1,31 @@
+import io
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from orbitlab import verify
 from orbitlab.actions import diagonal_translate, quotient_normalize
-from orbitlab.groups import cyclic, klein_four
-from orbitlab.spaces import (BudgetExceededError, CosetIndex, ExplicitConfiguration,
+from orbitlab.cli import run_suite
+from orbitlab.constructions import increment_family
+from orbitlab.groups import cyclic, klein_four, s3
+from orbitlab.spaces import (BudgetExceededError, CosetIndex, CylinderDistribution,
+                             ExplicitConfiguration,
                              GroupIndex, IntIndex, MissingCoordinateError,
-                             SeededConfiguration, Space,
+                             RecordingConfiguration, SeededConfiguration, Space,
                              derive_seed, enumerate_window,
                              exact_distribution,
                              sample, sample_stream,
                              sample_window_stream, window_slots)
-from orbitlab.verify import WindowFunction
+from orbitlab.verify import WindowFunction, coordinate_variable
 from orbitlab.words import Word, ball, coset, free_group
 
 F2 = free_group("a", "b")
 Z2 = cyclic(2)
+Z3 = cyclic(3)
+SUITES = Path(__file__).resolve().parents[1] / "src" / "orbitlab" / "suites"
 
 
 def zspace(alphabet=Z2):
@@ -271,3 +279,152 @@ def test_coset_window_enumeration_matches_reference():
     assert_matches_reference(sp, variables, window)
     with pytest.raises(MissingCoordinateError):
         exact_distribution(sp, [lambda x: x.value(F2.word("a^3"))], window)
+
+
+# -- summing out the window coordinates no variable declares --------------------
+
+
+def counted(v: WindowFunction, calls: list) -> WindowFunction:
+    """The variable v, appending to `calls` once per evaluation."""
+    def fn(x):
+        calls.append(None)
+        return v.fn(x)
+    return WindowFunction(v.name, v.coords, v.support, fn)
+
+
+def declared_family_cases():
+    e, a_inv, a, _, b = ball(F2, 1)
+    z2 = (f2space(Z2), increment_family(F2, Z2, 1), ball(F2, 2), 11)
+    # radius-0 increments and a max read e, a and b; a^-1 and b^-1 are unread
+    z3_family = increment_family(F2, Z3, 0) + [
+        WindowFunction("max", (e, a), 3, lambda x: max(x.value(e), x.value(a)))]
+    z3 = (f2space(Z3), z3_family, [e, a_inv, a, b, F2.word("b^-1")], 3)
+    # declared Words name the cosets (b)a, (b)e and (b)aba; (b)a^-1 and
+    # (b)a^2 are unread
+    ba, e_word, baba = F2.word("b^3 a^1"), F2.word("b^1"), F2.word("b^-1 a^1 b^1 a^1")
+    coset_family = [
+        WindowFunction("ba+e", (ba, e_word), 2, lambda x: (x.value(ba) + x.value(e_word)) % 2),
+        WindowFunction("baba", (baba,), 2, lambda x: x.value(baba)),
+        WindowFunction("baba*ba", (baba, ba), 2, lambda x: x.value(baba) * x.value(ba)),
+    ]
+    coset_window = [F2.word(t) for t in ("e", "a^1", "a^-1", "a^1 b^1 a^1", "a^2")]
+    cosets = (Space(CosetIndex(F2, "b"), Z2), coset_family, coset_window, 3)
+    return [z2, z3, cosets]
+
+
+@pytest.mark.parametrize("space, family, window, read", declared_family_cases(),
+                         ids=["z2-increments-ball-2", "z3-unread-slots", "coset-words"])
+def test_declared_family_sums_out_unread_window_coordinates(space, family, window, read):
+    """Only the `read` declared window slots are enumerated, and the law,
+    its insertion order and `state_count` are those of the whole window."""
+    calls: list = []
+    dist = exact_distribution(space, [counted(family[0], calls)] + family[1:], window)
+    outcomes, count = reference_distribution(space, family, window)
+    size = space.alphabet.size
+    assert len(calls) == size ** read
+    assert dist.outcomes == outcomes
+    assert list(dist.outcomes) == list(outcomes)
+    assert dist.state_count == count == size ** len(window_slots(space, window))
+
+
+def test_declared_family_reading_an_undeclared_window_coordinate_raises():
+    sp = f2space(Z2)
+    e, a = F2.identity(), F2.generator("a")
+    sneaky = WindowFunction("sneaky", (e,), 2, lambda x: x.value(a))
+    with pytest.raises(MissingCoordinateError):
+        exact_distribution(sp, [sneaky], [e, a])
+    half = {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+    assert exact_distribution(sp, [lambda x: x.value(a)], [e, a]).outcomes == half
+    # one bare callable puts the whole window back in the enumeration
+    mixed = exact_distribution(sp, [sneaky, lambda x: 0], [e, a])
+    assert mixed.outcomes == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)}
+
+
+def test_budget_bounds_the_whole_window_of_a_declared_family():
+    with pytest.raises(BudgetExceededError) as err:
+        exact_distribution(f2space(Z2), increment_family(F2, Z2, 1), ball(F2, 2),
+                           budget=2 ** 16)
+    assert str(err.value) == "131072 window states exceed budget 65536"
+
+
+def assert_reads_only_declared(space, family, seeds=(3, 7, 11)):
+    canonicalize = space.index.canonicalize
+    for v in family:
+        declared = {canonicalize(c) for c in v.coords}
+        for seed in seeds:
+            log: set = set()
+            v.fn(RecordingConfiguration(sample(space, seed), log))
+            assert log and log <= declared, (v.name, log, declared)
+
+
+@pytest.mark.parametrize("K", [Z2, Z3, s3()], ids=["z2", "z3", "s3"])
+def test_increment_family_reads_only_declared_coordinates(K):
+    assert_reads_only_declared(f2space(K), increment_family(F2, K, 1))
+
+
+def test_coordinate_variable_reads_only_declared_coordinates():
+    sp = Space(CosetIndex(F2, "b"), Z3)
+    family = [coordinate_variable(sp, F2.word(t)) for t in ("b^2 a^1", "e", "a^-1 b^1")]
+    assert_reads_only_declared(sp, family)
+    assert_reads_only_declared(f2space(Z3), [coordinate_variable(f2space(Z3), g)
+                                             for g in ball(F2, 1)])
+
+
+@pytest.mark.parametrize("check, families", [
+    ("lemma-factor", 2),                     # the restriction and transversal families
+    ("coinduction-characterization", 2),     # the transversal family of each instance
+])
+def test_shipped_exact_families_read_only_declared_coordinates(
+        monkeypatch, tmp_path, check, families):
+    """Every family the shipped check hands to `exact_distribution` reads
+    only its declared coordinates, so summing out the rest is sound."""
+    seen = []
+    real = verify.exact_distribution
+
+    def spy(space, variables, window, budget):
+        seen.append((space, list(variables)))
+        return real(space, variables, window, budget)
+
+    monkeypatch.setattr(verify, "exact_distribution", spy)
+    assert run_suite(SUITES / "standard.cfg", tmp_path, only=check,
+                     stream=io.StringIO()) == 0
+    assert len(seen) == families
+    for space, family in seen:
+        assert_reads_only_declared(space, family)
+
+
+def reference_worst_product_deviation(dist):
+    """The Fraction loop: marginals, their product law, the first strict
+    maximum of |product - joint| over set(product) | set(joint)."""
+    margs = []
+    for i in range(len(dist.names)):
+        m: dict = {}
+        for o, p in dist.outcomes.items():
+            m[o[i]] = m.get(o[i], Fraction(0)) + p
+        margs.append(m)
+    prod = {}
+    for combo in itertools.product(*[sorted(m.items()) for m in margs]):
+        p = Fraction(1)
+        for _, q in combo:
+            p *= q
+        prod[tuple(v for v, _ in combo)] = p
+    worst, witness = Fraction(0), None
+    for k in set(prod) | set(dist.outcomes):
+        d = abs(prod.get(k, Fraction(0)) - dist.outcomes.get(k, Fraction(0)))
+        if d > worst:
+            worst, witness = d, k
+    return worst, witness
+
+
+@pytest.mark.parametrize("variables", [
+    [lambda x: x.value(F2.identity())] * 2,
+    [lambda x: x.value(F2.identity()), lambda x: x.value(F2.word("a^1")) * x.value(F2.identity()),
+     lambda x: max(x.value(F2.word("b^1")), x.value(F2.word("a^1")))],
+    [lambda x: (x.value(F2.identity()) + x.value(F2.word("a^1"))) % 3,
+     lambda x: x.value(F2.word("b^-1"))],
+], ids=["duplicate", "dependent-triple", "product"])
+def test_worst_product_deviation_matches_the_fraction_loop(variables):
+    dist = exact_distribution(f2space(Z3), variables, ball(F2, 1))
+    assert dist.worst_product_deviation() == reference_worst_product_deviation(dist)
+    empty = CylinderDistribution((), {(): Fraction(1)}, 1)
+    assert empty.worst_product_deviation() == (Fraction(0), None)
