@@ -9,6 +9,7 @@ from orbitlab import ball, cyclic, free_group, klein_four
 from orbitlab.actions import quotient_normalize
 from orbitlab.spaces import (GroupIndex, Space, enumerate_window,
                              exact_distribution, sample)
+from orbitlab.verify import WindowFunction
 
 F2 = free_group("a", "b")
 K = klein_four()
@@ -21,9 +22,11 @@ print("sampled values on the unit ball:",
       {g.tokens(): K.names[x.value(g)] for g in ball(F2, 1)})
 assert all(sample(space, 7).value(g) == x.value(g) for g in ball(F2, 2))
 
-# Exact joint laws are full enumerations with rational arithmetic.
+# Exact joint laws are enumerations with rational arithmetic over the
+# coordinates that the variables declare they read.
 e, a = F2.identity(), F2.generator("a")
-diff = lambda c: K.mul(K.inv(c.value(e)), c.value(a))
+diff = WindowFunction("x_e^-1 x_a", (e, a), K.size,
+                      lambda c: K.mul(K.inv(c.value(e)), c.value(a)))
 dist = exact_distribution(space, [diff], [e, a])
 print("law of x_e^-1 x_a over", dist.state_count, "window states:",
       {K.names[v[0]]: str(p) for v, p in sorted(dist.outcomes.items())})

@@ -7,8 +7,10 @@ budget, with one message naming the field (`checks[i].params.<key>` for
 a check parameter of the wrong type, below its least value, or an
 unknown mode, case, group, twist or instance, a `twist` that gives no
 homomorphism from `lam`, or a `lam` group clashing with `gamma`;
-`samples`, `budget` or `scan_radius` that is not a positive integer,
-`quantile` outside (0, 1); `groups.<name>.order` for a cyclic
+`schema_version` other than the integer 1, a `seed` that is not an
+integer, `samples`, `budget` or `scan_radius` that is not a positive
+integer, `<key>` for any other top-level key, `--budget` for an override
+that is not a positive integer; `groups.<name>.order` for a cyclic
 order that is not a positive integer, `groups.<name>.prefix` for a cyclic
 prefix that is not a string; `groups.<name>` for an invalid table, or a
 table name or element name that is not a string: group text is refused,
@@ -74,7 +76,6 @@ class SuiteContext:
     seed: int
     samples: int = 100
     budget: int = DEFAULT_BUDGET
-    quantile: float = 0.999
     scan_radius: int = 64
     groups: dict = field(default_factory=dict)
 
@@ -166,9 +167,9 @@ def expect_failure(name: str, run: Callable[[], VerificationReport]) -> Verifica
           "increment isomorphism of the diagonal quotient of a group-valued shift",
           {"alphabet": "K", "rank": 2, "family_radius": 1, "roundtrip_radius": 3,
            "equivariance_radius": 2, "mode": "auto", "mc_samples": 10 ** 5,
-           "window_radius": None, "samples": None},
+           "window_radius": None},
           {"rank": 1, "family_radius": 0, "roundtrip_radius": 1,
-           "equivariance_radius": 0, "mc_samples": 1, "window_radius": 0, "samples": 1})
+           "equivariance_radius": 0, "mc_samples": 1, "window_radius": 0})
 def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("theorem-b")
     K = ctx.group(params, "alphabet")
@@ -177,7 +178,6 @@ def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
         raise ConfigError("mode", f"unknown mode {mode!r}, expected auto, full or grouped")
     rank = params["rank"]
     spec = free_group(*[chr(ord("a") + i) for i in range(rank)])
-    samples = params["samples"] or ctx.samples
     family = increment_family(spec, K, params["family_radius"])
     if params["window_radius"] is not None:
         window = ball(spec, params["window_radius"])
@@ -204,13 +204,13 @@ def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
                                             budget=ctx.budget)
         subs.append(grouped_check.combine(grouped, parameters={"checks": len(grouped)}))
         subs.append(independence_mc(shift.space, family[:4], params["mc_samples"],
-                                    derive_seed(ctx.seed, "tb/mc"), ctx.quantile,
+                                    derive_seed(ctx.seed, "tb/mc"),
                                     name="increment-subfamily-mc"))
     subs.append(increment_equivariance_report(
-        spec, K, params["equivariance_radius"], samples,
+        spec, K, params["equivariance_radius"], ctx.samples,
         derive_seed(ctx.seed, "tb/equiv")))
     subs.append(increment_roundtrip_report(
-        spec, K, params["roundtrip_radius"], samples,
+        spec, K, params["roundtrip_radius"], ctx.samples,
         derive_seed(ctx.seed, "tb/round")))
     return check.combine(subs, parameters={"alphabet": K.label, "rank": rank,
                                            "mode": mode})
@@ -218,16 +218,15 @@ def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
 
 @register("lemma-factor",
           "free-factor restriction of a coset shift and its quotient characterization",
-          {"gamma": "G", "lam": "L", "K": "K", "radius": 2, "samples": None},
-          {"radius": 0, "samples": 1})
+          {"gamma": "G", "lam": "L", "K": "K", "radius": 2},
+          {"radius": 0})
 def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-factor")
     setting = FactorSetting(*_free_factors(ctx, params), ctx.group(params, "K"))
-    samples = params["samples"] or ctx.samples
     radius = params["radius"]
-    subs = [restriction_consequence_report(setting, radius, samples,
+    subs = [restriction_consequence_report(setting, radius, ctx.samples,
                                            derive_seed(ctx.seed, "lf/conseq")),
-            restriction_equivariance_report(setting, samples,
+            restriction_equivariance_report(setting, ctx.samples,
                                             derive_seed(ctx.seed, "lf/equi")),
             independence_exact(setting.shift.space, restriction_family(setting, 1),
                                budget=ctx.budget, require_uniform=True,
@@ -238,7 +237,7 @@ def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
         transversal_kwargs={"parts": setting.gamma_group.label, "mode": "syllables"},
         reconstructor=factor_quotient_reconstructor(setting, radius),
         canonicalize=setting.quotient.normalize,
-        samples=samples, seed=derive_seed(ctx.seed, "lf/char"), budget=ctx.budget))
+        samples=ctx.samples, seed=derive_seed(ctx.seed, "lf/char"), budget=ctx.budget))
     return check.combine(subs, parameters={"gamma": setting.gamma_group.label,
                                            "lam": setting.lam_group.label,
                                            "K": setting.K.label, "radius": radius})
@@ -247,8 +246,8 @@ def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
 @register("star-action",
           "transported free-product action over a co-induction, with both cocycles",
           {"gamma": "G", "lam": "L", "K": "K", "twist": 1, "relation_radius": 3,
-           "orbit_radius": 2, "injectivity_grade": 2, "samples": None},
-          {"relation_radius": 0, "orbit_radius": 0, "injectivity_grade": 0, "samples": 1})
+           "orbit_radius": 2, "injectivity_grade": 2},
+          {"relation_radius": 0, "orbit_radius": 0, "injectivity_grade": 0})
 def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("star-action")
     gamma, lam = _free_factors(ctx, params)
@@ -267,12 +266,11 @@ def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
     system = component_twist_system(lam, K, [(ident_aut, trivial),
                                              (ident_aut, twisted)])
     star = StarAction(gamma, system)
-    samples = params["samples"] or ctx.samples
-    subs = [star_relation_report(star, params["relation_radius"], samples,
+    subs = [star_relation_report(star, params["relation_radius"], ctx.samples,
                                  derive_seed(ctx.seed, "st/rel")),
-            star_orbit_report(star, params["orbit_radius"], samples,
+            star_orbit_report(star, params["orbit_radius"], ctx.samples,
                               derive_seed(ctx.seed, "st/orb")),
-            star_injectivity_report(star, params["injectivity_grade"], samples,
+            star_injectivity_report(star, params["injectivity_grade"], ctx.samples,
                                     derive_seed(ctx.seed, "st/inj")),
             star_conjugation_report(star)]
     return check.combine(subs, parameters={"gamma": gamma.label, "lam": lam.label,
@@ -281,19 +279,17 @@ def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
 
 @register("lemma-2",
           "cylinder compression of the twisted shift onto a higher-rank action",
-          {"kappa": 2, "scan_radius": None, "identity_length": 4,
-           "inverse_length": 3, "freshness_grade": 2, "dependency_grade": 2,
-           "samples": None, "dependency_samples": 10,
+          {"kappa": 2, "identity_length": 4, "inverse_length": 3,
+           "freshness_grade": 2, "dependency_grade": 2, "dependency_samples": 10,
            "determinacy_samples": 10 ** 4, "determinacy": True,
-           "measure_mc": True, "measure_samples": 4000},
-          {"kappa": 2, "scan_radius": 1, "identity_length": 0, "inverse_length": 0,
-           "freshness_grade": 0, "dependency_grade": 0, "samples": 1,
+           "measure_samples": 4000},
+          {"kappa": 2, "identity_length": 0, "inverse_length": 0,
+           "freshness_grade": 0, "dependency_grade": 0,
            "dependency_samples": 1, "determinacy_samples": 1, "measure_samples": 1})
 def _run_lemma_2(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-2")
     kappa = params["kappa"]
-    scan_radius = params["scan_radius"] or ctx.scan_radius
-    samples = params["samples"] or ctx.samples
+    scan_radius, samples = ctx.scan_radius, ctx.samples
     system = CylinderAction(kappa, scan_radius)
     om, omp = system.omega(), system.omega_prime()
     subs = [cylinder_measure_report(system)]
@@ -320,23 +316,21 @@ def _run_lemma_2(ctx: SuiteContext, params: dict) -> VerificationReport:
         subs.append(match_determinacy_report(kappa, scan_radius,
                                              params["determinacy_samples"],
                                              derive_seed(ctx.seed, "l2/det")))
-    if params["measure_mc"]:
-        subs.append(match_measure_report(kappa, scan_radius, params["measure_samples"],
-                                         derive_seed(ctx.seed, "l2/mm"), ctx.quantile))
+    subs.append(match_measure_report(kappa, scan_radius, params["measure_samples"],
+                                     derive_seed(ctx.seed, "l2/mm")))
     return check.combine(subs, parameters={"kappa": kappa, "scan_radius": scan_radius,
                                            "samples": samples})
 
 
 @register("lemma-3",
           "diagonal Bernoulli extension of a stable orbit equivalence",
-          {"kappa": 2, "scan_radius": None, "lambda_grade": 1, "y_order": 2,
-           "samples": None},
-          {"kappa": 2, "scan_radius": 1, "lambda_grade": 0, "y_order": 1, "samples": 1})
+          {"kappa": 2, "lambda_grade": 1, "y_order": 2},
+          {"kappa": 2, "lambda_grade": 0, "y_order": 1})
 def _run_lemma_3(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-3")
     kappa = params["kappa"]
-    samples = min(params["samples"] or ctx.samples, 25)
-    soe = build_cylinder_oe(kappa, params["scan_radius"] or ctx.scan_radius)
+    samples = min(ctx.samples, 25)
+    soe = build_cylinder_oe(kappa, ctx.scan_radius)
     system = soe.system
     lams = ball(system.spec_up, params["lambda_grade"],
                 parts=system.b_parts, exponent_bound=1)
@@ -422,10 +416,9 @@ def _run_lemma_indep(ctx: SuiteContext, params: dict) -> VerificationReport:
 
 @register("coinduction-characterization",
           "the three defining properties of a co-induced action",
-          {"instance": "finite-factor", "kappa": 2, "radius": 2, "samples": None},
-          {"kappa": 1, "radius": 0, "samples": 1})
+          {"instance": "finite-factor", "kappa": 2, "radius": 2},
+          {"kappa": 1, "radius": 0})
 def _run_characterization(ctx: SuiteContext, params: dict) -> VerificationReport:
-    samples = params["samples"] or ctx.samples
     radius = params["radius"]
     instance = params["instance"]
     if instance == "finite-factor":
@@ -442,7 +435,7 @@ def _run_characterization(ctx: SuiteContext, params: dict) -> VerificationReport
         report = check_coinduced_characterization(
             action, rho, lambda lam, v: inner.act(lam, v), "h2", radius,
             transversal_kwargs={"parts": "g2", "mode": "syllables"},
-            reconstructor=reconstructor, samples=samples,
+            reconstructor=reconstructor, samples=ctx.samples,
             seed=derive_seed(ctx.seed, "cc/fin"), budget=ctx.budget)
     elif instance == "twisted-shift":
         kappa = params["kappa"]
@@ -460,7 +453,7 @@ def _run_characterization(ctx: SuiteContext, params: dict) -> VerificationReport
 
         report = check_coinduced_characterization(
             action, rho, lambda lam, v: (v + action.twist(lam)) % kappa, "b", radius,
-            transversal_kwargs={}, reconstructor=reconstructor, samples=samples,
+            transversal_kwargs={}, reconstructor=reconstructor, samples=ctx.samples,
             seed=derive_seed(ctx.seed, "cc/tw"), budget=ctx.budget)
     else:
         raise ConfigError("instance", f"unknown instance {instance!r}")
@@ -481,19 +474,14 @@ def _run_negative_control(ctx: SuiteContext, params: dict) -> VerificationReport
 # -- config parsing and the suite runner ------------------------------------------
 
 
-def _setting(document: dict, key: str, default, fits: Callable, expected: str):
-    value = document.get(key, default)
-    if not fits(value):
-        raise ConfigError(key, f"expected {expected}, got {value!r}")
+SETTINGS = ("samples", "budget", "scan_radius")  # optional; SuiteContext has the defaults
+TOP_LEVEL = {"schema_version", "suite", "seed", *SETTINGS, "groups", "checks"}
+
+
+def _positive_int(field_name: str, value) -> int:
+    if type(value) is not int or value < 1:
+        raise ConfigError(field_name, f"expected a positive integer, got {value!r}")
     return value
-
-
-def _positive_int(value) -> bool:
-    return type(value) is int and value >= 1
-
-
-def _probability(value) -> bool:
-    return type(value) in (int, float) and 0 < value < 1
 
 
 def _fits(default, value) -> bool:
@@ -507,20 +495,17 @@ def _fits(default, value) -> bool:
 def parse_config(document: dict) -> tuple[SuiteContext, list]:
     if not isinstance(document, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    if document.get("schema_version") != SCHEMA_VERSION:
+    version = document.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError("schema_version",
                           f"expected schema_version {SCHEMA_VERSION}")
-    if "seed" not in document or not isinstance(document["seed"], int):
+    for key in document:
+        if key not in TOP_LEVEL:
+            raise ConfigError(key, "unknown suite setting")
+    if type(document.get("seed")) is not int:
         raise ConfigError("seed", "an integer seed is mandatory")
-    ctx = SuiteContext(
-        seed=document["seed"],
-        samples=_setting(document, "samples", 100, _positive_int, "a positive integer"),
-        budget=_setting(document, "budget", DEFAULT_BUDGET, _positive_int,
-                        "a positive integer"),
-        quantile=_setting(document, "quantile", 0.999, _probability,
-                          "a number strictly between 0 and 1"),
-        scan_radius=_setting(document, "scan_radius", 64, _positive_int,
-                             "a positive integer"))
+    ctx = SuiteContext(seed=document["seed"], **{
+        key: _positive_int(key, document[key]) for key in SETTINGS if key in document})
     groups = document.get("groups", {})
     if not isinstance(groups, dict):
         raise ConfigError("groups", "groups must be an object")
@@ -592,7 +577,7 @@ def run_suite(config_path, out_dir, only: str | None = None,
         if seed_override is not None:
             ctx.seed = seed_override
         if budget_override is not None:
-            ctx.budget = budget_override
+            ctx.budget = _positive_int("--budget", budget_override)
         # i is the check's index in the config, also under --only
         selected = [(i, spec, params) for i, (spec, params) in enumerate(checks)
                     if only is None or spec.name == only]

@@ -30,7 +30,7 @@ from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
                      SeededConfiguration, Space, agree_on, derive_seed,
                      exact_distribution, sample, sample_stream)
 from .verify import (FAIL, PASS, Check, UndeterminedError, VerificationReport,
-                     WindowFunction, homogeneity_mc,
+                     WindowFunction, coordinate_variable, homogeneity_mc,
                      independence_exact, selector_independence_on_samples)
 from .words import (Coset, GroupSpec, Word, ball, coset, cosets_ball,
                     extension_sphere, free_group, free_product, transversal_words)
@@ -992,7 +992,8 @@ def build_cylinder_oe(kappa: int, scan_radius: int = 64) -> StableOE:
 def cylinder_measure_report(system: CylinderAction) -> VerificationReport:
     """The inducing cylinder has exact measure 1/kappa."""
     check = Check("cylinder-measure")
-    dist = exact_distribution(system.space, [lambda x: x.value(system.base)],
+    dist = exact_distribution(system.space,
+                              [coordinate_variable(system.space, system.base)],
                               [system.base])
     p = dist.probability((0,))
     expected = Fraction(1, system.kappa)

@@ -12,11 +12,11 @@ and a sampled window both evaluate it once per coordinate.
 A finite window is one slot map (canonical coordinate -> index into a
 values tuple), shared by all of its states.  Exact cylinder distributions
 count states with integers and report Fraction masses; there is no
-floating point anywhere in the exact path.  When every variable declares
-the coordinates it reads, the window coordinates that none declares are
-summed out exactly (each contributes the same factor to every count), so
-only the declared ones are enumerated; `state_count` still counts the
-states of the whole window.  `sample_window_stream` draws
+floating point anywhere in the exact path.  Every variable of an exact
+law declares the coordinates it reads, and the window coordinates that
+none declares are summed out exactly (each contributes the same factor to
+every count), so only the declared ones are enumerated; `state_count`
+still counts the states of the whole window.  `sample_window_stream` draws
 the seeded points of `sample_stream` restricted to a window, on the same
 kind of slot map.
 """
@@ -375,35 +375,25 @@ def exact_distribution(space, variables, window, budget: int = DEFAULT_BUDGET
                        ) -> CylinderDistribution:
     """Exact joint law of the variables over the uniform law on the window.
 
-    Every variable must read only coordinates inside the window; a read
-    outside it surfaces as MissingCoordinateError.  A window coordinate
-    equal to one a variable declares (its `coords`) is enumerated as the
-    variable's own object, so that variable's reads hit by identity.
-
-    When every variable declares its coordinates, the window coordinates
-    that none declares are summed out exactly: only the declared ones are
-    enumerated, and each outcome's mass is its count over those states,
-    the same rational as over the whole window.  A read of an undeclared
-    coordinate then raises MissingCoordinateError.  If any variable is a
-    bare callable, the whole window is enumerated.  Either way the budget
-    bounds, and `state_count` counts, the states of the whole window.
+    Each variable names itself and declares the coordinates it reads
+    (`name`, `fn`, `coords`, as a `WindowFunction` does).  Only the window
+    coordinates that some variable declares are enumerated, each as the
+    first declaring variable's own object, so its reads hit by identity;
+    the others are summed out exactly, and each outcome's mass is its
+    count over the enumerated states, the same rational as over the whole
+    window.  A read outside the enumerated coordinates raises
+    MissingCoordinateError.  The budget bounds, and `state_count` counts,
+    the states of the whole window.
     """
-    names = tuple(getattr(v, "name", f"var{i}") for i, v in enumerate(variables))
-    fns = [getattr(v, "fn", v) for v in variables]
-    canonicalize = space.index.canonicalize
-    declared: dict = {}
-    for v in variables:
-        for c in map(canonicalize, getattr(v, "coords", ())):
-            declared.setdefault(c, c)
-    window = [declared.get(c, c) for c in map(canonicalize, window)]
-    window = list(window_slots(space, window))
-    total = _window_states(space, window, budget)
-    if all(hasattr(v, "coords") for v in variables):
-        window = [c for c in window if c in declared]
+    slots = window_slots(space, window)
+    total = _window_states(space, slots, budget)
+    declared = window_slots(space, [c for v in variables for c in v.coords])
+    read = [c for c in declared if c in slots]
+    fns = [v.fn for v in variables]
     counts: dict = {}
-    for config, _ in enumerate_window(space, window, budget):
+    for config, _ in enumerate_window(space, read, budget):
         key = tuple([fn(config) for fn in fns])
         counts[key] = counts.get(key, 0) + 1
-    enumerated = space.alphabet.size ** len(window)
+    enumerated = space.alphabet.size ** len(read)
     outcomes = {key: Fraction(n, enumerated) for key, n in counts.items()}
-    return CylinderDistribution(names, outcomes, total)
+    return CylinderDistribution(tuple(v.name for v in variables), outcomes, total)

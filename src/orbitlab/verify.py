@@ -265,10 +265,9 @@ def independence_mc(space, family: Sequence[WindowFunction], samples: int,
 
     Each sample is a point of `sample_stream(space, seed, samples)` read on
     the family's declared window only (`sample_window_stream`).  The
-    contract is the one `exact_distribution` keeps for a family that
-    declares its coords, and so `independence_exact`: a variable is read
-    only at the coordinates the family declares, and a read of any other
-    coordinate raises MissingCoordinateError.
+    contract is the one `exact_distribution`, and so `independence_exact`,
+    keeps: a variable is read only at the coordinates the family declares,
+    and a read of any other coordinate raises MissingCoordinateError.
     """
     check = Check(name, "monte-carlo", seed)
     fns = [v.fn for v in family]

@@ -272,9 +272,9 @@ def test_criterion_9_deterministic_reports(tmp_path):
             {"name": "lemma-indep"},
             {"name": "appendix-section"},
             {"name": "coinduction-characterization",
-             "params": {"instance": "twisted-shift", "samples": 10}},
+             "params": {"instance": "twisted-shift"}},
             {"name": "lemma-factor",
-             "params": {"gamma": "G", "lam": "L", "K": "K", "samples": 10}},
+             "params": {"gamma": "G", "lam": "L", "K": "K"}},
         ],
     }
     config = tmp_path / "determinism.cfg"

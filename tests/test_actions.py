@@ -11,7 +11,7 @@ from orbitlab.actions import (BernoulliShift, CoinducedAction,
 from orbitlab.groups import Alphabet, cyclic
 from orbitlab.spaces import (Configuration, agree_on, derive_seed, exact_distribution,
                              sample, sample_stream)
-from orbitlab.verify import UndeterminedError, WindowFunction
+from orbitlab.verify import UndeterminedError, WindowFunction, coordinate_variable
 from orbitlab.words import ball, coset, cosets_ball, free_group, free_product
 
 F2 = free_group("a", "b")
@@ -51,9 +51,9 @@ def test_bernoulli_preserves_cylinder_distributions():
     act = BernoulliShift(F2, Z2)
     g = F2.word("a^1 b^1")
     coords = ball(F2, 1)
-    vars_before = [(lambda c, h=h: c.value(h)) for h in coords]
+    vars_before = [coordinate_variable(act.space, h) for h in coords]
     relocated = [h * g for h in coords]
-    vars_after = [(lambda c, h=h: c.value(h)) for h in relocated]
+    vars_after = [coordinate_variable(act.space, h) for h in relocated]
     d1 = exact_distribution(act.space, vars_before, coords)
     d2 = exact_distribution(act.space, vars_after, relocated)
     assert d1.outcomes == d2.outcomes

@@ -117,11 +117,11 @@ def test_undetermined_suite_exits_2(tmp_path):
     # a tiny scan radius leaves scans unresolved without failing anything
     doc = minimal_config(checks=[{
         "name": "lemma-2",
-        "params": {"kappa": 2, "scan_radius": 4, "identity_length": 2,
+        "params": {"kappa": 2, "identity_length": 2,
                    "inverse_length": 2, "freshness_grade": 1,
                    "dependency_grade": 1, "dependency_samples": 3,
-                   "determinacy": False, "measure_mc": False}}],
-        samples=5)
+                   "determinacy": False}}],
+        samples=5, scan_radius=4)
     path = write_config(tmp_path, doc)
     code = run_suite(path, tmp_path / "out", stream=io.StringIO())
     assert code == 2
@@ -252,15 +252,44 @@ GROUP_CLASHES = [
     ({"samples": -3}, "samples"),
     ({"budget": 1.5}, "budget"),
     ({"scan_radius": False}, "scan_radius"),
-    ({"quantile": 2}, "quantile"),
+    ({"quantile": 2}, "quantile"),              # an unknown suite setting
     ({"quantile": True}, "quantile"),
     *[(overrides, field) for overrides, field, _ in GROUP_CLASHES],
+    ({"sampels": 1}, "sampels"),
+    ({"seed": True}, "seed"),
+    ({"schema_version": True}, "schema_version"),
+    ({"schema_version": 1.0}, "schema_version"),
 ])
 def test_malformed_config_exits_3(tmp_path, overrides, field):
     path = write_config(tmp_path, minimal_config(**overrides))
     stream = io.StringIO()
     assert run_suite(path, tmp_path / "out", stream=stream) == 3
     assert stream.getvalue().startswith(f"config error at {field}: ")
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_non_positive_budget_override_exits_3(tmp_path, budget):
+    stream = io.StringIO()
+    code = run_suite(SUITES / "standard.cfg", tmp_path / "out", only="appendix-section",
+                     budget_override=budget, stream=stream)
+    assert code == 3
+    assert stream.getvalue() == (f"config error at --budget: "
+                                 f"expected a positive integer, got {budget}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_shipped_suites_equal_their_benchmark_copies():
+    for suite, copy in [("theorem-b-z2.cfg", "exact-z2.json"),
+                        ("theorem-b-s3.cfg", "mc-s3.json"),
+                        ("standard.cfg", "cylinder-standard.json")]:
+        assert (SUITES / suite).read_bytes() == (ROOT / "bench" / "suites" / copy).read_bytes()
+
+
+def test_no_check_parameter_is_named_like_a_suite_setting():
+    # a suite-level setting reaches every check through its context
+    settings = {"seed", "samples", "budget", "scan_radius"}
+    for entry in list_checks():
+        assert not settings & set(entry["params"]), entry["name"]
 
 
 @pytest.mark.parametrize("overrides, field, message", GROUP_CLASHES)

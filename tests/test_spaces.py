@@ -84,7 +84,7 @@ def test_explicit_configuration_raises_outside_window():
 def test_exact_distribution_single_coordinate_uniform():
     sp = f2space(klein_four())
     e = F2.identity()
-    dist = exact_distribution(sp, [lambda c: c.value(e)], [e])
+    dist = exact_distribution(sp, [coordinate_variable(sp, e)], [e])
     assert dist.is_uniform([4])
     assert all(p == Fraction(1, 4) for p in dist.outcomes.values())
 
@@ -96,7 +96,7 @@ def test_exact_distribution_difference_uniform():
     def diff(c):
         return (Z2.inv(c.value(g)) + c.value(h)) % 2
 
-    dist = exact_distribution(sp, [diff], [g, h])
+    dist = exact_distribution(sp, [WindowFunction("diff", (g, h), 2, diff)], [g, h])
     assert dist.is_uniform([2])
     assert dist.state_count == 4
 
@@ -104,14 +104,15 @@ def test_exact_distribution_difference_uniform():
 def test_exact_distribution_constant_point_mass():
     sp = f2space(Z2)
     e = F2.identity()
-    dist = exact_distribution(sp, [lambda c: 1], [e])
+    dist = exact_distribution(sp, [WindowFunction("one", (), 2, lambda c: 1)], [e])
     assert dist.outcomes == {(1,): Fraction(1)}
+    assert dist.state_count == 2
 
 
 def test_exact_distribution_projections_product():
     sp = f2space(Z2)
     coords = [F2.identity(), F2.generator("a"), F2.generator("b")]
-    vars_ = [(lambda c, g=g: c.value(g)) for g in coords]
+    vars_ = [coordinate_variable(sp, g) for g in coords]
     dist = exact_distribution(sp, vars_, coords)
     assert dist.is_uniform([2, 2, 2])
     assert dist.worst_product_deviation()[0] == 0
@@ -120,7 +121,7 @@ def test_exact_distribution_projections_product():
 def test_exact_distribution_denominators():
     sp = f2space(Z2)
     coords = ball(F2, 1)
-    dist = exact_distribution(sp, [lambda c: c.value(coords[0])], coords)
+    dist = exact_distribution(sp, [coordinate_variable(sp, coords[0])], coords)
     for p in dist.outcomes.values():
         assert (2 ** len(coords)) % p.denominator == 0
 
@@ -128,14 +129,15 @@ def test_exact_distribution_denominators():
 def test_exact_distribution_budget():
     sp = f2space(Z2)
     with pytest.raises(BudgetExceededError):
-        exact_distribution(sp, [lambda c: 0], ball(F2, 3), budget=2 ** 10)
+        exact_distribution(sp, [WindowFunction("zero", (), 2, lambda c: 0)], ball(F2, 3),
+                           budget=2 ** 10)
 
 
 def test_variable_escaping_window_detected():
     sp = f2space(Z2)
     a = F2.generator("a")
     with pytest.raises(MissingCoordinateError):
-        exact_distribution(sp, [lambda c: c.value(a)], [F2.identity()])
+        exact_distribution(sp, [coordinate_variable(sp, a)], [F2.identity()])
 
 
 def test_quotient_normalize_basics():
@@ -219,7 +221,7 @@ def reference_distribution(space, variables, window):
     """One Mapping-built configuration and one Fraction add per state."""
     keys = list(window_slots(space, window))
     weight = Fraction(1, space.alphabet.size ** len(keys))
-    fns = [getattr(v, "fn", v) for v in variables]
+    fns = [v.fn for v in variables]
     outcomes, count = {}, 0
     for values in itertools.product(range(space.alphabet.size), repeat=len(keys)):
         x = ExplicitConfiguration(space, dict(zip(keys, values)))
@@ -258,8 +260,8 @@ def test_group_window_enumeration_matches_reference():
     variables = [
         WindowFunction("max", (fresh[0], fresh[1]), 3, pair_max),
         WindowFunction("b", (fresh[2],), 3, lambda x, g=fresh[2]: x.value(g)),
-        lambda x: (x.value(a_inv) * x.value(e)) % 3,     # no declared coords
-        lambda x: int(x.value(a) == x.value(b)),
+        WindowFunction("prod", (a_inv, e), 3, lambda x: (x.value(a_inv) * x.value(e)) % 3),
+        WindowFunction("eq", (a, b), 2, lambda x: int(x.value(a) == x.value(b))),
     ]
     assert_matches_reference(sp, variables, window)
 
@@ -271,14 +273,16 @@ def test_coset_window_enumeration_matches_reference():
     # Word reads whose cosets are window slots: (b)b^3 a = (b)a, and so on
     ba = F2.word("b^3 a^1")
     ba_inv = F2.word("b^-1 a^-1")
+    b2 = F2.word("b^2")                                  # the coset (b)e
     variables = [
-        lambda x: x.value(ba) + x.value(words[0]),
-        lambda x: x.value(ba_inv) * x.value(words[3]),
-        lambda x: x.value(F2.word("b^2")),               # the coset (b)e
+        WindowFunction("sum", (ba, words[0]), 3, lambda x: x.value(ba) + x.value(words[0])),
+        WindowFunction("prod", (ba_inv, words[3]), 2,
+                       lambda x: x.value(ba_inv) * x.value(words[3])),
+        coordinate_variable(sp, b2),
     ]
     assert_matches_reference(sp, variables, window)
     with pytest.raises(MissingCoordinateError):
-        exact_distribution(sp, [lambda x: x.value(F2.word("a^3"))], window)
+        exact_distribution(sp, [coordinate_variable(sp, F2.word("a^3"))], window)
 
 
 # -- summing out the window coordinates no variable declares --------------------
@@ -333,11 +337,6 @@ def test_declared_family_reading_an_undeclared_window_coordinate_raises():
     sneaky = WindowFunction("sneaky", (e,), 2, lambda x: x.value(a))
     with pytest.raises(MissingCoordinateError):
         exact_distribution(sp, [sneaky], [e, a])
-    half = {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
-    assert exact_distribution(sp, [lambda x: x.value(a)], [e, a]).outcomes == half
-    # one bare callable puts the whole window back in the enumeration
-    mixed = exact_distribution(sp, [sneaky, lambda x: 0], [e, a])
-    assert mixed.outcomes == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)}
 
 
 def test_budget_bounds_the_whole_window_of_a_declared_family():
@@ -416,12 +415,17 @@ def reference_worst_product_deviation(dist):
     return worst, witness
 
 
+def reads(name, tokens, fn):
+    """The variable fn(x_w for w in the words named by tokens), declaring them."""
+    words = tuple(F2.word(t) for t in tokens)
+    return WindowFunction(name, words, 3, lambda x: fn(*[x.value(w) for w in words]))
+
+
 @pytest.mark.parametrize("variables", [
-    [lambda x: x.value(F2.identity())] * 2,
-    [lambda x: x.value(F2.identity()), lambda x: x.value(F2.word("a^1")) * x.value(F2.identity()),
-     lambda x: max(x.value(F2.word("b^1")), x.value(F2.word("a^1")))],
-    [lambda x: (x.value(F2.identity()) + x.value(F2.word("a^1"))) % 3,
-     lambda x: x.value(F2.word("b^-1"))],
+    [reads("e", ["e"], int)] * 2,
+    [reads("e", ["e"], int), reads("a*e", ["a^1", "e"], lambda a, e: a * e),
+     reads("max", ["b^1", "a^1"], max)],
+    [reads("e+a", ["e", "a^1"], lambda e, a: (e + a) % 3), reads("b^-1", ["b^-1"], int)],
 ], ids=["duplicate", "dependent-triple", "product"])
 def test_worst_product_deviation_matches_the_fraction_loop(variables):
     dist = exact_distribution(f2space(Z3), variables, ball(F2, 1))
