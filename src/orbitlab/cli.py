@@ -7,26 +7,33 @@ budget, with one message naming the field (`checks[i].params.<key>` for
 a check parameter of the wrong type, below its least value, or an
 unknown mode, case, group, twist or instance, a `twist` that gives no
 homomorphism from `lam`, or a `lam` group clashing with `gamma`;
-`schema_version` other than the integer 1, a `seed` that is not an
-integer, `samples`, `budget` or `scan_radius` that is not a positive
-integer, `<key>` for any other top-level key, `--budget` for an override
-that is not a positive integer; `groups.<name>.order` for a cyclic
-order that is not a positive integer, `groups.<name>.prefix` for a cyclic
-prefix that is not a string; `groups.<name>` for an invalid table, or a
-table name or element name that is not a string: group text is refused,
-not coerced).  Report files are `NN-<check>.json`, NN being the check's
-index in the config's `checks` (also under --only).  Reports are
-deterministic functions of (config, seeds); wall-clock data, with the
-check's own clock as `runtime_s`, lives in a separate `timing` section so
-payloads compare byte-identically across runs.
+`schema_version` other than the integer 1, a `suite` that is not a
+string, a `seed` that is not an integer, `samples`, `budget` or
+`scan_radius` that is not a positive integer, `<key>` for any other
+top-level key, `--seed-override` for an override that is not an integer,
+`--budget` for an override that is not a positive integer;
+`groups.<name>.order` for a cyclic order that is not a positive integer,
+`groups.<name>.prefix` for a cyclic prefix that is not a string;
+`groups.<name>` for an invalid table, or a table name or element name
+that is not a string: group text is refused, not coerced).  Report files
+are `NN-<check>.json`, NN being the check's index in the config's
+`checks` (also under --only).  Reports are deterministic functions of
+(config, seeds); wall-clock data, with the check's own clock as
+`runtime_s`, lives in a separate `timing` section so payloads compare
+byte-identically across runs.  `run_suite` pauses the cyclic garbage
+collector while each check runs and collects the young generation after
+it (`gc_collected` and `gc_collect_s` in `timing`); library calls leave
+the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import json
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -502,6 +509,8 @@ def parse_config(document: dict) -> tuple[SuiteContext, list]:
     for key in document:
         if key not in TOP_LEVEL:
             raise ConfigError(key, "unknown suite setting")
+    if not isinstance(document.get("suite", ""), str):
+        raise ConfigError("suite", f"expected a string, got {document['suite']!r}")
     if type(document.get("seed")) is not int:
         raise ConfigError("seed", "an integer seed is mandatory")
     ctx = SuiteContext(seed=document["seed"], **{
@@ -575,6 +584,9 @@ def run_suite(config_path, out_dir, only: str | None = None,
     try:
         ctx, checks = parse_config(document)
         if seed_override is not None:
+            if type(seed_override) is not int:
+                raise ConfigError("--seed-override",
+                                  f"expected an integer, got {seed_override!r}")
             ctx.seed = seed_override
         if budget_override is not None:
             ctx.budget = _positive_int("--budget", budget_override)
@@ -588,12 +600,23 @@ def run_suite(config_path, out_dir, only: str | None = None,
         summary_checks = []
         verdicts = []
         for i, spec, params in selected:
+            # a check's memos live as long as it does, so full collections
+            # during it walk them and free almost nothing; everything the
+            # check allocated is still young afterwards
+            enabled = gc.isenabled()
+            gc.disable()
             try:
                 report = spec.runner(ctx, params)
             except BudgetExceededError as err:
                 raise ConfigError(f"checks[{i}] ({spec.name})", str(err)) from None
             except ConfigError as err:
                 raise ConfigError(f"checks[{i}].params.{err.field}", err.message) from None
+            finally:
+                if enabled:
+                    gc.enable()
+                started = time.perf_counter()
+                collected = gc.collect(0)
+                collect_s = time.perf_counter() - started
             filename = f"{i:02d}-{spec.name}.json"
             payload = {
                 "schema_version": SCHEMA_VERSION,
@@ -604,6 +627,8 @@ def run_suite(config_path, out_dir, only: str | None = None,
             body["timing"] = {
                 "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                 "runtime_s": report.runtime_s,
+                "gc_collected": collected,
+                "gc_collect_s": collect_s,
             }
             (out / filename).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
             summary_checks.append({"name": spec.name, "verdict": report.verdict,

@@ -1,14 +1,17 @@
+import dataclasses
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from orbitlab.cli import ConfigError, list_checks, main, parse_config, run_suite
+from orbitlab.cli import REGISTRY, ConfigError, list_checks, main, parse_config, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 SUITES = ROOT / "src" / "orbitlab" / "suites"
@@ -259,6 +262,8 @@ GROUP_CLASHES = [
     ({"seed": True}, "seed"),
     ({"schema_version": True}, "schema_version"),
     ({"schema_version": 1.0}, "schema_version"),
+    ({"suite": 5}, "suite"),
+    ({"suite": None}, "suite"),
 ])
 def test_malformed_config_exits_3(tmp_path, overrides, field):
     path = write_config(tmp_path, minimal_config(**overrides))
@@ -276,6 +281,90 @@ def test_non_positive_budget_override_exits_3(tmp_path, budget):
     assert stream.getvalue() == (f"config error at --budget: "
                                  f"expected a positive integer, got {budget}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [True, "7", 2.5])
+def test_non_integer_seed_override_exits_3(tmp_path, seed):
+    stream = io.StringIO()
+    code = run_suite(SUITES / "standard.cfg", tmp_path / "out",
+                     only="coinduction-characterization", seed_override=seed, stream=stream)
+    assert code == 3
+    assert stream.getvalue() == (f"config error at --seed-override: "
+                                 f"expected an integer, got {seed!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the collector state after the test, whatever it did."""
+    saved = gc.isenabled(), gc.get_threshold()
+    yield
+    gc.set_threshold(*saved[1])
+    (gc.enable if saved[0] else gc.disable)()
+
+
+def spy_on_runner(monkeypatch, check, error=None):
+    """Replace `check`'s runner by one that records whether the collector is
+    on and leaves a reference cycle behind, then raises `error` or runs the
+    real check; returns the records and weak references to the cycles."""
+    spec = REGISTRY[check]
+    seen, cycles = [], []
+
+    class Node:
+        pass
+
+    def runner(ctx, params):
+        seen.append(gc.isenabled())
+        node = Node()
+        node.self = node             # garbage only the collector frees
+        cycles.append(weakref.ref(node))
+        if error is not None:
+            raise error
+        return spec.runner(ctx, params)
+
+    monkeypatch.setitem(REGISTRY, check, dataclasses.replace(spec, runner=runner))
+    return seen, cycles
+
+
+# exit path -> (check, --budget, error its runner raises, exit code or None
+# when the error propagates)
+COLLECTOR_PATHS = {
+    "pass": ("lemma-indep", None, None, 0),
+    "fail": ("negative-control", None, None, 1),
+    "budget": ("theorem-b", 10, None, 3),
+    "config-error": ("lemma-indep", None, ConfigError("x_size", "refused"), 3),
+    "propagates": ("lemma-indep", None, RuntimeError("runner crashed"), None),
+}
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+@pytest.mark.parametrize("path", sorted(COLLECTOR_PATHS))
+def test_run_suite_pauses_the_collector_and_restores_it(tmp_path, monkeypatch,
+                                                         collector_state, path,
+                                                         caller_enabled):
+    check, budget, error, exit_code = COLLECTOR_PATHS[path]
+    seen, cycles = spy_on_runner(monkeypatch, check, error)
+    config = write_config(tmp_path, minimal_config(checks=[{"name": check}]))
+    (gc.enable if caller_enabled else gc.disable)()
+    caller = gc.isenabled(), gc.get_threshold()
+    if exit_code is None:
+        with pytest.raises(type(error)):
+            run_suite(config, tmp_path / "out", budget_override=budget,
+                      stream=io.StringIO())
+    else:
+        assert run_suite(config, tmp_path / "out", budget_override=budget,
+                         stream=io.StringIO()) == exit_code
+    assert seen == [False]
+    assert (gc.isenabled(), gc.get_threshold()) == caller
+    reports = list((tmp_path / "out").glob("00-*.json"))
+    assert len(reports) == (exit_code in (0, 1))
+    for report in reports:
+        # the young-generation collection after the check freed its cycle;
+        # on the other paths the exception in flight still holds the frame
+        assert cycles[0]() is None
+        timing = json.loads(report.read_text())["timing"]
+        assert type(timing["gc_collected"]) is int and timing["gc_collected"] >= 1
+        assert type(timing["gc_collect_s"]) is float and timing["gc_collect_s"] >= 0
 
 
 def test_shipped_suites_equal_their_benchmark_copies():

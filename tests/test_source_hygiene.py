@@ -109,3 +109,20 @@ def test_allowlisted_entry_points_still_exist():
 
 def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports() == []
+
+
+def test_only_the_suite_runner_touches_the_garbage_collector():
+    # run_suite pauses the collector per check; a library call must leave
+    # the caller's collector state alone
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "gc" in names:
+                importers.add(path.name)
+    assert importers == {"cli.py"}
