@@ -39,7 +39,7 @@ show(report, "canonical co-induction")
 # co-induction of the rotation action of the b-factor, and passes too.
 kappa = 2
 F2 = free_group("a", "b")
-twisted = TwistedCosetShift(F2, "b", kappa, {"a": 0, "b": 1})
+twisted = TwistedCosetShift(F2, "b", kappa)
 tbase = coset(F2, "b", F2.identity())
 trho = WindowFunction("rho", (tbase,), kappa, lambda x: x.value(tbase))
 

@@ -36,7 +36,7 @@ assert all(p == Fraction(1, 4) for p in dist.outcomes.values())
 # identity; the normal form is constant on orbits and counts them.
 window = ball(F2, 1)[:3]
 reps = {tuple(quotient_normalize(cfg, window[0]).value(c) for c in window)
-        for cfg, _ in enumerate_window(space, window)}
+        for cfg in enumerate_window(space, window)}
 print("diagonal orbits on K^3:", len(reps), "=", K.size, "^ 2")
 
 # Budgets keep every enumeration explicit: a two-coordinate window over
@@ -44,5 +44,4 @@ print("diagonal orbits on K^3:", len(reps), "=", K.size, "^ 2")
 z3 = cyclic(3)
 small = Space(GroupIndex(F2), z3)
 states = list(enumerate_window(small, [e, a]))
-print("window states:", len(states), "already summing to",
-      sum(w for _, w in states))
+print("window states:", len(states), "each of mass", Fraction(1, len(states)))

@@ -301,23 +301,24 @@ class BernoulliShift(ShiftAction):
 class TwistedCosetShift(ShiftAction):
     """(g . x)_c = twist(g) + x_{c g} on (Z/kappa)^(subgroup\\G).
 
-    twist is the homomorphism to Z/kappa defined by integer weights on the
-    free generators (syllables of finite parts contribute 0).
+    twist is the exponent sum of the subgroup's own free generator mod
+    kappa (every other syllable contributes 0), so the shift is the
+    co-induction of the rotation of the subgroup on Z/kappa.
     """
 
-    def __init__(self, spec: GroupSpec, subgroup, kappa: int,
-                 weights: dict[str, int]):
+    def __init__(self, spec: GroupSpec, subgroup, kappa: int):
         self.group_spec = spec
         self.kappa = kappa
         self.space = Space(CosetIndex(spec, subgroup), cyclic(kappa))
-        self._weights = {spec.part_index(name): w % kappa for name, w in weights.items()}
-        self.tag = ("twisted", kappa, tuple(sorted(self._weights.items())))
+        self.part = self.space.index.part
+        self.tag = ("twisted", kappa, self.part)
 
     def twist(self, g: Word) -> int:
+        part = self.part
         total = 0
         for kind, p, v in g.syllables:
-            if kind == "g":
-                total += self._weights.get(p, 0) * v
+            if p == part and kind == "g":
+                total += v
         return total % self.kappa
 
     def _read(self, view: _ShiftView, c, v: int) -> int:
@@ -394,7 +395,8 @@ class QuotientByDiagonal(Action):
 
 
 class FirstReturnOracle:
-    """Induced transformation on the cylinder {z : z_0 = symbol} of alphabet^Z.
+    """Induced transformation on the symbol-0 cylinder {z : z_0 = 0} of
+    alphabet^Z.
 
     Scans read z at offsets from its origin: the n-th return of z lies at
     offset eta(n, z), and no shifted copy of z is built to find it.  All
@@ -402,15 +404,14 @@ class FirstReturnOracle:
     UndeterminedError: a reported outcome, not a silent failure.
     """
 
-    def __init__(self, alphabet: Alphabet, symbol: int, scan_radius: int):
-        self.symbol = symbol
+    def __init__(self, alphabet: Alphabet, scan_radius: int):
         self.scan_radius = scan_radius
         self.space = Space(IntIndex(), alphabet)
 
     def first_return(self, z: Configuration, direction: int, start: int = 0) -> int:
         """Offset from start to the first return of z after start."""
         for j in range(1, self.scan_radius + 1):
-            if z.value(start + direction * j) == self.symbol:
+            if z.value(start + direction * j) == 0:
                 return direction * j
         raise UndeterminedError(
             f"no return to the cylinder within scan radius {self.scan_radius}")
@@ -418,7 +419,7 @@ class FirstReturnOracle:
     def eta(self, n: int, z: Configuration) -> int:
         """Return-time cocycle: the n-th power of the induced map shifts z by
         eta(n, z)."""
-        if z.value(0) != self.symbol:
+        if z.value(0) != 0:
             raise ValueError("point outside the inducing cylinder")
         eta = 0
         step = 1 if n >= 0 else -1
@@ -505,8 +506,7 @@ def check_coinduced_characterization(
 
     # 2. generation on the radius window
     sub2 = generation_check(action.space, family, window, reconstructor=reconstructor,
-                            canonicalize=canonicalize, budget=budget,
-                            name="generation")
+                            canonicalize=canonicalize, budget=budget)
 
     # 3. independence of the transversal family
     sub3 = independence_exact(action.space, family, window=None, budget=budget,

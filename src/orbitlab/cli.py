@@ -22,8 +22,8 @@ are `NN-<check>.json`, NN being the check's index in the config's
 `runtime_s`, lives in a separate `timing` section so payloads compare
 byte-identically across runs.  `run_suite` pauses the cyclic garbage
 collector while each check runs and collects the young generation after
-it (`gc_collected` and `gc_collect_s` in `timing`); library calls leave
-the collector alone.
+each check that returns (`gc_collected` and `gc_collect_s` in `timing`);
+library calls leave the collector alone.
 """
 
 from __future__ import annotations
@@ -447,7 +447,7 @@ def _run_characterization(ctx: SuiteContext, params: dict) -> VerificationReport
     elif instance == "twisted-shift":
         kappa = params["kappa"]
         f2 = free_group("a", "b")
-        action = TwistedCosetShift(f2, "b", kappa, {"a": 0, "b": 1})
+        action = TwistedCosetShift(f2, "b", kappa)
         base = coset(f2, "b", f2.identity())
         rho = WindowFunction("rho", (base,), kappa, lambda x: x.value(base))
 
@@ -602,7 +602,9 @@ def run_suite(config_path, out_dir, only: str | None = None,
         for i, spec, params in selected:
             # a check's memos live as long as it does, so full collections
             # during it walk them and free almost nothing; everything the
-            # check allocated is still young afterwards
+            # check allocated is still young once it returns.  A raising
+            # check is not collected: the exception in flight still holds
+            # its frames, so a collection would only promote its garbage
             enabled = gc.isenabled()
             gc.disable()
             try:
@@ -614,9 +616,9 @@ def run_suite(config_path, out_dir, only: str | None = None,
             finally:
                 if enabled:
                     gc.enable()
-                started = time.perf_counter()
-                collected = gc.collect(0)
-                collect_s = time.perf_counter() - started
+            started = time.perf_counter()
+            collected = gc.collect(0)
+            collect_s = time.perf_counter() - started
             filename = f"{i:02d}-{spec.name}.json"
             payload = {
                 "schema_version": SCHEMA_VERSION,

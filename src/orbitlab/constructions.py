@@ -787,7 +787,7 @@ class CylinderAction(LetterAction):
         self.kappa = kappa
         self.scan_radius = scan_radius
         self.f2 = free_group("a", "b")
-        self.twisted = TwistedCosetShift(self.f2, "b", kappa, {"a": 0, "b": 1})
+        self.twisted = TwistedCosetShift(self.f2, "b", kappa)
         self.space = self.twisted.space
         self.spec_up = free_group("a", *[f"b{i}" for i in range(kappa)])
         self.group_spec = self.spec_up
@@ -795,7 +795,7 @@ class CylinderAction(LetterAction):
         self.b0 = self.f2.generator("b")
         self.a_part, self.b_part = self.f2.part_index("a"), self.f2.part_index("b")
         self.base = coset(self.f2, "b", self.f2.identity())
-        self.oracle = FirstReturnOracle(cyclic(kappa), 0, scan_radius)
+        self.oracle = FirstReturnOracle(cyclic(kappa), scan_radius)
         self._a_cosets: dict = {}
         self._tapes: dict = {}
         self._axis_coset = self.axis_coset   # one bound method shared by the tapes
@@ -1001,12 +1001,14 @@ def cylinder_measure_report(system: CylinderAction) -> VerificationReport:
                         statistics={"measure": p, "expected": expected})
 
 
+DETERMINACY_THRESHOLD = Fraction(5, 100)
+
+
 def match_determinacy_report(kappa: int, scan_radius: int, samples: int,
-                             seed: int, threshold: Fraction = Fraction(5, 100),
-                             context_radius: int = 256) -> VerificationReport:
+                             seed: int, context_radius: int = 256) -> VerificationReport:
     """Frequency of unresolved forward matches at the configured radius over
-    sampled cylinder points, gated at the threshold.  The same frequency at
-    a larger context radius is reported alongside."""
+    sampled cylinder points, gated below `DETERMINACY_THRESHOLD`.  The same
+    frequency at a larger context radius is reported alongside."""
     check = Check("match-determinacy", "monte-carlo", seed)
     space = Space(IntIndex(), cyclic(kappa))
     # a scan resolves at radius r exactly when its match offset is at most r,
@@ -1025,17 +1027,17 @@ def match_determinacy_report(kappa: int, scan_radius: int, samples: int,
     total = samples * (kappa - 1)
     freq = Fraction(unresolved, total)
     return check.report(
-        PASS if freq < threshold else FAIL,
+        PASS if freq < DETERMINACY_THRESHOLD else FAIL,
         parameters={"scan_radius": scan_radius, "samples": samples,
-                    "threshold": threshold},
+                    "threshold": DETERMINACY_THRESHOLD},
         statistics={"unresolved_frequency": freq,
                     "unresolved": unresolved,
                     "context_radius": context_radius,
                     "context_frequency": Fraction(unresolved_context, total)})
 
 
-def match_measure_report(kappa: int, scan_radius: int, samples: int, seed: int,
-                         quantile: float = 0.999) -> VerificationReport:
+def match_measure_report(kappa: int, scan_radius: int, samples: int,
+                         seed: int) -> VerificationReport:
     """Monte-Carlo gate for measure preservation of the matching.
 
     At a finite scan radius the matching is a piecewise-shift bijection
@@ -1073,8 +1075,7 @@ def match_measure_report(kappa: int, scan_radius: int, samples: int, seed: int,
     for symbol in range(1, kappa):
         images, skipped = draw("mm", symbol, False)
         reference, skipped_ref = draw("mr", symbol, True)
-        rep = homogeneity_mc(images, reference, seed, quantile,
-                             name=f"match-measure-{symbol}")
+        rep = homogeneity_mc(images, reference, seed, name=f"match-measure-{symbol}")
         rep.statistics["unresolved_forward"] = skipped
         rep.statistics["unresolved_backward"] = skipped_ref
         reports.append(rep)
@@ -1177,17 +1178,6 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
 # ===========================================================================
 
 
-def extension_selectors(soe: StableOE, pairs: Sequence[tuple]) -> Callable:
-    """Selector family x -> phi_i(lam * x) omega(lam, x) for the chosen
-    (index, lambda) pairs; selected values are words of the downstairs
-    group, the fresh-coordinate addresses of the extension."""
-
-    def selector_of_point(x):
-        return [(None, soe.address(i, lam, x)) for i, lam in pairs]
-
-    return selector_of_point
-
-
 def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
                                   samples: int, seed: int) -> VerificationReport:
     """The enumeration family phi_i(lam * x) omega(lam, x) has no repetitions
@@ -1258,15 +1248,17 @@ def extension_independence_report(soe: StableOE, pairs: Sequence[tuple],
                                   seed: int) -> VerificationReport:
     """Fresh-coordinate lookups of the extension are exactly jointly uniform
     conditioned on each sampled base point (engine run per sample with the
-    y-window enumerated exactly)."""
+    y-window enumerated exactly).  At a point x the family selects
+    phi_i(lam * x) omega(lam, x) for each (index, lambda) pair: words of the
+    downstairs group, the fresh-coordinate addresses of the extension."""
     system = soe.system
     names = [f"y@{i}|{lam.tokens()}" for i, lam in pairs]
     points = [system.sample_in_cylinder(derive_seed(seed, f"ei/{s}"))
               for s in range(samples)]
-    selector = extension_selectors(soe, pairs)
     return selector_independence_on_samples(
-        points, selector, y_alphabet.size,
-        lambda h, v: v, names, name="extension-independence", seed=seed)
+        points, lambda x: [(None, soe.address(i, lam, x)) for i, lam in pairs],
+        y_alphabet.size, lambda h, v: v, names, name="extension-independence",
+        seed=seed)
 
 
 # ===========================================================================

@@ -358,17 +358,18 @@ def _window_states(space: Space, slots, budget: int) -> int:
 
 
 def enumerate_window(space: Space, coords, budget: int = DEFAULT_BUDGET
-                     ) -> Iterator[tuple[Configuration, Fraction]]:
-    """All configurations of the window under the uniform product measure.
+                     ) -> Iterator[Configuration]:
+    """All configurations of the window, each of the same mass under the
+    uniform product measure.
 
     Every state shares one slot map (`window_slots`), so a read with one of
     the objects of `coords` hits by identity.
     """
     slots = window_slots(space, coords)
-    weight = Fraction(1, _window_states(space, slots, budget))
+    _window_states(space, slots, budget)
     on_slots = ExplicitConfiguration.on_slots
     for values in itertools.product(range(space.alphabet.size), repeat=len(slots)):
-        yield on_slots(space, slots, values), weight
+        yield on_slots(space, slots, values)
 
 
 def exact_distribution(space, variables, window, budget: int = DEFAULT_BUDGET
@@ -391,7 +392,7 @@ def exact_distribution(space, variables, window, budget: int = DEFAULT_BUDGET
     read = [c for c in declared if c in slots]
     fns = [v.fn for v in variables]
     counts: dict = {}
-    for config, _ in enumerate_window(space, read, budget):
+    for config in enumerate_window(space, read, budget):
         key = tuple([fn(config) for fn in fns])
         counts[key] = counts.get(key, 0) + 1
     enumerated = space.alphabet.size ** len(read)

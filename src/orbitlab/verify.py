@@ -3,9 +3,9 @@
 Exact mode is a decision procedure: joint laws are enumerated with rational
 arithmetic and compared for equality, so a pass is a proof about the finite
 window and a fail carries the violating cylinder.  Monte-Carlo mode is a
-chi-square gate at a configured quantile: a screening device for windows
-beyond the enumeration budget, never a proof.  A gate with an empty sample
-has no evidence and reports UNDETERMINED.
+chi-square gate at the 0.999 quantile (`GATE_QUANTILE`): a screening device
+for windows beyond the enumeration budget, never a proof.  A gate with an
+empty sample has no evidence and reports UNDETERMINED.
 
 The chi-square quantile is `2 * gammaincinv(dof / 2, q)` from
 `scipy.special`, the formula `scipy.stats.chi2.ppf` evaluates, so thresholds
@@ -33,6 +33,8 @@ FAIL = "fail"
 UNDETERMINED = "undetermined"
 
 _SEVERITY = {PASS: 0, UNDETERMINED: 1, FAIL: 2}
+
+GATE_QUANTILE = 0.999
 
 
 def worst_verdict(verdicts: Iterable[str]) -> str:
@@ -239,28 +241,28 @@ def _chi_square_independence(counts: Mapping[tuple, int], total: int):
     return stat, dof
 
 
-def _chi_square_gate(check: Check, stat: float, dof: int, quantile: float,
-                     samples, **parameters) -> VerificationReport:
-    """Pass iff the statistic is at most the chi-square quantile for dof.
+def _chi_square_gate(check: Check, stat: float, dof: int, samples,
+                     **parameters) -> VerificationReport:
+    """Pass iff the statistic is at most the `GATE_QUANTILE` point of the
+    chi-square law with dof degrees of freedom.
 
     `samples` is the sample size, or the list of sizes of a two-sample
     gate; an empty sample is no evidence, so the gate reports UNDETERMINED.
     """
-    threshold = chi_square_threshold(quantile, dof)
+    threshold = chi_square_threshold(GATE_QUANTILE, dof)
     notes = ()
     if 0 in (samples if isinstance(samples, list) else [samples]):
         check.undetermined += 1
         notes = ("empty sample: no evidence",)
     return check.report(
         PASS if stat <= threshold else FAIL,
-        parameters={"samples": samples, "quantile": quantile, **parameters},
+        parameters={"samples": samples, "quantile": GATE_QUANTILE, **parameters},
         statistics={"chi_square": stat, "dof": dof, "threshold": threshold},
         notes=notes)
 
 
 def independence_mc(space, family: Sequence[WindowFunction], samples: int,
-                    seed: int, quantile: float = 0.999,
-                    name: str = "independence-mc") -> VerificationReport:
+                    seed: int, name: str = "independence-mc") -> VerificationReport:
     """Chi-square gate for joint-equals-product-of-marginals on sampled points.
 
     Each sample is a point of `sample_stream(space, seed, samples)` read on
@@ -276,13 +278,12 @@ def independence_mc(space, family: Sequence[WindowFunction], samples: int,
         key = tuple([fn(x) for fn in fns])
         counts[key] = counts.get(key, 0) + 1
     stat, dof = _chi_square_independence(counts, samples)
-    return _chi_square_gate(check, stat, dof, quantile, samples,
+    return _chi_square_gate(check, stat, dof, samples,
                             variables=[v.name for v in family])
 
 
 def homogeneity_mc(values_a: Iterable[int], values_b: Iterable[int],
-                   seed: int | None, quantile: float = 0.999,
-                   name: str = "homogeneity-mc") -> VerificationReport:
+                   seed: int | None, name: str = "homogeneity-mc") -> VerificationReport:
     """Two-sample chi-square gate: both samples drawn from one law."""
     check = Check(name, "monte-carlo", seed)
     counts = [dict(), dict()]
@@ -300,7 +301,7 @@ def homogeneity_mc(values_a: Iterable[int], values_b: Iterable[int],
             expected = totals[s] * pooled
             if expected > 0:
                 stat += (counts[s].get(v, 0) - expected) ** 2 / expected
-    return _chi_square_gate(check, stat, max(len(support) - 1, 1), quantile, totals)
+    return _chi_square_gate(check, stat, max(len(support) - 1, 1), totals)
 
 
 # -- the twisted-selector independence engine -----------------------------------
@@ -433,11 +434,11 @@ class UndeterminedError(RuntimeError):
 def generation_check(space, family: Sequence[WindowFunction], window,
                      reconstructor: Callable | None = None,
                      canonicalize: Callable | None = None,
-                     budget: int = DEFAULT_BUDGET,
-                     name: str = "generation") -> VerificationReport:
+                     budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Finite-window surrogate for sigma-algebra generation.
 
-    With a reconstructor: the variables' values must determine the window
+    With a reconstructor (a map from the dict of variable values to a dict
+    of window values): the variables' values must determine the window
     exactly (reconstruct then compare, after `canonicalize` when given).
     Without one: the assignment -> values map must be injective on the
     enumerated window; a collision yields a witness pair of configurations.
@@ -445,7 +446,7 @@ def generation_check(space, family: Sequence[WindowFunction], window,
     The result is a surrogate: invertibility on a finite window is strictly
     stronger than generation up to null sets, and is what gets checked.
     """
-    check = Check(name)
+    check = Check("generation")
     note = ("finite-window invertibility surrogate for generation",)
     window = list(window)
 
@@ -454,12 +455,10 @@ def generation_check(space, family: Sequence[WindowFunction], window,
         return tuple(y.value(c) for c in window)
 
     if reconstructor is not None:
-        for x, _ in enumerate_window(space, window, budget):
-            values = {v.name: v.fn(x) for v in family}
-            rebuilt = reconstructor(values)
+        for x in enumerate_window(space, window, budget):
+            rebuilt = reconstructor({v.name: v.fn(x) for v in family})
             expected = compare_target(x)
-            got = tuple(rebuilt.value(c) if isinstance(rebuilt, Configuration)
-                        else rebuilt[c] for c in window)
+            got = tuple(rebuilt[c] for c in window)
             if got != expected:
                 return check.fail(
                     notes=note,
@@ -474,7 +473,7 @@ def generation_check(space, family: Sequence[WindowFunction], window,
             statistics={"points": check.checked})
 
     seen: dict = {}
-    for cfg, _ in enumerate_window(space, window, budget):
+    for cfg in enumerate_window(space, window, budget):
         values = tuple(v.fn(cfg) for v in family)
         target = compare_target(cfg)
         if values in seen and seen[values] != target:

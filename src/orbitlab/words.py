@@ -166,21 +166,12 @@ def free_group(*names: str) -> GroupSpec:
     return GroupSpec([FreePart(n) for n in names])
 
 
-def free_product(*factors) -> GroupSpec:
-    """Free product of generator names, finite groups and existing specs."""
-    parts = []
+def free_product(*factors: FiniteGroup) -> GroupSpec:
+    """Free product of finite groups (one finite part per factor)."""
     for f in factors:
-        if isinstance(f, str):
-            parts.append(FreePart(f))
-        elif isinstance(f, FiniteGroup):
-            parts.append(FinitePart(f))
-        elif isinstance(f, GroupSpec):
-            parts.extend(f.parts)
-        elif isinstance(f, (FreePart, FinitePart)):
-            parts.append(f)
-        else:
+        if not isinstance(f, FiniteGroup):
             raise TypeError(f"cannot use {f!r} as a free factor")
-    return GroupSpec(parts)
+    return GroupSpec([FinitePart(f) for f in factors])
 
 
 def _merge(spec: GroupSpec, left, right):

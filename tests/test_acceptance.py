@@ -76,8 +76,7 @@ def test_criterion_2_increment_isomorphism_s3():
     exact_ok = all(r.passed() for r in grouped)
     family = increment_family(spec, K, 1)
     mc = independence_mc(shift.space, family[:4], 10 ** 5,
-                         derive_seed(SEED, "c2/mc"), 0.999,
-                         name="s3-subfamily-mc")
+                         derive_seed(SEED, "c2/mc"), name="s3-subfamily-mc")
     equi = increment_equivariance_report(spec, K, 1, 100, derive_seed(SEED, "c2/e"))
     rt = increment_roundtrip_report(spec, K, 1, 100, derive_seed(SEED, "c2/r"))
     criterion(2, "increment isomorphism, K=S3 at radius 1",
@@ -105,7 +104,7 @@ def test_criterion_3_coinduction_characterization():
 
     kappa = 2
     f2 = free_group("a", "b")
-    twisted = TwistedCosetShift(f2, "b", kappa, {"a": 0, "b": 1})
+    twisted = TwistedCosetShift(f2, "b", kappa)
     tbase = coset(f2, "b", f2.identity())
     trho = WindowFunction("rho", (tbase,), kappa, lambda x: x.value(tbase))
 

@@ -128,7 +128,18 @@ def test_coinduction_of_bernoulli_is_bernoulli():
 
 
 def twisted_action(kappa=2):
-    return TwistedCosetShift(F2, "b", kappa, {"a": 0, "b": 1})
+    return TwistedCosetShift(F2, "b", kappa)
+
+
+@pytest.mark.parametrize("kappa", [2, 3])
+@pytest.mark.parametrize("subgroup", ["b", "a"])
+def test_twist_is_the_subgroup_exponent_sum(subgroup, kappa):
+    act = TwistedCosetShift(F2, subgroup, kappa)
+    gen = F2.generator(subgroup)
+    for g in ball(F2, 3):
+        exponent = sum(1 if letter is gen else -1 if letter is gen.inverse() else 0
+                       for letter in g.letters())
+        assert act.twist(g) == exponent % kappa, g
 
 
 def test_twisted_generator_behaviour():
@@ -181,7 +192,7 @@ class ShiftedZ(Configuration):
 
 
 def test_first_return_immediate():
-    oracle = FirstReturnOracle(Z2, 0, 64)
+    oracle = FirstReturnOracle(Z2, 64)
     from orbitlab.spaces import SeededConfiguration
     z = SeededConfiguration(oracle.space, 3, {0: 0, 1: 0})
     eta = oracle.eta(1, z)
@@ -191,7 +202,7 @@ def test_first_return_immediate():
 
 
 def test_first_return_invertible():
-    oracle = FirstReturnOracle(Z2, 0, 64)
+    oracle = FirstReturnOracle(Z2, 64)
     for i, z in enumerate(sample_stream(oracle.space, 14, 20)):
         from orbitlab.spaces import SeededConfiguration
         z = SeededConfiguration(oracle.space, derive_seed(14, str(i)), {0: 0})
@@ -204,7 +215,7 @@ def test_first_return_invertible():
 
 
 def test_first_return_cocycle_additive():
-    oracle = FirstReturnOracle(Z2, 0, 256)
+    oracle = FirstReturnOracle(Z2, 256)
     from orbitlab.spaces import SeededConfiguration
     for i in range(20):
         z = SeededConfiguration(oracle.space, derive_seed(15, str(i)), {0: 0})
@@ -217,7 +228,7 @@ def test_first_return_cocycle_additive():
 
 def test_kac_mean_return_time():
     kappa = 2
-    oracle = FirstReturnOracle(cyclic(kappa), 0, 512)
+    oracle = FirstReturnOracle(cyclic(kappa), 512)
     from orbitlab.spaces import SeededConfiguration
     n = 10 ** 4
     total = 0
@@ -230,7 +241,7 @@ def test_kac_mean_return_time():
 
 
 def test_undetermined_scan_reported():
-    oracle = FirstReturnOracle(Z2, 0, 4)
+    oracle = FirstReturnOracle(Z2, 4)
     from orbitlab.spaces import ExplicitConfiguration
     z = ExplicitConfiguration(oracle.space, {i: 0 if i == 0 else 1 for i in range(-8, 9)})
     with pytest.raises(UndeterminedError):

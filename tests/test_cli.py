@@ -344,6 +344,13 @@ def test_run_suite_pauses_the_collector_and_restores_it(tmp_path, monkeypatch,
                                                          caller_enabled):
     check, budget, error, exit_code = COLLECTOR_PATHS[path]
     seen, cycles = spy_on_runner(monkeypatch, check, error)
+    collect, collections = gc.collect, []
+
+    def spy_collect(*args):
+        collections.append(args)
+        return collect(*args)
+
+    monkeypatch.setattr(gc, "collect", spy_collect)
     config = write_config(tmp_path, minimal_config(checks=[{"name": check}]))
     (gc.enable if caller_enabled else gc.disable)()
     caller = gc.isenabled(), gc.get_threshold()
@@ -358,6 +365,8 @@ def test_run_suite_pauses_the_collector_and_restores_it(tmp_path, monkeypatch,
     assert (gc.isenabled(), gc.get_threshold()) == caller
     reports = list((tmp_path / "out").glob("00-*.json"))
     assert len(reports) == (exit_code in (0, 1))
+    # one young-generation collection per returned check, none after a raise
+    assert collections == [(0,)] * len(reports)
     for report in reports:
         # the young-generation collection after the check freed its cycle;
         # on the other paths the exception in flight still holds the frame

@@ -111,7 +111,7 @@ def test_cocycle_identity_for_coinduced_transfer():
     # transfer cocycle values feed an inner rotation; identity must hold
     kappa = 3
     from orbitlab.actions import TwistedCosetShift
-    act = TwistedCosetShift(F2, "b", kappa, {"a": 0, "b": 1})
+    act = TwistedCosetShift(F2, "b", kappa)
     target = CocycleTarget(F2, cyclic(kappa))
     A, B = F2.generator("a"), F2.generator("b")
     entries = {

@@ -60,7 +60,7 @@ def _shift_actions():
     differ only in their inner permutation."""
     reverse = SubgroupAlphabetAction(F2, "b", cyclic(3), gen_perm=(2, 0, 1))
     return [BernoulliShift(F2, cyclic(3), subgroup="b"),
-            TwistedCosetShift(F2, "b", 3, {"a": 1, "b": 1}),
+            TwistedCosetShift(F2, "b", 3),
             CoinducedAction(F2, "b", rotation_action(F2, "b", 3)),
             CoinducedAction(F2, "b", reverse)]
 

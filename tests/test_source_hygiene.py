@@ -1,5 +1,5 @@
-"""Structural guards over the package source: no dead entry points and no
-dead imports.
+"""Structural guards over the package source: no dead entry points, no
+dead options and no dead imports.
 
 An entry point is a top-level function or class, or a method of a
 top-level class, in `src/orbitlab/*.py`, public or private; dunders and
@@ -7,6 +7,12 @@ decorated private ones (registered runners, properties) are not checked.
 It is live if its name appears in `src/` or `demos/` outside its own `def`
 or `class` body, as a name or an attribute.  Tests do not count: a path
 that only tests reach is not part of the workbench.
+
+An option is a parameter with a default on a top-level function or a
+method of a top-level class.  It is live if some call in `src/` or
+`demos/` to a function or class of its name (matched by name, as entry
+points are) sets it, by keyword or by position.  An option that no such
+call sets has one value, and that value belongs in the body.
 """
 
 import ast
@@ -23,6 +29,21 @@ ALLOWED_UNNAMED = {
     "groups.FiniteGroup.element_order": "a group fact the group tests check",
     "words.Word.letters": "the independent recursion "
                           "test_omega_transfer_cross_module_equality peels words with",
+}
+
+
+# qualified parameter -> why it keeps its default although nothing in src/ or
+# demos/ sets it
+ALLOWED_UNSET = {
+    "actions.CoinducedAction.__init__.r_mode": "the reference test "
+                                               "test_twisted_equals_coinduced_with_retraction "
+                                               "builds the retraction mode",
+    "cli.run_suite.stream": "tests capture the output",
+    "cli.main.argv": "the console entry reads sys.argv",
+    "constructions.match_determinacy_report.context_radius": "Tier-1 runs the 5e "
+                                                             "measurement at 64 to stay fast",
+    "words.cosets_ball.exponent_bound": "part of ball's length function, "
+                                        "which cosets_ball takes whole",
 }
 
 
@@ -77,6 +98,57 @@ def dead_entry_points():
     return dead
 
 
+def _options(tree):
+    """(qualified name, callee name, position or None, parameter name) of
+    every parameter with a default; a method's position does not count its
+    self, and the callee of `__init__` is its class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    owned = [(node, "", node.name) for node in tree.body if isinstance(node, defs)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            owned += [(item, f"{cls.name}.",
+                       cls.name if item.name == "__init__" else item.name)
+                      for item in cls.body if isinstance(item, defs)]
+    for fn, owner, callee in owned:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if owner else 0
+        first_default = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first_default:], first_default):
+            yield f"{owner}{fn.name}.{arg.arg}", callee, i - skip, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{owner}{fn.name}.{arg.arg}", callee, None, arg.arg
+
+
+def _calls(tree):
+    """(callee name, call node) of every call of a name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield node.func.id, node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
+def _sets(call, position, name) -> bool:
+    if any(keyword.arg == name for keyword in call.keywords):
+        return True
+    return position is not None and len(call.args) > position and not any(
+        isinstance(arg, ast.Starred) for arg in call.args[:position + 1])
+
+
+def unset_options():
+    calls = [found for path in SOURCES for found in _calls(_parse(path))]
+    unset = []
+    for path in MODULES:
+        for qualname, callee, position, name in _options(_parse(path)):
+            if not any(found == callee and _sets(call, position, name)
+                       for found, call in calls):
+                unset.append(f"{path.stem}.{qualname}")
+    return unset
+
+
 def unused_imports():
     unused = []
     for path in MODULES:
@@ -105,6 +177,15 @@ def test_allowlisted_entry_points_still_exist():
     names = {f"{path.stem}.{qualname}" for path in MODULES
              for qualname, _ in _entry_points(_parse(path))}
     assert set(ALLOWED_UNNAMED) <= names
+
+
+def test_every_option_is_set_by_some_call():
+    assert [key for key in unset_options() if key not in ALLOWED_UNSET] == []
+
+
+def test_allowlisted_options_still_exist_unset():
+    assert sorted(key for key in unset_options() if key in ALLOWED_UNSET) == \
+        sorted(ALLOWED_UNSET)
 
 
 def test_no_module_imports_a_name_it_never_uses():

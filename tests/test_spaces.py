@@ -162,7 +162,7 @@ def test_quotient_orbit_count():
     sp = f2space(K)
     window = ball(F2, 1)[:3]
     reps = set()
-    for config, _ in enumerate_window(sp, window):
+    for config in enumerate_window(sp, window):
         nx = quotient_normalize(config, window[0])
         reps.add(tuple(nx.value(c) for c in window))
     assert len(reps) == K.size ** (len(window) - 1)
@@ -239,7 +239,7 @@ def assert_matches_reference(space, variables, window):
     assert dist.state_count == count
     windows = {}
     keys = list(window_slots(space, window))
-    for state, _ in enumerate_window(space, window):
+    for state in enumerate_window(space, window):
         values = {c: state.value(c) for c in keys}
         assert state.point_key == ExplicitConfiguration(space, values).point_key
         assert windows.setdefault(state.point_key, values) == values

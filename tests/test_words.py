@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from orbitlab.groups import cyclic
-from orbitlab.words import (BallNotFiniteError, Coset, SpecMismatchError, Word,
-                            _reduce_concat, ball, coset, cosets_ball,
-                            extension_sphere, free_group, free_product,
+from orbitlab.words import (BallNotFiniteError, Coset, FinitePart, FreePart, GroupSpec,
+                            SpecMismatchError, Word, _reduce_concat, ball, coset,
+                            cosets_ball, extension_sphere, free_group, free_product,
                             omega_transfer, r_map, sphere, transversal_words)
 
 
@@ -39,7 +39,7 @@ def test_spec_mismatch():
 
 def _interning_specs():
     """Fresh specs, so that every product memo starts empty."""
-    return [free_group("a", "b"), free_product("a", cyclic(3, "c"))]
+    return [free_group("a", "b"), GroupSpec([FreePart("a"), FinitePart(cyclic(3, "c"))])]
 
 
 def test_words_are_interned_per_spec():
