@@ -8,10 +8,10 @@ a check parameter of the wrong type, below its least value, or an
 unknown mode, case, group, twist or instance, a `twist` that gives no
 homomorphism from `lam`, or a `lam` group clashing with `gamma`;
 `schema_version` other than the integer 1, a `suite` that is not a
-string, a `seed` that is not an integer, `samples`, `budget` or
-`scan_radius` that is not a positive integer, `<key>` for any other
-top-level key, `--seed-override` for an override that is not an integer,
-`--budget` for an override that is not a positive integer;
+string, a `seed` that is not an integer in [0, 2**64), `samples`, `budget`
+or `scan_radius` that is not a positive integer, `<key>` for any other
+top-level key, `--seed-override` for an override that is not an integer
+in [0, 2**64), `--budget` for an override that is not a positive integer;
 `groups.<name>.order` for a cyclic order that is not a positive integer,
 `groups.<name>.prefix` for a cyclic prefix that is not a string;
 `groups.<name>` for an invalid table, or a table name or element name
@@ -61,7 +61,7 @@ from .constructions import (CylinderAction, FactorSetting, StarAction,
                             star_relation_report)
 from .groups import (Alphabet, FiniteGroup, GroupTableError, cyclic, klein_four,
                      load_group_table, s3)
-from .spaces import BudgetExceededError, DEFAULT_BUDGET, derive_seed
+from .spaces import BudgetExceededError, DEFAULT_BUDGET, SEED_LIMIT, derive_seed
 from .verify import (FAIL, PASS, UNDETERMINED, Check, Selector, VerificationReport,
                      WindowFunction, coordinate_variable, family_window,
                      independence_exact, independence_mc,
@@ -491,6 +491,12 @@ def _positive_int(field_name: str, value) -> int:
     return value
 
 
+def _seed_in_range(field_name: str, seed: int) -> int:
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(field_name, f"expected a seed in [0, 2**64), got {seed}")
+    return seed
+
+
 def _fits(default, value) -> bool:
     """An int default takes a JSON integer (not a bool), a null default an
     integer or null, and a bool, str or list default that type."""
@@ -513,7 +519,7 @@ def parse_config(document: dict) -> tuple[SuiteContext, list]:
         raise ConfigError("suite", f"expected a string, got {document['suite']!r}")
     if type(document.get("seed")) is not int:
         raise ConfigError("seed", "an integer seed is mandatory")
-    ctx = SuiteContext(seed=document["seed"], **{
+    ctx = SuiteContext(seed=_seed_in_range("seed", document["seed"]), **{
         key: _positive_int(key, document[key]) for key in SETTINGS if key in document})
     groups = document.get("groups", {})
     if not isinstance(groups, dict):
@@ -587,7 +593,7 @@ def run_suite(config_path, out_dir, only: str | None = None,
             if type(seed_override) is not int:
                 raise ConfigError("--seed-override",
                                   f"expected an integer, got {seed_override!r}")
-            ctx.seed = seed_override
+            ctx.seed = _seed_in_range("--seed-override", seed_override)
         if budget_override is not None:
             ctx.budget = _positive_int("--budget", budget_override)
         # i is the check's index in the config, also under --only

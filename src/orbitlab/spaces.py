@@ -6,8 +6,11 @@ coordinate's canonical serialization; an explicit one holds a finite
 window and rejects reads outside it.  The PRF keying makes every "a.e.
 point" reproducible: two reads of the same (seed, coordinate) agree no
 matter in which order coordinates are queried, and distinct seeds behave
-as independent samples.  `prf_value` is the one keyed PRF: a seeded read
-and a sampled window both evaluate it once per coordinate.
+as independent samples.  A seed is an integer in range(2**64)
+(`SEED_LIMIT`); any other raises ValueError, so no two seeds share a key.
+`prf_value` is the one keyed PRF: it reads through a copy of the seed's
+keyed BLAKE2b state (`keyed_state`), built once per seed, and a seeded
+read, a derived seed and a sampled window state all evaluate it.
 
 A finite window is one slot map (canonical coordinate -> index into a
 values tuple), shared by all of its states.  Exact cylinder distributions
@@ -16,9 +19,9 @@ floating point anywhere in the exact path.  Every variable of an exact
 law declares the coordinates it reads, and the window coordinates that
 none declares are summed out exactly (each contributes the same factor to
 every count), so only the declared ones are enumerated; `state_count`
-still counts the states of the whole window.  `sample_window_stream` draws
-the seeded points of `sample_stream` restricted to a window, on the same
-kind of slot map.
+still counts the states of the whole window.  `sample_window_values`
+draws the values of the seeded points of `sample_stream` on a window's
+slot map.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .words import Coset, GroupSpec, Word, coset
 
 DEFAULT_BUDGET = 2 ** 24
 
-_MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 64
 
 
 class MissingCoordinateError(KeyError):
@@ -54,20 +57,27 @@ class BudgetExceededError(ValueError):
 
 
 def _seed_key(seed: int) -> bytes:
-    """The 8-byte BLAKE2b key of a seed."""
-    return (seed & _MASK64).to_bytes(8, "little")
+    """The 8-byte BLAKE2b key of a seed in range(2**64)."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed {seed} is outside range(2**64)")
+    return seed.to_bytes(8, "little")
 
 
-def prf_value(seed_key: bytes, key: bytes, size: int) -> int:
-    """The PRF value in range(size) of the encoded coordinate key under a
-    seed key from `_seed_key`."""
-    digest = blake2b(key, key=seed_key, digest_size=8).digest()
-    return int.from_bytes(digest, "little") % size
+def keyed_state(seed: int):
+    """The seed's keyed BLAKE2b state, which `prf_value` copies per read."""
+    return blake2b(key=_seed_key(seed), digest_size=8)
+
+
+def prf_value(keyed, key: bytes, size: int) -> int:
+    """The PRF value in range(size) of the encoded key under a seed's
+    `keyed_state`: `blake2b(key, key=_seed_key(seed), digest_size=8)`."""
+    h = keyed.copy()
+    h.update(key)
+    return int.from_bytes(h.digest(), "little") % size
 
 
 def derive_seed(seed: int, tag: str) -> int:
-    digest = blake2b(tag.encode("utf-8"), key=_seed_key(seed), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return prf_value(keyed_state(seed), tag.encode("utf-8"), SEED_LIMIT)
 
 
 # -- index sets ---------------------------------------------------------------
@@ -176,7 +186,7 @@ class SeededConfiguration(Configuration):
         self.seed = seed
         self._index = index = space.index
         self._size = space.alphabet.size
-        self._seed_key = _seed_key(seed)
+        self._keyed = keyed_state(seed)
         overrides = {index.canonicalize(k): v for k, v in (overrides or {}).items()}
         self._cache: dict = dict(overrides)  # overrides, then PRF values read
         self._key = ("seeded", seed, tuple(sorted(
@@ -192,7 +202,7 @@ class SeededConfiguration(Configuration):
             c = self._index.canonicalize(coord)
             v = self._cache.get(c)
             if v is None:
-                v = prf_value(self._seed_key, self._index.key(c).encode(), self._size)
+                v = prf_value(self._keyed, self._index.key(c).encode(), self._size)
                 self._cache[c] = v
         return v
 
@@ -260,27 +270,30 @@ def sample(space: Space, seed: int) -> Configuration:
     return SeededConfiguration(space, seed)
 
 
-def sample_stream(space, seed: int, count: int) -> Iterator[Configuration]:
+def _sample_seeds(seed: int, count: int) -> Iterator[int]:
+    """`derive_seed(seed, f"sample/{i}")` for i in range(count), all read
+    through one keyed state of `seed`."""
+    base = keyed_state(seed)
     for i in range(count):
-        yield sample(space, derive_seed(seed, f"sample/{i}"))
+        yield prf_value(base, f"sample/{i}".encode(), SEED_LIMIT)
 
 
-def sample_window_stream(space: Space, coords, seed: int, count: int
-                         ) -> Iterator[Configuration]:
-    """The points of `sample_stream(space, seed, count)` restricted to the
-    window `coords`: each agrees with its seeded point on the window, and a
-    read outside it raises MissingCoordinateError.
+def sample_stream(space, seed: int, count: int) -> Iterator[Configuration]:
+    for s in _sample_seeds(seed, count):
+        yield sample(space, s)
 
-    Every point shares one slot map, built as in `enumerate_window`, so a
-    read with one of the objects of `coords` hits by identity.
-    """
-    slots = window_slots(space, coords)
+
+def sample_window_values(space: Space, slots: dict, seed: int, count: int
+                         ) -> Iterator[tuple]:
+    """The values on the slot map `slots` (from `window_slots`) of the points
+    of `sample_stream(space, seed, count)`, one tuple per point in slot
+    order, each to be read through `ExplicitConfiguration.on_slots`."""
     keys = [space.index.key(c).encode() for c in slots]
     size = space.alphabet.size
-    prf, on_slots = prf_value, ExplicitConfiguration.on_slots
-    for i in range(count):
-        seed_key = _seed_key(derive_seed(seed, f"sample/{i}"))
-        yield on_slots(space, slots, tuple([prf(seed_key, k, size) for k in keys]))
+    prf = prf_value
+    for s in _sample_seeds(seed, count):
+        keyed = keyed_state(s)
+        yield tuple([prf(keyed, k, size) for k in keys])
 
 
 def agree_on(x: Configuration, y: Configuration, coords) -> bool:

@@ -25,7 +25,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from scipy.special import gammaincinv
 
 from .spaces import (BudgetExceededError, Configuration, DEFAULT_BUDGET,
-                     enumerate_window, exact_distribution, sample_window_stream)
+                     ExplicitConfiguration, enumerate_window, exact_distribution,
+                     sample_window_values, window_slots)
 from .words import Coset, Word
 
 PASS = "pass"
@@ -266,17 +267,24 @@ def independence_mc(space, family: Sequence[WindowFunction], samples: int,
     """Chi-square gate for joint-equals-product-of-marginals on sampled points.
 
     Each sample is a point of `sample_stream(space, seed, samples)` read on
-    the family's declared window only (`sample_window_stream`).  The
-    contract is the one `exact_distribution`, and so `independence_exact`,
-    keeps: a variable is read only at the coordinates the family declares,
-    and a read of any other coordinate raises MissingCoordinateError.
+    the family's declared window only (`sample_window_values`).  The
+    samples are tallied by window state first, and the family is evaluated
+    once per distinct state, in the order the states first occur, so the
+    outcome table, its order and the first read that raises are those of
+    one evaluation per sample.  The contract is the one
+    `exact_distribution`, and so `independence_exact`, keeps: a variable
+    is read only at the coordinates the family declares, and a read of any
+    other coordinate raises MissingCoordinateError.
     """
     check = Check(name, "monte-carlo", seed)
+    slots = window_slots(space, family_window(family))
+    states = Counter(sample_window_values(space, slots, seed, samples))
     fns = [v.fn for v in family]
     counts: dict = {}
-    for x in sample_window_stream(space, family_window(family), seed, samples):
+    for values, n in states.items():
+        x = ExplicitConfiguration.on_slots(space, slots, values)
         key = tuple([fn(x) for fn in fns])
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + n
     stat, dof = _chi_square_independence(counts, samples)
     return _chi_square_gate(check, stat, dof, samples,
                             variables=[v.name for v in family])

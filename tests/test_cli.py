@@ -264,6 +264,8 @@ GROUP_CLASHES = [
     ({"schema_version": 1.0}, "schema_version"),
     ({"suite": 5}, "suite"),
     ({"suite": None}, "suite"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 2 ** 64}, "seed"),
 ])
 def test_malformed_config_exits_3(tmp_path, overrides, field):
     path = write_config(tmp_path, minimal_config(**overrides))
@@ -292,6 +294,23 @@ def test_non_integer_seed_override_exits_3(tmp_path, seed):
     assert stream.getvalue() == (f"config error at --seed-override: "
                                  f"expected an integer, got {seed!r}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7])
+def test_out_of_range_seed_override_exits_3(tmp_path, seed):
+    stream = io.StringIO()
+    code = run_suite(SUITES / "standard.cfg", tmp_path / "out",
+                     only="coinduction-characterization", seed_override=seed, stream=stream)
+    assert code == 3
+    assert stream.getvalue() == (f"config error at --seed-override: "
+                                 f"expected a seed in [0, 2**64), got {seed}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_extreme_seeds_are_accepted():
+    for seed in (0, 2 ** 64 - 1):
+        ctx, _ = parse_config(minimal_config(seed=seed))
+        assert ctx.seed == seed
 
 
 @pytest.fixture

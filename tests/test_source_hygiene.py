@@ -1,5 +1,5 @@
 """Structural guards over the package source: no dead entry points, no
-dead options and no dead imports.
+dead options, no dead imports and one keyed PRF.
 
 An entry point is a top-level function or class, or a method of a
 top-level class, in `src/orbitlab/*.py`, public or private; dunders and
@@ -207,3 +207,10 @@ def test_only_the_suite_runner_touches_the_garbage_collector():
             if "gc" in names:
                 importers.add(path.name)
     assert importers == {"cli.py"}
+
+
+def test_only_spaces_calls_blake2b():
+    # one keyed PRF: every seeded value, derived seed and sampled window
+    # state is read through spaces.prf_value on a seed's keyed state
+    callers = {path.name for path in MODULES if "blake2b(" in path.read_text()}
+    assert callers == {"spaces.py"}

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 from fractions import Fraction
+from hashlib import blake2b
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,8 @@ from orbitlab.spaces import (BudgetExceededError, CosetIndex, CylinderDistributi
                              RecordingConfiguration, SeededConfiguration, Space,
                              derive_seed, enumerate_window,
                              exact_distribution,
-                             sample, sample_stream,
-                             sample_window_stream, window_slots)
+                             keyed_state, prf_value, sample, sample_stream,
+                             sample_window_values, window_slots)
 from orbitlab.verify import WindowFunction, coordinate_variable
 from orbitlab.words import Word, ball, coset, free_group
 
@@ -202,16 +203,43 @@ def window_stream_cases():
 @pytest.mark.parametrize("space, window", window_stream_cases(), ids=["group", "coset"])
 def test_window_stream_matches_sample_stream(space, window):
     n = 60
-    windowed = list(sample_window_stream(space, window, 31, n))
+    slots = window_slots(space, window)
+    windowed = [ExplicitConfiguration.on_slots(space, slots, values)
+                for values in sample_window_values(space, slots, 31, n)]
     seeded = list(sample_stream(space, 31, n))
     assert len(windowed) == len(seeded) == n
-    slots = window_slots(space, window)
+    assert [y.seed for y in seeded] == [derive_seed(31, f"sample/{i}") for i in range(n)]
     for x, y in zip(windowed, seeded):
         assert [x.value(c) for c in window] == [y.value(c) for c in window]
         assert [x.value(c) for c in slots] == [y.value(c) for c in slots]
     assert len({tuple(x.value(c) for c in slots) for x in windowed}) > 1
     with pytest.raises(MissingCoordinateError):
         windowed[0].value(F2.word("b^-1 a^3"))
+
+
+SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1]
+PRF_KEYS = [b"", b"e", b"a^1 b^-1", "sample/7".encode(), b"x" * 200]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_prf_is_keyed_blake2b_of_the_seed(seed):
+    keyed = keyed_state(seed)
+    for key in PRF_KEYS:
+        digest = blake2b(key, key=seed.to_bytes(8, "little"), digest_size=8).digest()
+        expected = int.from_bytes(digest, "little")
+        assert prf_value(keyed, key, 2 ** 64) == expected
+        for size in (2, 6, 7):
+            assert prf_value(keyed, key, size) == expected % size
+    assert derive_seed(seed, "sample/7") == prf_value(keyed, b"sample/7", 2 ** 64)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7, -(2 ** 64)])
+def test_seeds_outside_64_bits_are_refused(seed):
+    space = zspace()
+    for make in (lambda: keyed_state(seed), lambda: derive_seed(seed, "t"),
+                 lambda: sample(space, seed), lambda: next(sample_stream(space, seed, 1))):
+        with pytest.raises(ValueError, match="outside range"):
+            make()
 
 
 # -- slot-indexed enumeration against a per-state reference --------------------

@@ -4,11 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitlab.groups import cyclic
-from orbitlab.spaces import GroupIndex, MissingCoordinateError, Space, sample_stream
+from orbitlab import verify
+from orbitlab.constructions import increment_family
+from orbitlab.groups import cyclic, s3
+from orbitlab.spaces import (ExplicitConfiguration, GroupIndex, MissingCoordinateError,
+                             Space, sample_stream, window_slots)
 from orbitlab.verify import (Check, Selector, VerificationReport, WindowFunction,
                              _chi_square_independence, chi_square_threshold,
-                             coordinate_variable,
+                             coordinate_variable, family_window,
                              generation_check, homogeneity_mc,
                              independence_exact, independence_mc,
                              selector_independence_exact,
@@ -58,26 +61,113 @@ def test_independence_mc_agrees_with_exact():
     assert bad_exact.verdict == bad_mc.verdict == "fail"
 
 
-@pytest.mark.parametrize("dependent", [False, True])
-def test_independence_mc_matches_a_sample_stream_reference(dependent):
-    """The window-sampled gate gives the statistic, dof and verdict of a
-    plain loop over the seeded points of sample_stream."""
+def xor_family(dependent):
+    """Z2 variables on the window {e, a, b}: 2^3 states, so they repeat."""
     xor = WindowFunction("x0+xb", (E, B), 2, lambda c: (c.value(E) + c.value(B)) % 2)
     family = [proj(E, "p"), proj(A, "q"), xor]
     if dependent:
         family.append(WindowFunction("q*xb", (A, B), 2,
                                      lambda c: c.value(A) * c.value(B)))
-    n, seed = 3000, 13
-    report = independence_mc(SPACE, family, n, seed)
+    return SPACE, family
+
+
+def s3_increments():
+    """Four S3 increment variables on a 6^5-state window."""
+    return Space(GroupIndex(F2), s3()), increment_family(F2, s3(), 1)[:4]
+
+
+def per_sample_counts(space, family, seed, n):
+    """One evaluation of the family per point of sample_stream."""
     counts: dict = {}
-    for x in sample_stream(SPACE, seed, n):
+    for x in sample_stream(space, seed, n):
         key = tuple(v.fn(x) for v in family)
         counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def recorded_tables(monkeypatch):
+    """The outcome tables independence_mc hands to the statistic, in order."""
+    tables = []
+    statistic = verify._chi_square_independence
+
+    def record(counts, total):
+        tables.append(list(counts.items()))
+        return statistic(counts, total)
+
+    monkeypatch.setattr(verify, "_chi_square_independence", record)
+    return tables
+
+
+# the Z2 family without or with its dependent variable, or the S3 family
+REFERENCE_CASES = {False: (lambda: xor_family(False), 3000, "pass"),
+                   True: (lambda: xor_family(True), 3000, "fail"),
+                   "s3": (s3_increments, 2000, "pass")}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_independence_mc_matches_a_sample_stream_reference(monkeypatch, case):
+    """The tallied gate gives the outcome table (in insertion order), the
+    statistic, dof and verdict of a plain loop over the seeded points of
+    sample_stream."""
+    make, n, verdict = REFERENCE_CASES[case]
+    space, family = make()
+    seed = 13
+    tables = recorded_tables(monkeypatch)
+    report = independence_mc(space, family, n, seed)
+    counts = per_sample_counts(space, family, seed, n)
+    assert tables == [list(counts.items())]
     stat, dof = _chi_square_independence(counts, n)
     threshold = chi_square_threshold(0.999, dof)
     assert report.statistics == {"chi_square": stat, "dof": dof, "threshold": threshold}
-    assert report.verdict == ("fail" if dependent else "pass")
+    assert report.verdict == verdict
     assert report.verdict == ("pass" if stat <= threshold else "fail")
+
+
+@pytest.mark.parametrize("case, n", [(lambda: xor_family(True), 500),
+                                     (s3_increments, 20000)], ids=["z2", "s3"])
+def test_independence_mc_evaluates_each_sampled_window_state_once(case, n):
+    space, family = case()
+    seed = 17
+    slots = window_slots(space, family_window(family))
+    states = {tuple(x.value(c) for c in slots) for x in sample_stream(space, seed, n)}
+    assert len(states) < n
+    calls = [0] * len(family)
+
+    def counted(i, fn):
+        def wrapper(x):
+            calls[i] += 1
+            return fn(x)
+        return wrapper
+
+    counted_family = [WindowFunction(v.name, v.coords, v.support, counted(i, v.fn))
+                      for i, v in enumerate(family)]
+    report = independence_mc(space, counted_family, n, seed)
+    assert calls == [len(states)] * len(family)
+    assert report.statistics == independence_mc(space, family, n, seed).statistics
+
+
+def test_independence_mc_raises_at_the_first_undeclared_read_of_the_sample_order():
+    """A variable that leaves its declared window on some states only still
+    raises, at the read the per-sample loop reaches first."""
+    def sneaky(c):
+        if c.value(E) == 1:
+            return c.value(A if c.value(B) == 0 else F2.word("a^2"))
+        return 0
+
+    family = [proj(B), WindowFunction("sneaky", (E, B), 2, sneaky)]
+    slots = window_slots(SPACE, family_window(family))
+    first = None
+    for x in sample_stream(SPACE, 1, 50):
+        values = tuple(x.value(c) for c in slots)
+        try:
+            sneaky(ExplicitConfiguration.on_slots(SPACE, slots, values))
+        except MissingCoordinateError as err:
+            first = err.coordinate
+            break
+    assert first is not None
+    with pytest.raises(MissingCoordinateError) as raised:
+        independence_mc(SPACE, family, 50, seed=1)
+    assert raised.value.coordinate == first
 
 
 def test_independence_mc_rejects_an_undeclared_read():
