@@ -4,9 +4,10 @@ suites, write one structured report per check plus a summary.
 Exit codes: 0 all checks pass, 1 any check fails, 2 undetermined outcomes
 (and no failures), 3 malformed config or a window over the enumeration
 budget, with one message naming the field (`checks[i].params.<key>` for
-a check parameter of the wrong type, below its least value, or an
-unknown mode, case, group, twist or instance, a `twist` that gives no
+an unknown check parameter, one of the wrong type or below its least
+value, an unknown mode, group, twist or instance, a `twist` that gives no
 homomorphism from `lam`, or a `lam` group clashing with `gamma`;
+`checks[i].<key>` for a check entry key other than `name` and `params`;
 `schema_version` other than the integer 1, a `suite` that is not a
 string, a `seed` that is not an integer in [0, 2**64), `samples`, `budget`
 or `scan_radius` that is not a positive integer, `<key>` for any other
@@ -14,6 +15,8 @@ top-level key, `--seed-override` for an override that is not an integer
 in [0, 2**64), `--budget` for an override that is not a positive integer;
 `groups.<name>.order` for a cyclic order that is not a positive integer,
 `groups.<name>.prefix` for a cyclic prefix that is not a string;
+`groups.<name>.kind` for an unknown kind, `groups.<name>.<key>` for a
+key its kind does not read;
 `groups.<name>` for an invalid table, or a table name or element name
 that is not a string: group text is refused, not coerced).  Report files
 are `NN-<check>.json`, NN being the check's index in the config's
@@ -107,10 +110,19 @@ def _free_factors(ctx: SuiteContext, params: dict) -> tuple[FiniteGroup, FiniteG
     return gamma, lam
 
 
+GROUP_KEYS = {"cyclic": ("kind", "order", "prefix"), "klein": ("kind",), "s3": ("kind",),
+              "table": ("kind", "name", "elements", "table")}
+
+
 def _build_group(name: str, doc: dict) -> FiniteGroup:
     if not isinstance(doc, dict):
         raise ConfigError(f"groups.{name}", "a group must be an object")
     kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in GROUP_KEYS:
+        raise ConfigError(f"groups.{name}.kind", f"unknown kind {kind!r}")
+    for key in doc:
+        if key not in GROUP_KEYS[kind]:
+            raise ConfigError(f"groups.{name}.{key}", f"unknown key for a {kind} group")
     if kind == "cyclic":
         order = doc.get("order")
         if type(order) is not int or order < 1:
@@ -125,12 +137,10 @@ def _build_group(name: str, doc: dict) -> FiniteGroup:
         return klein_four()
     if kind == "s3":
         return s3()
-    if kind == "table":
-        try:
-            return load_group_table(doc)
-        except GroupTableError as err:
-            raise ConfigError(f"groups.{name}", str(err)) from None
-    raise ConfigError(f"groups.{name}.kind", f"unknown kind {kind!r}")
+    try:
+        return load_group_table(doc)
+    except GroupTableError as err:
+        raise ConfigError(f"groups.{name}", str(err)) from None
 
 
 # -- check registry -------------------------------------------------------------
@@ -145,8 +155,8 @@ class CheckSpec:
     minimums: dict                    # integer parameter name -> least value
 
     def catalog_entry(self) -> dict:
-        return {"name": self.name, "anchor": self.name,
-                "description": self.description, "params": dict(self.params)}
+        return {"name": self.name, "description": self.description,
+                "params": dict(self.params)}
 
 
 REGISTRY: dict[str, CheckSpec] = {}
@@ -225,12 +235,11 @@ def _run_theorem_b(ctx: SuiteContext, params: dict) -> VerificationReport:
 
 @register("lemma-factor",
           "free-factor restriction of a coset shift and its quotient characterization",
-          {"gamma": "G", "lam": "L", "K": "K", "radius": 2},
-          {"radius": 0})
+          {"gamma": "G", "lam": "L", "K": "K"})
 def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-factor")
     setting = FactorSetting(*_free_factors(ctx, params), ctx.group(params, "K"))
-    radius = params["radius"]
+    radius = 2
     subs = [restriction_consequence_report(setting, radius, ctx.samples,
                                            derive_seed(ctx.seed, "lf/conseq")),
             restriction_equivariance_report(setting, ctx.samples,
@@ -252,9 +261,7 @@ def _run_lemma_factor(ctx: SuiteContext, params: dict) -> VerificationReport:
 
 @register("star-action",
           "transported free-product action over a co-induction, with both cocycles",
-          {"gamma": "G", "lam": "L", "K": "K", "twist": 1, "relation_radius": 3,
-           "orbit_radius": 2, "injectivity_grade": 2},
-          {"relation_radius": 0, "orbit_radius": 0, "injectivity_grade": 0})
+          {"gamma": "G", "lam": "L", "K": "K", "twist": 1})
 def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("star-action")
     gamma, lam = _free_factors(ctx, params)
@@ -273,12 +280,9 @@ def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
     system = component_twist_system(lam, K, [(ident_aut, trivial),
                                              (ident_aut, twisted)])
     star = StarAction(gamma, system)
-    subs = [star_relation_report(star, params["relation_radius"], ctx.samples,
-                                 derive_seed(ctx.seed, "st/rel")),
-            star_orbit_report(star, params["orbit_radius"], ctx.samples,
-                              derive_seed(ctx.seed, "st/orb")),
-            star_injectivity_report(star, params["injectivity_grade"], ctx.samples,
-                                    derive_seed(ctx.seed, "st/inj")),
+    subs = [star_relation_report(star, 3, ctx.samples, derive_seed(ctx.seed, "st/rel")),
+            star_orbit_report(star, 2, ctx.samples, derive_seed(ctx.seed, "st/orb")),
+            star_injectivity_report(star, 2, ctx.samples, derive_seed(ctx.seed, "st/inj")),
             star_conjugation_report(star)]
     return check.combine(subs, parameters={"gamma": gamma.label, "lam": lam.label,
                                            "K": K.label, "twist": K.names[twist]})
@@ -286,13 +290,9 @@ def _run_star_action(ctx: SuiteContext, params: dict) -> VerificationReport:
 
 @register("lemma-2",
           "cylinder compression of the twisted shift onto a higher-rank action",
-          {"kappa": 2, "identity_length": 4, "inverse_length": 3,
-           "freshness_grade": 2, "dependency_grade": 2, "dependency_samples": 10,
-           "determinacy_samples": 10 ** 4, "determinacy": True,
+          {"kappa": 2, "identity_length": 4, "inverse_length": 3, "determinacy": True,
            "measure_samples": 4000},
-          {"kappa": 2, "identity_length": 0, "inverse_length": 0,
-           "freshness_grade": 0, "dependency_grade": 0,
-           "dependency_samples": 1, "determinacy_samples": 1, "measure_samples": 1})
+          {"kappa": 2, "identity_length": 0, "inverse_length": 0, "measure_samples": 1})
 def _run_lemma_2(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-2")
     kappa = params["kappa"]
@@ -313,15 +313,12 @@ def _run_lemma_2(ctx: SuiteContext, params: dict) -> VerificationReport:
     subs.append(verify_inverse_pair(om, omp, words_inv, points_inv,
                                     lengths=(system.b_length_up, system.b_length_down),
                                     name="inverse-pair-and-length"))
-    subs.append(coset_freshness_report(system, params["freshness_grade"],
-                                       min(samples, 20),
+    subs.append(coset_freshness_report(system, 2, min(samples, 20),
                                        derive_seed(ctx.seed, "l2/fresh")))
-    subs.append(dependency_radius_report(system, params["dependency_grade"],
-                                         params["dependency_samples"],
+    subs.append(dependency_radius_report(system, 2, min(samples, 10),
                                          derive_seed(ctx.seed, "l2/dep")))
     if params["determinacy"]:
-        subs.append(match_determinacy_report(kappa, scan_radius,
-                                             params["determinacy_samples"],
+        subs.append(match_determinacy_report(kappa, scan_radius, 10 ** 4,
                                              derive_seed(ctx.seed, "l2/det")))
     subs.append(match_measure_report(kappa, scan_radius, params["measure_samples"],
                                      derive_seed(ctx.seed, "l2/mm")))
@@ -331,17 +328,15 @@ def _run_lemma_2(ctx: SuiteContext, params: dict) -> VerificationReport:
 
 @register("lemma-3",
           "diagonal Bernoulli extension of a stable orbit equivalence",
-          {"kappa": 2, "lambda_grade": 1, "y_order": 2},
-          {"kappa": 2, "lambda_grade": 0, "y_order": 1})
+          {"kappa": 2}, {"kappa": 2})
 def _run_lemma_3(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-3")
     kappa = params["kappa"]
     samples = min(ctx.samples, 25)
     soe = build_cylinder_oe(kappa, ctx.scan_radius)
     system = soe.system
-    lams = ball(system.spec_up, params["lambda_grade"],
-                parts=system.b_parts, exponent_bound=1)
-    y_alphabet = cyclic(params["y_order"])
+    lams = ball(system.spec_up, 1, parts=system.b_parts, exponent_bound=1)
+    y_alphabet = cyclic(2)
     subs = [extension_distinctness_report(soe, lams, samples,
                                           derive_seed(ctx.seed, "l3/dist"))]
     pairs = [(1, system.spec_up.identity()), (2, system.spec_up.generator("b0"))]
@@ -363,18 +358,13 @@ def _run_lemma_3(ctx: SuiteContext, params: dict) -> VerificationReport:
 
 
 @register("appendix-section",
-          "sections of free finite group actions on finite sets",
-          {"cases": [["cyclic", 2, 3], ["cyclic", 3, 2]]})
+          "sections of free finite group actions on finite sets", {})
 def _run_appendix_section(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("appendix-section")
     subs = []
-    for case in params["cases"]:
-        if not (isinstance(case, list) and len(case) == 3 and case[0] == "cyclic"
-                and all(type(n) is int and n > 0 for n in case[1:])):
-            raise ConfigError("cases", "cases are [\"cyclic\", order, copies] triples "
-                                       "of positive integers")
-        K = cyclic(case[1])
-        subs.append(section_report(K, free_action_on_cosets(K, case[2])))
+    for order, copies in ((2, 3), (3, 2)):
+        K = cyclic(order)
+        subs.append(section_report(K, free_action_on_cosets(K, copies)))
     # negative control: a fixed point must be rejected with a witness
     K = cyclic(2)
     alphabet = Alphabet(["p0", "p1", "p2"], label="3pts")
@@ -384,14 +374,10 @@ def _run_appendix_section(ctx: SuiteContext, params: dict) -> VerificationReport
 
 
 @register("lemma-indep",
-          "twisted-selector independence decision procedure",
-          {"x_size": 2, "value_size": 2, "index_size": 3},
-          {"x_size": 1, "value_size": 1, "index_size": 1})
+          "twisted-selector independence decision procedure", {})
 def _run_lemma_indep(ctx: SuiteContext, params: dict) -> VerificationReport:
     check = Check("lemma-indep")
-    x_size = params["x_size"]
-    value_size = params["value_size"]
-    index_size = params["index_size"]
+    x_size, value_size, index_size = 2, 2, 3
     flip = tuple((v + 1) % value_size for v in range(value_size))
     ident = tuple(range(value_size))
 
@@ -499,7 +485,7 @@ def _seed_in_range(field_name: str, seed: int) -> int:
 
 def _fits(default, value) -> bool:
     """An int default takes a JSON integer (not a bool), a null default an
-    integer or null, and a bool, str or list default that type."""
+    integer or null, and a bool or str default that type."""
     if default is None:
         return value is None or type(value) is int
     return type(value) is type(default)
@@ -533,6 +519,9 @@ def parse_config(document: dict) -> tuple[SuiteContext, list]:
     for i, entry in enumerate(checks):
         if not isinstance(entry, dict):
             raise ConfigError(f"checks[{i}]", "a check must be an object")
+        for key in entry:
+            if key not in ("name", "params"):
+                raise ConfigError(f"checks[{i}].{key}", "unknown key for a check")
         name = entry.get("name")
         if not isinstance(name, str) or name not in REGISTRY:
             raise ConfigError(f"checks[{i}].name", f"unknown check {name!r}")

@@ -43,7 +43,7 @@ def test_catalog_contains_required_checks():
                 "lemma-factor", "star-action", "lemma-3", "appendix-section"}
     assert required <= names
     for entry in list_checks():
-        assert entry["anchor"]
+        assert set(entry) == {"name", "description", "params"}
         assert entry["description"]
 
 
@@ -120,9 +120,7 @@ def test_undetermined_suite_exits_2(tmp_path):
     # a tiny scan radius leaves scans unresolved without failing anything
     doc = minimal_config(checks=[{
         "name": "lemma-2",
-        "params": {"kappa": 2, "identity_length": 2,
-                   "inverse_length": 2, "freshness_grade": 1,
-                   "dependency_grade": 1, "dependency_samples": 3,
+        "params": {"kappa": 2, "identity_length": 2, "inverse_length": 2,
                    "determinacy": False}}],
         samples=5, scan_radius=4)
     path = write_config(tmp_path, doc)
@@ -139,10 +137,10 @@ def test_budget_overflow_exits_3(tmp_path):
         assert code == 3
         assert stream.getvalue() == (f"config error at checks[{index}] ({name}): "
                                      f"{states} window states exceed budget 10\n")
-    # lemma-indep enumerates x_size * value_size^index_size states
-    doc = minimal_config(checks=[{"name": "lemma-indep", "params": {"index_size": 12}}])
-    message = "config error at checks[0] (lemma-indep): 8192 states exceed budget 100\n"
-    for budget, override in [(100, None), (None, 100)]:
+    # lemma-indep enumerates 2 x values times 2^3 selector values: 16 states
+    doc = minimal_config()
+    message = "config error at checks[0] (lemma-indep): 16 states exceed budget 10\n"
+    for budget, override in [(10, None), (None, 10)]:
         stream = io.StringIO()
         path = write_config(tmp_path, dict(doc, budget=budget) if budget else doc)
         assert run_suite(path, tmp_path / "indep", budget_override=override,
@@ -266,6 +264,15 @@ GROUP_CLASHES = [
     ({"suite": None}, "suite"),
     ({"seed": -1}, "seed"),
     ({"seed": 2 ** 64}, "seed"),
+    # a misspelt key is refused, not ignored
+    ({"checks": [{"name": "coinduction-characterization",
+                  "parms": {"instance": "bogus"}}]}, "checks[0].parms"),
+    ({"checks": [{"params": {}, "name": "lemma-indep", "only": True}]}, "checks[0].only"),
+    ({"groups": {"K": {"kind": "cyclic", "order": 2, "prefx": "k"}}}, "groups.K.prefx"),
+    ({"groups": {"K": {"kind": "klein", "order": 4}}}, "groups.K.order"),
+    ({"groups": {"K": {"kind": "s3", "prefix": "s"}}}, "groups.K.prefix"),
+    ({"groups": {"K": dict(_table("0", "1"), label="T")}}, "groups.K.label"),
+    ({"groups": {"K": {"kind": ["cyclic"], "order": 2}}}, "groups.K.kind"),
 ])
 def test_malformed_config_exits_3(tmp_path, overrides, field):
     path = write_config(tmp_path, minimal_config(**overrides))
@@ -409,6 +416,18 @@ def test_no_check_parameter_is_named_like_a_suite_setting():
         assert not settings & set(entry["params"]), entry["name"]
 
 
+def test_every_check_parameter_is_set_by_a_shipped_suite():
+    # a parameter that no shipped suite sets has one value in use, its
+    # default, and belongs in its runner as a constant
+    shipped = set()
+    for path in SUITES.glob("*.cfg"):
+        for entry in json.loads(path.read_text())["checks"]:
+            shipped.update((entry["name"], key) for key in entry.get("params", {}))
+    unset = sorted(f"{name}.{key}" for name, spec in REGISTRY.items()
+                   for key in spec.params if (name, key) not in shipped)
+    assert unset == []
+
+
 @pytest.mark.parametrize("overrides, field, message", GROUP_CLASHES)
 def test_group_clash_message_names_the_token(tmp_path, overrides, field, message):
     path = write_config(tmp_path, minimal_config(**overrides))
@@ -491,15 +510,13 @@ def test_reports_reproduce_across_hash_seeds(tmp_path):
         "K": {"kind": "cyclic", "order": 2},
         "G": {"kind": "cyclic", "order": 2, "prefix": "g"},
         "L": {"kind": "cyclic", "order": 2, "prefix": "h"}}, checks=[
-        {"name": "lemma-factor", "params": {"radius": 2}},
-        {"name": "star-action", "params": {"injectivity_grade": 1, "orbit_radius": 1,
-                                           "relation_radius": 2}},
+        {"name": "lemma-factor"},
+        {"name": "star-action"},
         {"name": "coinduction-characterization",
          "params": {"instance": "twisted-shift", "radius": 2}},
         {"name": "lemma-3"},
         {"name": "lemma-2", "params": {
-            "identity_length": 2, "inverse_length": 2, "dependency_grade": 2,
-            "dependency_samples": 2, "freshness_grade": 1, "determinacy": False,
+            "identity_length": 2, "inverse_length": 2, "determinacy": False,
             "measure_samples": 50}}])
     path = write_config(tmp_path, doc)
     runs = [run_cli_under_hash_seed(path, tmp_path / seed, seed) for seed in ("0", "1")]
