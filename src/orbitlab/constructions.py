@@ -33,7 +33,8 @@ from .verify import (FAIL, PASS, Check, UndeterminedError, VerificationReport,
                      WindowFunction, coordinate_variable, homogeneity_mc,
                      independence_exact, selector_independence_on_samples)
 from .words import (Coset, GroupSpec, Word, ball, coset, cosets_ball,
-                    extension_sphere, free_group, free_product, transversal_words)
+                    extension_sphere, free_group, free_product, syllable_token,
+                    transversal_words)
 
 
 # ===========================================================================
@@ -702,19 +703,31 @@ class AxisTape:
     time and kept.
 
     Position k holds base.value(coset(k, u0)), the coset (b)a^k u0 of a
-    coset-indexed base.  Every twisted translate of the base by a^m u0 reads
-    this tape shifted by m, so the translates share its reads, and the
-    parenthesis matches found on it, keyed by small ints.  Positions
-    low .. low + len(cells) - 1 have a cell, _UNREAD until read; widening
-    the cells reads nothing.
+    coset-indexed base.  Each cell is read once: from a seeded base by its
+    coordinate key (the tokens of a^k, then those of u0) for k != 0, which
+    builds no word or coset and leaves no entry in the base's cache; by
+    coset otherwise, so that k = 0, where a leading b of u0 canonicalizes,
+    and a recording base see coset reads.  Every twisted translate of the
+    base by a^m u0 reads this tape shifted by m, so the translates share its
+    reads, and the parenthesis matches found on it, keyed by small ints.
+    Positions low .. low + len(cells) - 1 have a cell, _UNREAD until read;
+    widening the cells reads nothing.
     """
 
-    __slots__ = ("base", "u0", "coset", "low", "cells", "matches")
+    __slots__ = ("base", "u0", "coset", "spec", "a_part", "read_key", "tail",
+                 "low", "cells", "matches")
 
-    def __init__(self, base: Configuration, u0: tuple, coset: Callable):
+    def __init__(self, base: Configuration, u0: tuple, coset: Callable,
+                 spec: GroupSpec, a_part: int):
         self.base = base
         self.u0 = u0
         self.coset = coset
+        self.spec = spec
+        self.a_part = a_part
+        self.read_key = None
+        if isinstance(base, SeededConfiguration):
+            self.read_key = base.read_key
+            self.tail = "".join([" " + syllable_token(spec, s) for s in u0])
         self.low = 0
         self.cells = array("H")
         self.matches: dict = {}
@@ -729,7 +742,10 @@ class AxisTape:
             i = self._widen(k)
         v = self.cells[i]
         if v == _UNREAD:
-            v = self.base.value(self.coset(k, self.u0))
+            if k and self.read_key is not None:
+                v = self.read_key(syllable_token(self.spec, ("g", self.a_part, k)) + self.tail)
+            else:
+                v = self.base.value(self.coset(k, self.u0))
             self.cells[i] = v
         return v
 
@@ -822,7 +838,7 @@ class CylinderAction(LetterAction):
         key = (base.point_key, u0)
         tape = self._tapes.get(key)
         if tape is None:
-            tape = AxisTape(base, u0, self._axis_coset)
+            tape = AxisTape(base, u0, self._axis_coset, self.f2, self.a_part)
             self._tapes[key] = tape
         return tape
 

@@ -8,8 +8,7 @@ in, such as the increment codes of K^n, is a plain alphabet.
 
 from __future__ import annotations
 
-import json
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 class GroupTableError(ValueError):
@@ -139,14 +138,13 @@ def s3() -> FiniteGroup:
 def load_group_table(document) -> FiniteGroup:
     """Build a validated group from a table document.
 
-    The document is a mapping (or a JSON string parsing to one) with fields
-    `name` (a string, optional), `elements` (array of distinct strings,
-    where only the identity may be named `e`) and `table` (array of arrays
-    of element indices).  Names are refused, not coerced, when they are not
-    strings.
+    The document is a mapping with fields `name` (a string, optional),
+    `elements` (array of distinct strings, where only the identity may be
+    named `e`) and `table` (array of arrays of element indices).  Any other
+    document, and a name that is not a string, is refused, not coerced.
     """
-    if isinstance(document, str):
-        document = json.loads(document)
+    if not isinstance(document, Mapping):
+        raise GroupTableError(f"a group table document must be a mapping, got {document!r}")
     for field in ("elements", "table"):
         if field not in document:
             raise GroupTableError(f"group table document is missing field {field!r}")

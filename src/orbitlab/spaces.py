@@ -10,7 +10,10 @@ as independent samples.  A seed is an integer in range(2**64)
 (`SEED_LIMIT`); any other raises ValueError, so no two seeds share a key.
 `prf_value` is the one keyed PRF: it reads through a copy of the seed's
 keyed BLAKE2b state (`keyed_state`), built once per seed, and a seeded
-read, a derived seed and a sampled window state all evaluate it.
+read, a derived seed and a sampled window state all evaluate it.  A seeded
+point is read by coordinate (`value`, which caches what it reads) or by
+coordinate key (`read_key`, which leaves no cache entry); both return its
+override first.
 
 A finite window is one slot map (canonical coordinate -> index into a
 values tuple), shared by all of its states.  Exact cylinder distributions
@@ -187,14 +190,22 @@ class SeededConfiguration(Configuration):
         self._index = index = space.index
         self._size = space.alphabet.size
         self._keyed = keyed_state(seed)
-        overrides = {index.canonicalize(k): v for k, v in (overrides or {}).items()}
-        self._cache: dict = dict(overrides)  # overrides, then PRF values read
-        self._key = ("seeded", seed, tuple(sorted(
-            (index.key(k), v) for k, v in overrides.items())))
+        self._overrides = {index.key(index.canonicalize(k)): v
+                           for k, v in (overrides or {}).items()}
+        self._cache: dict = {}  # the values read by coordinate
+        self._key = ("seeded", seed, tuple(sorted(self._overrides.items())))
 
     @property
     def point_key(self):
         return self._key
+
+    def read_key(self, key: str) -> int:
+        """The value at the coordinate whose index key is `key`: its override,
+        or else its PRF value.  Writes no cache entry."""
+        v = self._overrides.get(key)
+        if v is None:
+            v = prf_value(self._keyed, key.encode(), self._size)
+        return v
 
     def value(self, coord) -> int:
         v = self._cache.get(coord)
@@ -202,8 +213,7 @@ class SeededConfiguration(Configuration):
             c = self._index.canonicalize(coord)
             v = self._cache.get(c)
             if v is None:
-                v = prf_value(self._keyed, self._index.key(c).encode(), self._size)
-                self._cache[c] = v
+                v = self._cache[c] = self.read_key(self._index.key(c))
         return v
 
 

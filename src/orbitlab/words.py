@@ -204,6 +204,14 @@ def _reduce_concat(spec: GroupSpec, left: Sequence, right: Sequence) -> tuple:
     return tuple(out)
 
 
+def syllable_token(spec: GroupSpec, syllable: tuple) -> str:
+    """One syllable's token in `Word.tokens`, and so in coordinate keys:
+    `name^exponent` for a free generator, the element's name otherwise."""
+    kind, p, v = syllable
+    part = spec.parts[p]
+    return f"{part.name}^{v}" if kind == "g" else part.group.names[v]
+
+
 class Word:
     """Reduced word; immutable, hashable, totally comparable via sort_key.
 
@@ -326,13 +334,7 @@ class Word:
 
     def tokens(self) -> str:
         if self._tokens is None:
-            toks = []
-            for kind, p, v in self.syllables:
-                part = self.spec.parts[p]
-                if kind == "g":
-                    toks.append(f"{part.name}^{v}")
-                else:
-                    toks.append(part.group.names[v])
+            toks = [syllable_token(self.spec, s) for s in self.syllables]
             self._tokens = " ".join(toks) if toks else "e"
         return self._tokens
 

@@ -497,6 +497,72 @@ def test_tape_reads_the_cosets_a_direct_scan_reads():
     assert tape_log == direct_log
 
 
+class KeySpy(SeededConfiguration):
+    """A seeded point that logs each coordinate key read through `read_key`."""
+
+    def __init__(self, space, seed, overrides):
+        super().__init__(space, seed, overrides)
+        self.keys = []
+
+    def read_key(self, key):
+        self.keys.append(key)
+        return super().read_key(key)
+
+
+def _tape_prefixes(system):
+    """u0 = e, a u0 that is one b syllable, and b a^-2 b^-1."""
+    a, b = system.a0, system.b0
+    return [(), b.syllables, (b * a ** -2 * b ** -1).syllables]
+
+
+def _tape(system, x, u0):
+    return system.rho(system.twisted.apply(Word(system.f2, u0), x)).tape
+
+
+def test_tape_reads_a_seeded_base_by_the_index_key():
+    system = CylinderAction(2, 64)
+    prefixes = _tape_prefixes(system)
+    seed = derive_seed(44, "keys")
+    plain = SeededConfiguration(system.space, seed)
+    # the base coordinate (a k = 0 cell of two tapes) and two k != 0 cells
+    flipped = [system.base, system.axis_coset(3, prefixes[2]), system.axis_coset(-4, ())]
+    x = KeySpy(system.space, seed, {c: 1 - plain.value(c) for c in flipped})
+    cells = {}
+    for u0 in prefixes:
+        tape = _tape(system, x, u0)
+        assert tape.base is x and tape.u0 == u0
+        for k in range(-70, 71):
+            c = system.axis_coset(k, u0)
+            x.keys.clear()
+            cells[c] = tape.value(k)
+            if k:
+                assert x.keys == [system.space.coord_key(c)]
+    # only the k = 0 cells went through the point's cache, by coset
+    assert set(x._cache) == {system.space.index.canonicalize(system.axis_coset(0, u0))
+                             for u0 in prefixes}
+    assert len(cells) == 3 * 141 - 1  # the k = 0 cells of e and b are both (b)
+    for c, v in cells.items():
+        assert v == x.value(c)
+    for c in flipped:
+        assert cells[c] == 1 - plain.value(c)
+
+
+def test_tape_over_a_recording_base_reads_every_cell_by_coset():
+    # dependency_radius_report reads the log: a tape must not read a
+    # recording base by key
+    system = CylinderAction(2, 64)
+    prefixes = _tape_prefixes(system)
+    log = set()
+    x = RecordingConfiguration(system.sample_in_cylinder(derive_seed(44, "log")), log)
+    for u0 in prefixes:
+        tape = _tape(system, x, u0)
+        assert tape.base is x
+        for k in range(-70, 71):
+            assert tape.value(k) == x.base.value(system.axis_coset(k, u0))
+    assert log == {system.space.index.canonicalize(system.axis_coset(k, u0))
+                   for u0 in prefixes for k in range(-70, 71)}
+
+
 def _reference_return(z, direction, radius):
     """Offset of the first 0 after the origin of z, scanned one cell at a time."""
     for j in range(1, radius + 1):

@@ -44,3 +44,10 @@ def test_load_group_table_document():
     with pytest.raises(GroupTableError, match="missing field"):
         load_group_table({"elements": ["0"]})
 
+
+def test_load_group_table_refuses_a_document_that_is_not_a_mapping():
+    # a string would otherwise meet the field checks as substring tests
+    text = '{"elements": ["e"], "table": [[0]]}'
+    for document in (text, [["e"]], None):
+        with pytest.raises(GroupTableError, match="must be a mapping"):
+            load_group_table(document)
