@@ -64,7 +64,7 @@ from .constructions import (CylinderAction, FactorSetting, StarAction,
                             star_relation_report)
 from .groups import (Alphabet, FiniteGroup, GroupTableError, cyclic, klein_four,
                      load_group_table, s3)
-from .spaces import BudgetExceededError, DEFAULT_BUDGET, SEED_LIMIT, derive_seed
+from .spaces import BudgetExceededError, DEFAULT_BUDGET, SEED_LIMIT, derive_seed, seed_stream
 from .verify import (FAIL, PASS, UNDETERMINED, Check, Selector, VerificationReport,
                      WindowFunction, coordinate_variable, family_window,
                      independence_exact, independence_mc,
@@ -304,12 +304,11 @@ def _run_lemma_2(ctx: SuiteContext, params: dict) -> VerificationReport:
     sized = [(w, w.length()) for w in ball(system.spec_up, max_length)]
     pairs = [(g, h) for g, g_len in sized for h, h_len in sized
              if g_len + h_len <= max_length]
-    points = [system.sample_in_cylinder(derive_seed(ctx.seed, f"l2/id/{i}"))
-              for i in range(samples)]
+    points = [system.sample_in_cylinder(s) for s in seed_stream(ctx.seed, "l2/id", samples)]
     subs.append(verify_identity(om, pairs, points, name="forward-cocycle-identity"))
     words_inv = ball(system.spec_up, params["inverse_length"])
-    points_inv = [system.sample_in_cylinder(derive_seed(ctx.seed, f"l2/inv/{i}"))
-                  for i in range(samples)]
+    points_inv = [system.sample_in_cylinder(s)
+                  for s in seed_stream(ctx.seed, "l2/inv", samples)]
     subs.append(verify_inverse_pair(om, omp, words_inv, points_inv,
                                     lengths=(system.b_length_up, system.b_length_down),
                                     name="inverse-pair-and-length"))

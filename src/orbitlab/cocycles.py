@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .groups import FiniteGroup
-from .verify import PASS, Check, UndeterminedError, VerificationReport
+from .verify import PASS, Check, VerificationReport
 from .words import GroupSpec, Word
 
 
@@ -154,20 +154,17 @@ def verify_identity(c: Cocycle, pairs: Iterable[tuple[Word, Word]],
     pairs = list(pairs)
     for x in points:
         for g, h in pairs:
-            try:
+            with check.unresolved:
                 lhs = c.evaluate(g * h, x)
                 rhs = c.target.mul(c.evaluate(g, c.source.apply(h, x)), c.evaluate(h, x))
-            except UndeterminedError:
-                check.undetermined += 1
-                continue
-            if lhs != rhs:
-                return check.fail(
-                    statistics={"checked": check.checked},
-                    counterexample={"g": g, "h": h,
-                                    "point": str(getattr(x, "point_key", x)),
-                                    "lhs": c.target.describe(lhs),
-                                    "rhs": c.target.describe(rhs)})
-            check.checked += 1
+                if lhs != rhs:
+                    return check.fail(
+                        statistics={"checked": check.checked},
+                        counterexample={"g": g, "h": h,
+                                        "point": str(getattr(x, "point_key", x)),
+                                        "lhs": c.target.describe(lhs),
+                                        "rhs": c.target.describe(rhs)})
+                check.checked += 1
     return check.report(PASS, parameters={"pairs": len(pairs)},
                         statistics={"checked": check.checked,
                                     "undetermined": check.undetermined})
@@ -182,27 +179,24 @@ def verify_inverse_pair(forward: Cocycle, backward: Cocycle, words: Iterable[Wor
     words = list(words)
     for x in points:
         for g in words:
-            try:
+            with check.unresolved:
                 w = forward.target.word_part(forward.evaluate(g, x))
                 back = backward.target.word_part(backward.evaluate(w, x))
-            except UndeterminedError:
-                check.undetermined += 1
-                continue
-            if back != g:
-                return check.fail(
-                    statistics={"checked": check.checked},
-                    counterexample={"g": g, "forward": w, "back": back,
-                                    "point": str(getattr(x, "point_key", x))})
-            if lengths is not None:
-                src_len, tgt_len = lengths
-                if tgt_len(w) != src_len(g):
+                if back != g:
                     return check.fail(
                         statistics={"checked": check.checked},
-                        notes=("length preservation violated",),
-                        counterexample={"g": g, "forward": w,
-                                        "source_length": src_len(g),
-                                        "target_length": tgt_len(w)})
-            check.checked += 1
+                        counterexample={"g": g, "forward": w, "back": back,
+                                        "point": str(getattr(x, "point_key", x))})
+                if lengths is not None:
+                    src_len, tgt_len = lengths
+                    if tgt_len(w) != src_len(g):
+                        return check.fail(
+                            statistics={"checked": check.checked},
+                            notes=("length preservation violated",),
+                            counterexample={"g": g, "forward": w,
+                                            "source_length": src_len(g),
+                                            "target_length": tgt_len(w)})
+                check.checked += 1
     return check.report(
         PASS, parameters={"words": len(words), "length_check": lengths is not None},
         statistics={"checked": check.checked, "undetermined": check.undetermined})

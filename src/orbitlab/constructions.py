@@ -28,7 +28,7 @@ from .groups import Alphabet, FiniteGroup, cyclic
 from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
                      GroupIndex, IntIndex, RecordingConfiguration,
                      SeededConfiguration, Space, agree_on, derive_seed,
-                     exact_distribution, sample, sample_stream)
+                     exact_distribution, sample, sample_stream, seed_stream)
 from .verify import (FAIL, PASS, Check, UndeterminedError, VerificationReport,
                      WindowFunction, coordinate_variable, homogeneity_mc,
                      independence_exact, selector_independence_on_samples)
@@ -1031,8 +1031,8 @@ def match_determinacy_report(kappa: int, scan_radius: int, samples: int,
     # so one scan at the larger radius decides both counts
     radius = max(scan_radius, context_radius)
     unresolved = unresolved_context = 0
-    for i in range(samples):
-        z = SeededConfiguration(space, derive_seed(seed, f"det/{i}"), {0: 0})
+    for s in seed_stream(seed, "det", samples):
+        z = SeededConfiguration(space, s, {0: 0})
         for symbol in range(1, kappa):
             try:
                 offset = parenthesis_match(z, symbol, radius)
@@ -1072,9 +1072,8 @@ def match_measure_report(kappa: int, scan_radius: int, samples: int,
         forward image of a 0-cylinder point, or a target-cylinder point
         itself; and the count of unresolved scans."""
         codes, skipped = [], 0
-        for i in range(samples):
-            z = SeededConfiguration(space, derive_seed(seed, f"{tag}/{symbol}/{i}"),
-                                    {0: symbol if inverse else 0})
+        for s in seed_stream(seed, f"{tag}/{symbol}", samples):
+            z = SeededConfiguration(space, s, {0: symbol if inverse else 0})
             try:
                 m = parenthesis_match(z, symbol, scan_radius, inverse)
             except UndeterminedError:
@@ -1110,29 +1109,26 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
                              exponent_bound=1)
              if not w.is_identity]
     worst = 0
-    for i in range(samples):
-        base = system.sample_in_cylinder(derive_seed(seed, f"dep/{i}"))
+    for s in seed_stream(seed, "dep", samples):
+        base = system.sample_in_cylinder(s)
         for g in words:
             log: set = set()
             recorder = RecordingConfiguration(base, log)
-            try:
+            with check.unresolved:
                 om.evaluate(g, recorder)
-            except UndeterminedError:
-                check.undetermined += 1
-                continue
-            grade = system.b_length_up(g)
-            budget = 2 * g.length() * system.scan_radius
-            # in coordinate-key order, so a failure reports the least failing
-            # coset whatever the set's (hash-seeded) order
-            for c in sorted(log, key=recorder.space.coord_key):
-                b_read = c.rep.length("b")
-                a_read = c.rep.length("a")
-                worst = max(worst, a_read)
-                if b_read > grade or a_read > budget:
-                    return check.fail(counterexample={
-                        "g": g, "coset": c.rep, "b_grade": b_read, "a_offset": a_read,
-                        "allowed_grade": grade, "allowed_offset": budget})
-            check.checked += 1
+                grade = system.b_length_up(g)
+                budget = 2 * g.length() * system.scan_radius
+                # in coordinate-key order, so a failure reports the least
+                # failing coset whatever the set's (hash-seeded) order
+                for c in sorted(log, key=recorder.space.coord_key):
+                    b_read = c.rep.length("b")
+                    a_read = c.rep.length("a")
+                    worst = max(worst, a_read)
+                    if b_read > grade or a_read > budget:
+                        return check.fail(counterexample={
+                            "g": g, "coset": c.rep, "b_grade": b_read, "a_offset": a_read,
+                            "allowed_grade": grade, "allowed_offset": budget})
+                check.checked += 1
     return check.report(
         PASS, parameters={"max_grade": max_grade, "samples": samples,
                           "scan_radius": system.scan_radius},
@@ -1155,34 +1151,32 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
                                          system.spec_up.generator(f"b{i}", eps), n,
                                          parts=system.b_parts, exponent_bound=1)]
               for n in range(0, max_grade + 1)]
-    for s in range(samples):
-        x = system.sample_in_cylinder(derive_seed(seed, f"fresh/{s}"))
+    for s in seed_stream(seed, "fresh", samples):
+        x = system.sample_in_cylinder(s)
         for n, grade in enumerate(grades):
             seen: dict = {}
             for i, eps, g in grade:
-                try:
+                with check.unresolved:
                     wit = system.extension_word(i, eps, g, x, om)
-                except UndeterminedError:
-                    check.undetermined += 1
-                    continue
-                if system.b_length_down(wit) != n + 1:
-                    return check.fail(counterexample={"witness": wit, "grade": n})
-                first = wit.syllables[0]
-                if first[1] != system.b_part or (1 if first[2] > 0 else -1) != eps:
-                    return check.fail(notes=("leading letter of the witness is wrong",),
-                                      counterexample={"witness": wit, "eps": eps})
-                for m, am in a_powers:
-                    c = coset(system.f2, "b", am * wit)
-                    if c.rep.length("b") != n + 1:
-                        return check.fail(counterexample={"coset": c.rep, "grade": n})
-                    if c in seen:
-                        fi, feps, fg, fm = seen[c]
-                        return check.fail(notes=("coset collision",),
-                                          counterexample={"coset": c.rep,
-                                                          "first": (fi, feps, fg.tokens(), fm),
-                                                          "second": (i, eps, g.tokens(), m)})
-                    seen[c] = (i, eps, g, m)
-                    check.checked += 1
+                    if system.b_length_down(wit) != n + 1:
+                        return check.fail(counterexample={"witness": wit, "grade": n})
+                    first = wit.syllables[0]
+                    if first[1] != system.b_part or (1 if first[2] > 0 else -1) != eps:
+                        return check.fail(notes=("leading letter of the witness is wrong",),
+                                          counterexample={"witness": wit, "eps": eps})
+                    for m, am in a_powers:
+                        c = coset(system.f2, "b", am * wit)
+                        if c.rep.length("b") != n + 1:
+                            return check.fail(counterexample={"coset": c.rep, "grade": n})
+                        if c in seen:
+                            fi, feps, fg, fm = seen[c]
+                            return check.fail(
+                                notes=("coset collision",),
+                                counterexample={"coset": c.rep,
+                                                "first": (fi, feps, fg.tokens(), fm),
+                                                "second": (i, eps, g.tokens(), m)})
+                        seen[c] = (i, eps, g, m)
+                        check.checked += 1
     return check.report(
         PASS, parameters={"max_grade": max_grade, "samples": samples,
                           "offsets": list(offsets)},
@@ -1201,10 +1195,10 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
     exhaustive-enumeration property)."""
     check = Check("extension-address-distinctness", seed=seed)
     system = soe.system
-    for s in range(samples):
-        x = system.sample_in_cylinder(derive_seed(seed, f"ext/{s}"))
+    for s in seed_stream(seed, "ext", samples):
+        x = system.sample_in_cylinder(s)
         seen: dict = {}
-        try:
+        with check.unresolved:
             for i in range(1, soe.partition_count + 1):
                 for lam in lam_words:
                     address = soe.address(i, lam, x)
@@ -1214,8 +1208,6 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
                                                           "second": (i, lam.tokens())})
                     seen[address] = (i, lam.tokens())
                     check.checked += 1
-        except UndeterminedError:
-            check.undetermined += 1
     return check.report(
         PASS, parameters={"lambdas": len(lam_words), "samples": samples},
         statistics={"checked": check.checked, "undetermined_points": check.undetermined})
@@ -1239,21 +1231,18 @@ def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
         w = soe.forward.target.word_part(soe.forward.evaluate(lam, x))
         return system.apply(lam, x), bern.apply(w, y)
 
-    for s in range(samples):
-        x = system.sample_in_cylinder(derive_seed(seed, f"ea/{s}"))
-        y = sample(bern.space, derive_seed(seed, f"ea/y/{s}"))
+    for sx, sy in zip(seed_stream(seed, "ea", samples), seed_stream(seed, "ea/y", samples)):
+        x = system.sample_in_cylinder(sx)
+        y = sample(bern.space, sy)
         for l1 in words:
             for l2 in words:
-                try:
+                with check.unresolved:
                     x1, y1 = ext_apply(l1, x, y)
                     x2, y2 = ext_apply(l2, x1, y1)
                     x12, y12 = ext_apply(l2 * l1, x, y)
-                except UndeterminedError:
-                    check.undetermined += 1
-                    continue
-                if not agree_on(x2, x12, x_window) or not agree_on(y2, y12, window):
-                    return check.fail(counterexample={"first": l1, "second": l2})
-                check.checked += 1
+                    if not agree_on(x2, x12, x_window) or not agree_on(y2, y12, window):
+                        return check.fail(counterexample={"first": l1, "second": l2})
+                    check.checked += 1
     return check.report(PASS, parameters={"words": len(words), "samples": samples},
                         statistics={"checked": check.checked,
                                     "undetermined": check.undetermined})
@@ -1269,8 +1258,7 @@ def extension_independence_report(soe: StableOE, pairs: Sequence[tuple],
     downstairs group, the fresh-coordinate addresses of the extension."""
     system = soe.system
     names = [f"y@{i}|{lam.tokens()}" for i, lam in pairs]
-    points = [system.sample_in_cylinder(derive_seed(seed, f"ei/{s}"))
-              for s in range(samples)]
+    points = [system.sample_in_cylinder(s) for s in seed_stream(seed, "ei", samples)]
     return selector_independence_on_samples(
         points, lambda x: [(None, soe.address(i, lam, x)) for i, lam in pairs],
         y_alphabet.size, lambda h, v: v, names, name="extension-independence",

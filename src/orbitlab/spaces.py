@@ -8,6 +8,8 @@ point" reproducible: two reads of the same (seed, coordinate) agree no
 matter in which order coordinates are queried, and distinct seeds behave
 as independent samples.  A seed is an integer in range(2**64)
 (`SEED_LIMIT`); any other raises ValueError, so no two seeds share a key.
+Every per-point seed comes from `seed_stream(seed, tag, count)`: point i
+of the stream `tag` has the seed `derive_seed(seed, f"{tag}/{i}")`.
 `prf_value` is the one keyed PRF: it reads through a copy of the seed's
 keyed BLAKE2b state (`keyed_state`), built once per seed, and a seeded
 read, a derived seed and a sampled window state all evaluate it.  A seeded
@@ -211,9 +213,7 @@ class SeededConfiguration(Configuration):
         v = self._cache.get(coord)
         if v is None:
             c = self._index.canonicalize(coord)
-            v = self._cache.get(c)
-            if v is None:
-                v = self._cache[c] = self.read_key(self._index.key(c))
+            v = self._cache[c] = self.read_key(self._index.key(c))
         return v
 
 
@@ -280,16 +280,16 @@ def sample(space: Space, seed: int) -> Configuration:
     return SeededConfiguration(space, seed)
 
 
-def _sample_seeds(seed: int, count: int) -> Iterator[int]:
-    """`derive_seed(seed, f"sample/{i}")` for i in range(count), all read
-    through one keyed state of `seed`."""
+def seed_stream(seed: int, tag: str, count: int) -> Iterator[int]:
+    """The per-point seeds `derive_seed(seed, f"{tag}/{i}")` for i in
+    range(count), all read through one keyed state of `seed`."""
     base = keyed_state(seed)
     for i in range(count):
-        yield prf_value(base, f"sample/{i}".encode(), SEED_LIMIT)
+        yield prf_value(base, f"{tag}/{i}".encode(), SEED_LIMIT)
 
 
 def sample_stream(space, seed: int, count: int) -> Iterator[Configuration]:
-    for s in _sample_seeds(seed, count):
+    for s in seed_stream(seed, "sample", count):
         yield sample(space, s)
 
 
@@ -301,7 +301,7 @@ def sample_window_values(space: Space, slots: dict, seed: int, count: int
     keys = [space.index.key(c).encode() for c in slots]
     size = space.alphabet.size
     prf = prf_value
-    for s in _sample_seeds(seed, count):
+    for s in seed_stream(seed, "sample", count):
         keyed = keyed_state(s)
         yield tuple([prf(keyed, k, size) for k in keys])
 

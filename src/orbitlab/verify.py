@@ -104,6 +104,22 @@ class VerificationReport:
         return out
 
 
+class _Unresolved:
+    """The `with check.unresolved:` block of a `Check`."""
+
+    def __init__(self, check: "Check"):
+        self.check = check
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, err, tb) -> bool:
+        if kind is not None and issubclass(kind, UndeterminedError):
+            self.check.undetermined += 1
+            return True
+        return False
+
+
 class Check:
     """One running check: its name, mode and seed, stated once, its clock
     and its tally.
@@ -112,6 +128,9 @@ class Check:
     returns carries the seconds since then in `runtime_s`.  A check that
     counted an unresolved scan or an empty sample in `undetermined` reports
     UNDETERMINED in place of PASS; `checked` counts what was verified.
+    Each sampled case runs in a `with check.unresolved:` block, so an
+    UndeterminedError in it adds one to `undetermined` and ends that case
+    only; any other exception propagates.
     """
 
     def __init__(self, name: str, mode: str = "exact", seed: int | None = None):
@@ -120,6 +139,7 @@ class Check:
         self.seed = seed
         self.checked = 0
         self.undetermined = 0
+        self.unresolved = _Unresolved(self)
         self.started = time.perf_counter()
 
     def report(self, verdict: str, **fields) -> VerificationReport:
@@ -410,22 +430,19 @@ def selector_independence_on_samples(points: Iterable, selector_of_point: Callab
     enumerated exactly, must be the uniform product."""
     check = Check(name, seed=seed)
     for x in points:
-        try:
+        with check.unresolved:
             sel = selector_of_point(x)
-        except UndeterminedError:
-            check.undetermined += 1
-            continue
-        picked = [i for _, i in sel]
-        if len(set(picked)) != len(picked):
-            return check.fail(
-                notes=("precondition violation: selected indices collide",),
-                counterexample={"point": str(getattr(x, "point_key", x)),
-                                "selected": [str(s) for s in sel]})
-        defect = _selection_law_defect(sel, value_size, act)
-        if defect is not None:
-            return check.fail(counterexample={"point": str(getattr(x, "point_key", x)),
-                                              "values": defect[0]})
-        check.checked += 1
+            picked = [i for _, i in sel]
+            if len(set(picked)) != len(picked):
+                return check.fail(
+                    notes=("precondition violation: selected indices collide",),
+                    counterexample={"point": str(getattr(x, "point_key", x)),
+                                    "selected": [str(s) for s in sel]})
+            defect = _selection_law_defect(sel, value_size, act)
+            if defect is not None:
+                return check.fail(counterexample={"point": str(getattr(x, "point_key", x)),
+                                                  "values": defect[0]})
+            check.checked += 1
     return check.report(
         PASS, parameters={"family": list(family_names)},
         statistics={"points_checked": check.checked,

@@ -34,7 +34,7 @@ from orbitlab.constructions import (AxisView, CylinderAction, FactorSetting,
 from orbitlab.groups import cyclic, s3
 from orbitlab.spaces import (Configuration, ExplicitConfiguration, IntIndex,
                              RecordingConfiguration, SeededConfiguration, Space,
-                             agree_on, derive_seed, sample, sample_stream)
+                             agree_on, derive_seed, sample, sample_stream, seed_stream)
 from orbitlab.verify import (UndeterminedError, coordinate_variable, homogeneity_mc,
                              independence_exact)
 from orbitlab.actions import check_coinduced_characterization
@@ -779,6 +779,74 @@ def test_extension_action_axiom():
     assert report.counterexample is None
     assert report.statistics["checked"] > 50
 
+
+
+# -- unresolved scans: one rule, pinned counts ---------------------------------------
+#
+# At scan radius 4 many scans run out, so each sampled leaf counts both
+# verified cases and unresolved ones.  The triples were recorded before the
+# leaves shared `Check.unresolved`; a block that covers too much or too
+# little moves them.
+
+
+def _small_identity():
+    system = CylinderAction(2, 4)
+    sized = [(w, w.length()) for w in ball(system.spec_up, 2)]
+    pairs = [(g, h) for g, g_len in sized for h, h_len in sized if g_len + h_len <= 2]
+    points = [system.sample_in_cylinder(s) for s in seed_stream(51, "id", 6)]
+    return verify_identity(system.omega(), pairs, points)
+
+
+def _small_inverse_pair():
+    system = CylinderAction(2, 4)
+    points = [system.sample_in_cylinder(s) for s in seed_stream(52, "inv", 6)]
+    return verify_inverse_pair(system.omega(), system.omega_prime(),
+                               ball(system.spec_up, 2), points,
+                               lengths=(system.b_length_up, system.b_length_down))
+
+
+def _small_distinctness():
+    soe = build_cylinder_oe(2, 4)
+    lams = ball(soe.system.spec_up, 1, parts=soe.system.b_parts, exponent_bound=1)
+    return extension_distinctness_report(soe, lams, 8, 55)
+
+
+def _small_independence():
+    soe = build_cylinder_oe(2, 4)
+    pairs = [(1, soe.system.spec_up.identity()), (2, soe.system.spec_up.generator("b0"))]
+    return extension_independence_report(soe, pairs, Z2, 8, 57)
+
+
+def _small_action():
+    soe = build_cylinder_oe(2, 4)
+    return extension_action_report(soe, Z2, ball(soe.system.spec_up, 1), 3, 56)
+
+
+@pytest.mark.parametrize("run, outcome", [
+    (_small_identity, ("undetermined", 372, 282)),
+    (_small_inverse_pair, ("undetermined", 102, 120)),
+    (lambda: dependency_radius_report(CylinderAction(2, 4), 2, 4, 53),
+     ("undetermined", 714, 878)),
+    (lambda: coset_freshness_report(CylinderAction(2, 4), 1, 4, 54),
+     ("undetermined", 1424, 220)),
+    # one case per point: every point runs out, after 23 addresses in all
+    (_small_distinctness, ("undetermined", 23, 8)),
+    (_small_action, ("undetermined", 99, 48)),
+    (_small_independence, ("undetermined", 6, 2)),
+], ids=["identity", "inverse-pair", "dependency-radius", "fresh-cosets",
+        "extension-distinctness", "extension-action", "extension-independence"])
+def test_unresolved_scans_are_counted_per_case(run, outcome):
+    report = run()
+    stats = report.statistics
+    checked = stats.get("checked", stats.get("points_checked"))
+    undetermined = stats.get("undetermined", stats.get("undetermined_points"))
+    assert (report.verdict, checked, undetermined) == outcome
+
+
+@pytest.mark.parametrize("tag", ["sample", "dep", "mm/1"])
+def test_seed_stream_derives_one_seed_per_point(tag):
+    assert list(seed_stream(61, tag, 12)) == [derive_seed(61, f"{tag}/{i}")
+                                              for i in range(12)]
 
 def _memo_case(kind):
     """An action whose apply memoizes, a maker of one sampled point, and

@@ -1,0 +1,83 @@
+"""Mutants of the constructions that shipped leaf checks must catch.
+
+Each row names a leaf check and holds a mutant (a monkeypatch of the
+construction under test), the call of the leaf at the parameters and seed
+the shipped `standard` suite gives it, and the counterexample the FAIL must
+carry.  The same call without the mutant must not fail, so the FAIL is the
+mutant's doing.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from orbitlab.constructions import (CylinderAction, StableOE, build_cylinder_oe,
+                                    extension_action_report,
+                                    extension_distinctness_report)
+from orbitlab.groups import cyclic
+from orbitlab.spaces import derive_seed
+from orbitlab.words import ball
+
+ROOT = Path(__file__).resolve().parents[1]
+STANDARD = json.loads((ROOT / "src" / "orbitlab" / "suites" / "standard.cfg").read_text())
+SEED, SCAN_RADIUS, SAMPLES = STANDARD["seed"], STANDARD["scan_radius"], STANDARD["samples"]
+
+
+def _b0_inverse_repeats_b0(monkeypatch):
+    """A b0^-1 letter that does not undo b0: it carries the 1-cylinder
+    across the b-shift by b, not by b^-1 (a wrong sign)."""
+    letter_apply = CylinderAction._letter_apply
+
+    def mutant(self, letter, x):
+        _, part, v = letter.syllables[0]
+        if self.spec_up.part_name(part) != "b0" or v == 1:
+            return letter_apply(self, letter, x)
+        moved = self.twisted.apply(self.b0, self.theta(1, x))
+        return self.theta(0, moved, inverse=True)
+
+    monkeypatch.setattr(CylinderAction, "_letter_apply", mutant)
+
+
+def _extension_action():
+    # lemma-3's extension-action: kappa 2, min(samples, 25, 10) points
+    soe = build_cylinder_oe(2, SCAN_RADIUS)
+    return extension_action_report(soe, cyclic(2), ball(soe.system.spec_up, 1),
+                                   min(SAMPLES, 10), derive_seed(SEED, "l3/act"))
+
+
+def _partition_word_dropped(monkeypatch):
+    """The address without its transport syllable phi_i(lam * x): each
+    partition cell's address is the cocycle value alone."""
+
+    def mutant(self, i, lam, x):
+        return self.forward.target.word_part(self.forward.evaluate(lam, x))
+
+    monkeypatch.setattr(StableOE, "address", mutant)
+
+
+def _extension_distinctness():
+    # lemma-3's first extension-address-distinctness: kappa 2, b-ball of radius 1
+    soe = build_cylinder_oe(2, SCAN_RADIUS)
+    lams = ball(soe.system.spec_up, 1, parts=soe.system.b_parts, exponent_bound=1)
+    return extension_distinctness_report(soe, lams, min(SAMPLES, 25),
+                                         derive_seed(SEED, "l3/dist"))
+
+
+ROWS = {
+    "extension-action": (_b0_inverse_repeats_b0, _extension_action,
+                         {"first": "b0^-1", "second": "b0^1"}),
+    "extension-address-distinctness": (_partition_word_dropped, _extension_distinctness,
+                                       {"address": "a^-2", "first": [1, "a^-1"],
+                                        "second": [2, "a^-1"]}),
+}
+
+
+@pytest.mark.parametrize("leaf", sorted(ROWS))
+def test_leaf_check_catches_its_mutant(monkeypatch, leaf):
+    install, run, counterexample = ROWS[leaf]
+    assert run().verdict != "fail"
+    install(monkeypatch)
+    report = run()
+    assert (report.name, report.verdict) == (leaf, "fail")
+    assert report.to_payload()["counterexample"] == counterexample
