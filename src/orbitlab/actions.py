@@ -228,16 +228,25 @@ class Action:
     def apply(self, g: Word, x: Configuration) -> Configuration:
         raise NotImplementedError
 
+    def forget(self) -> None:
+        """Drop every entry kept for the points seen so far.  A point loop
+        calls it when it moves on to a new point: each entry is keyed on its
+        point's key, so a later point never reads it."""
+
 
 class LetterAction(Action):
     """An action given letter by letter: a subclass supplies
     _letter_apply(letter, x), and apply peels the first letter of g, applies
     the rest first and memoizes every image on (g, point key).
 
-    The memo lives as long as the action; every check builds its own."""
+    Every check builds its own action, and a point loop forgets a point's
+    entries when it moves on to the next point."""
 
     def __init__(self):
         self._memo: dict = {}
+
+    def forget(self) -> None:
+        self._memo.clear()
 
     def apply(self, g: Word, x: Configuration) -> Configuration:
         if g.is_identity:

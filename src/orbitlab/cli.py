@@ -594,8 +594,9 @@ def run_suite(config_path, out_dir, only: str | None = None,
         summary_checks = []
         verdicts = []
         for i, spec, params in selected:
-            # a check's memos live as long as it does, so full collections
-            # during it walk them and free almost nothing; everything the
+            # a check's word tables and per-check memos live as long as it
+            # does (its point loops forget only the per-point memos), so full
+            # collections during it walk them and free little; everything the
             # check allocated is still young once it returns.  A raising
             # check is not collected: the exception in flight still holds
             # its frames, so a collection would only promote its garbage

@@ -60,8 +60,9 @@ class Cocycle:
     letter and ("f", part, elem) to that of a finite-part element; every
     value function takes a point of the source space.
 
-    evaluate memoizes every value on (word, point key).  The memo lives as
-    long as the cocycle; every check builds its own.
+    evaluate memoizes every value on (word, point key).  Every check builds
+    its own cocycle, and a point loop forgets a point's entries when it moves
+    on to the next point.
     """
 
     def __init__(self, source, target: CocycleTarget, entries: dict,
@@ -106,6 +107,12 @@ class Cocycle:
 
     def __call__(self, g: Word, x):
         return self.evaluate(g, x)
+
+    def forget(self) -> None:
+        """Drop the memo entries of the points seen so far, and the source
+        action's (see Action.forget)."""
+        self._memo.clear()
+        self.source.forget()
 
 
 def homomorphism_cocycle(source, target: CocycleTarget,
@@ -153,6 +160,7 @@ def verify_identity(c: Cocycle, pairs: Iterable[tuple[Word, Word]],
     check = Check(name or f"{c.name}-identity")
     pairs = list(pairs)
     for x in points:
+        c.forget()
         for g, h in pairs:
             with check.unresolved:
                 lhs = c.evaluate(g * h, x)
@@ -178,6 +186,8 @@ def verify_inverse_pair(forward: Cocycle, backward: Cocycle, words: Iterable[Wor
     check = Check(name)
     words = list(words)
     for x in points:
+        forward.forget()
+        backward.forget()
         for g in words:
             with check.unresolved:
                 w = forward.target.word_part(forward.evaluate(g, x))

@@ -711,7 +711,9 @@ class AxisTape:
     base by a^m u0 reads this tape shifted by m, so the translates share its
     reads, and the parenthesis matches found on it, keyed by small ints.
     Positions low .. low + len(cells) - 1 have a cell, _UNREAD until read;
-    widening the cells reads nothing.
+    widening the cells reads nothing.  The action keeps the tape, its cells
+    and its matches until a point loop forgets the point
+    (CylinderAction.forget).
     """
 
     __slots__ = ("base", "u0", "coset", "spec", "a_part", "read_key", "tail",
@@ -794,6 +796,11 @@ class CylinderAction(LetterAction):
     induced (first-return) transformation of the a-axis restriction, each
     b_i through conjugating the twisted b-shift by the orbit matchings
     between the symbol cylinders.
+
+    The action memoizes its images (LetterAction) and keeps one a-axis tape
+    per (base point key, u0); forget drops both when a point loop moves on
+    to the next point.  The a-axis cosets it keeps (one per offset n, the
+    coset (b)a^n) do not depend on the point, and scans bound their offsets.
     """
 
     def __init__(self, kappa: int, scan_radius: int = 64):
@@ -833,6 +840,10 @@ class CylinderAction(LetterAction):
         if k == 0:
             return coset(self.f2, self.b_part, Word(self.f2, u0))
         return Coset(self.b_part, Word(self.f2, (("g", self.a_part, k),) + u0))
+
+    def forget(self) -> None:
+        super().forget()
+        self._tapes.clear()
 
     def _tape(self, base: Configuration, u0: tuple) -> AxisTape:
         key = (base.point_key, u0)
@@ -1114,6 +1125,7 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
         for g in words:
             log: set = set()
             recorder = RecordingConfiguration(base, log)
+            om.forget()  # each recorder is a new point
             with check.unresolved:
                 om.evaluate(g, recorder)
                 grade = system.b_length_up(g)
@@ -1153,6 +1165,7 @@ def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
               for n in range(0, max_grade + 1)]
     for s in seed_stream(seed, "fresh", samples):
         x = system.sample_in_cylinder(s)
+        om.forget()
         for n, grade in enumerate(grades):
             seen: dict = {}
             for i, eps, g in grade:

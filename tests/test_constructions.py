@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -561,6 +562,60 @@ def test_tape_over_a_recording_base_reads_every_cell_by_coset():
             assert tape.value(k) == x.base.value(system.axis_coset(k, u0))
     assert log == {system.space.index.canonicalize(system.axis_coset(k, u0))
                    for u0 in prefixes for k in range(-70, 71)}
+
+
+# -- point-scoped memos ------------------------------------------------------------
+
+
+def _roots(key) -> set:
+    """The point keys a memo or tape key is built on: its nested
+    ("seeded", ...) and ("recording", n) tuples."""
+    if not isinstance(key, tuple):
+        return set()
+    if key and key[0] in ("seeded", "recording"):
+        return {key}
+    return set().union(*map(_roots, key))
+
+
+def _assert_scoped_to(last, system, om):
+    keys = [*system._memo, *system._tapes, *om._memo]
+    assert system._memo and system._tapes and om._memo
+    for key in keys:
+        assert _roots(key) == {last}, key
+
+
+def test_point_loops_keep_only_the_last_points_entries():
+    system = CylinderAction(2, 32)
+    om = system.omega()
+    words = ball(system.spec_up, 1)
+    points = [system.sample_in_cylinder(s) for s in seed_stream(61, "scope", 3)]
+    verify_identity(om, list(itertools.product(words, words)), points)
+    _assert_scoped_to(points[-1].point_key, system, om)
+
+    system = CylinderAction(2, 32)
+    made = []
+    omega = system.omega
+    system.omega = lambda: made.append(omega()) or made[-1]
+    dependency_radius_report(system, 2, 3, derive_seed(61, "dep"))
+    # the recorder of the last (point, word) drew the last counter value
+    last = ("recording", next(RecordingConfiguration._counter) - 1)
+    _assert_scoped_to(last, system, made[0])
+
+
+def test_forget_drops_the_entries_of_the_source_action():
+    shift = BernoulliShift(F2, Z2)
+    state = dict(vars(shift))
+    shift.forget()
+    assert vars(shift) == state
+    system = CylinderAction(2, 64)
+    om = system.omega()
+    x = system.sample_in_cylinder(derive_seed(61, "forget"))
+    for g in ball(system.spec_up, 2):
+        with contextlib.suppress(UndeterminedError):
+            om.evaluate(g, x)
+    assert om._memo and system._memo and system._tapes
+    om.forget()
+    assert not om._memo and not system._memo and not system._tapes
 
 
 def _reference_return(z, direction, radius):

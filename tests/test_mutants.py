@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from orbitlab.cocycles import verify_inverse_pair
 from orbitlab.constructions import (CylinderAction, StableOE, build_cylinder_oe,
                                     extension_action_report,
                                     extension_distinctness_report)
 from orbitlab.groups import cyclic
-from orbitlab.spaces import derive_seed
+from orbitlab.spaces import derive_seed, seed_stream
 from orbitlab.words import ball
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +47,18 @@ def _extension_action():
                                    min(SAMPLES, 10), derive_seed(SEED, "l3/act"))
 
 
+def _inverse_pair_and_length():
+    # lemma-2's inverse-pair-and-length: kappa 2, the ball of radius 2, both
+    # length functions; the control run ends undetermined (763 checked, 162
+    # undetermined), each point's memo entries forgotten before the next
+    system = CylinderAction(2, SCAN_RADIUS)
+    points = [system.sample_in_cylinder(s) for s in seed_stream(SEED, "l2/inv", SAMPLES)]
+    return verify_inverse_pair(system.omega(), system.omega_prime(),
+                               ball(system.spec_up, 2), points,
+                               lengths=(system.b_length_up, system.b_length_down),
+                               name="inverse-pair-and-length")
+
+
 def _partition_word_dropped(monkeypatch):
     """The address without its transport syllable phi_i(lam * x): each
     partition cell's address is the cocycle value alone."""
@@ -70,6 +83,10 @@ ROWS = {
     "extension-address-distinctness": (_partition_word_dropped, _extension_distinctness,
                                        {"address": "a^-2", "first": [1, "a^-1"],
                                         "second": [2, "a^-1"]}),
+    "inverse-pair-and-length": (_b0_inverse_repeats_b0, _inverse_pair_and_length,
+                                {"g": "b0^-1", "forward": "b^-1 a^1",
+                                 "back": "b1^-1 a^1",
+                                 "point": "('seeded', 4205538112523174506, (('e', 0),))"}),
 }
 
 
