@@ -221,11 +221,11 @@ class Word:
     compare equal.  Sets of words iterate in an allocation order.
 
     Products are memoized in a dict on the left operand, keyed by the right
-    one; it, the rendered tokens and the first-letter split sit in fixed
-    slots, filled on first use.
+    one; it, the rendered tokens, the first-letter split and the default
+    `length()` sit in fixed slots, filled on first use.
     """
 
-    __slots__ = ("spec", "syllables", "_tokens", "_products", "_split")
+    __slots__ = ("spec", "syllables", "_tokens", "_products", "_split", "_length")
 
     def __new__(cls, spec: GroupSpec, syllables: tuple):
         table = spec._words
@@ -237,6 +237,7 @@ class Word:
             word._tokens = None
             word._products = None
             word._split = None
+            word._length = None
         return word
 
     # -- basic structure ------------------------------------------------------
@@ -317,8 +318,12 @@ class Word:
 
         mode "letters" counts exponent multiplicities (|exp| per free
         syllable, 1 per finite letter); mode "syllables" counts each maximal
-        syllable once regardless of exponent.
+        syllable once regardless of exponent.  The default length (every
+        part, letters) is kept in a fixed slot; other lengths are recounted.
         """
+        default = parts is None and mode == "letters"
+        if default and self._length is not None:
+            return self._length
         idx = _resolve_parts(self.spec, parts)
         total = 0
         for kind, p, v in self.syllables:
@@ -328,6 +333,8 @@ class Word:
                 total += 1
             else:
                 total += abs(v)
+        if default:
+            self._length = total
         return total
 
     # -- serialization --------------------------------------------------------

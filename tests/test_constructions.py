@@ -39,7 +39,7 @@ from orbitlab.spaces import (Configuration, ExplicitConfiguration, IntIndex,
 from orbitlab.verify import (UndeterminedError, coordinate_variable, homogeneity_mc,
                              independence_exact)
 from orbitlab.actions import check_coinduced_characterization
-from orbitlab.words import Word, ball, coset, free_group
+from orbitlab.words import Word, ball, coset, extension_sphere, free_group
 
 Z2 = cyclic(2)
 F2 = free_group("a", "b")
@@ -728,24 +728,34 @@ def test_coset_freshness_small():
     assert report.counterexample is None
 
 
-def test_coset_freshness_reports_a_collision(monkeypatch):
-    # a broken coset map that sends a^m w to a^sign(m) w makes m = -2 and
-    # m = -1 collide; both placements are reported by their tokens
-    import orbitlab.constructions as constructions
-
-    def collapsing_coset(spec, subgroup, g):
-        syl = g.syllables
-        if syl and syl[0][:2] == ("g", spec.part_index("a")):
-            g = Word(spec, (("g", syl[0][1], 1 if syl[0][2] > 0 else -1),) + syl[1:])
-        return coset(spec, subgroup, g)
-
-    monkeypatch.setattr(constructions, "coset", collapsing_coset)
+def test_fresh_coset_is_placed_by_offset_and_witness():
+    # coset_freshness_report keys each coset by (m, wit): a witness that
+    # passes its two checks leads with a b-syllable, so a^m * wit is already
+    # the canonical representative, one a-syllable followed by wit's
     system = CylinderAction(2, 64)
-    report = coset_freshness_report(system, 1, 2, seed=27)
-    assert report.verdict == "fail" and report.notes == ("coset collision",)
-    assert report.counterexample == {"coset": system.f2.word("a^-1 b^1 a^-1"),
-                                     "first": (0, 1, "a^-1", -2),
-                                     "second": (0, 1, "a^-1", -1)}
+    om = system.omega()
+    witnesses = 0
+    for s in seed_stream(27, "fresh", 2):
+        x = system.sample_in_cylinder(s)
+        om.forget()
+        for n in range(3):
+            for i, eps in itertools.product(range(2), (1, -1)):
+                letter = system.spec_up.generator(f"b{i}", eps)
+                for g in extension_sphere(system.spec_up, letter, n,
+                                          parts=system.b_parts, exponent_bound=1):
+                    try:
+                        wit = system.extension_word(i, eps, g, x, om)
+                    except UndeterminedError:
+                        continue
+                    first = wit.syllables[0]
+                    if (system.b_length_down(wit) != n + 1 or first[1] != system.b_part
+                            or (1 if first[2] > 0 else -1) != eps):
+                        continue
+                    witnesses += 1
+                    for m in (-2, -1, 1, 2):
+                        c = coset(system.f2, "b", system.a0 ** m * wit)
+                        assert c.rep.syllables == (("g", system.a_part, m),) + wit.syllables
+    assert witnesses > 0
 
 
 def test_match_determinacy_reflects_recurrence_tail():

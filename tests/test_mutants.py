@@ -14,7 +14,7 @@ import pytest
 
 from orbitlab.cocycles import verify_inverse_pair
 from orbitlab.constructions import (CylinderAction, StableOE, build_cylinder_oe,
-                                    extension_action_report,
+                                    coset_freshness_report, extension_action_report,
                                     extension_distinctness_report)
 from orbitlab.groups import cyclic
 from orbitlab.spaces import derive_seed, seed_stream
@@ -77,12 +77,34 @@ def _extension_distinctness():
                                          derive_seed(SEED, "l3/dist"))
 
 
+def _witness_forgets_its_cylinder(monkeypatch):
+    """A fresh-coordinate witness that ignores which cylinder it extends:
+    every i gets the witness of i = 0."""
+    extension_word = CylinderAction.extension_word
+
+    def mutant(self, i, eps, g, x, om):
+        return extension_word(self, 0, eps, g, x, om)
+
+    monkeypatch.setattr(CylinderAction, "extension_word", mutant)
+
+
+def _fresh_coset_grades():
+    # lemma-2's fresh-coset-grades: kappa 2, grades up to 2, min(samples, 20)
+    # points; the control run ends undetermined (95,724 checked, 5,349
+    # undetermined)
+    return coset_freshness_report(CylinderAction(2, SCAN_RADIUS), 2, min(SAMPLES, 20),
+                                  derive_seed(SEED, "l2/fresh"))
+
+
 ROWS = {
     "extension-action": (_b0_inverse_repeats_b0, _extension_action,
                          {"first": "b0^-1", "second": "b0^1"}),
     "extension-address-distinctness": (_partition_word_dropped, _extension_distinctness,
                                        {"address": "a^-2", "first": [1, "a^-1"],
                                         "second": [2, "a^-1"]}),
+    "fresh-coset-grades": (_witness_forgets_its_cylinder, _fresh_coset_grades,
+                           {"coset": "a^-2 b^1 a^-1", "first": [0, 1, "a^-1", -2],
+                            "second": [1, 1, "a^-1", -2]}),
     "inverse-pair-and-length": (_b0_inverse_repeats_b0, _inverse_pair_and_length,
                                 {"g": "b0^-1", "forward": "b^-1 a^1",
                                  "back": "b1^-1 a^1",

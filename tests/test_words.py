@@ -86,6 +86,19 @@ def test_first_letter_split_is_memoized(spec):
 
 
 @pytest.mark.parametrize("spec", _interning_specs(), ids=["F2", "a*Z3"])
+def test_default_length_is_memoized(spec):
+    for w in ball(spec, 3):
+        letters = [(p, 1 if kind == "f" else abs(v)) for kind, p, v in w.syllables]
+        # a count over some parts is not kept
+        assert w.length(spec.part_name(0)) == sum(n for p, n in letters if p == 0)
+        assert w._length is None
+        assert w.length() == w._length == sum(n for _, n in letters)
+        # nor is another mode served from the slot
+        assert w.length(mode="syllables") == len(w.syllables)
+        assert w.length() == w._length
+
+
+@pytest.mark.parametrize("spec", _interning_specs(), ids=["F2", "a*Z3"])
 def test_memoized_products_match_unmemoized_reduction(spec):
     words = ball(spec, 2)
     for _ in range(2):  # the second round is served by the memo
