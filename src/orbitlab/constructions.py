@@ -32,7 +32,7 @@ from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
 from .verify import (FAIL, PASS, Check, UndeterminedError, VerificationReport,
                      WindowFunction, coordinate_variable, homogeneity_mc,
                      independence_exact, selector_independence_on_samples)
-from .words import (Coset, GroupSpec, Word, ball, coset, cosets_ball,
+from .words import (GroupSpec, Word, ball, coset, cosets_ball,
                     extension_sphere, free_group, free_product, syllable_token,
                     transversal_words)
 
@@ -702,34 +702,34 @@ class AxisTape:
     """The values of one point along its a-axis, read one coordinate at a
     time and kept.
 
-    Position k holds base.value(coset(k, u0)), the coset (b)a^k u0 of a
-    coset-indexed base.  Each cell is read once: from a seeded base by its
-    coordinate key (the tokens of a^k, then those of u0) for k != 0, which
-    builds no word or coset and leaves no entry in the base's cache; by
-    coset otherwise, so that k = 0, where a leading b of u0 canonicalizes,
-    and a recording base see coset reads.  Every twisted translate of the
-    base by a^m u0 reads this tape shifted by m, so the translates share its
-    reads, and the parenthesis matches found on it, keyed by small ints.
+    Position k holds the base's value at the coset (b)a^k u0, read once by
+    its coordinate key through base.read_key, which builds no word or coset
+    and leaves no entry in a seeded base's cache.  The key is the token of
+    a^k, then those of u0, for k != 0, and u0's tokens without the first
+    one, or "e", for k = 0.  That is the canonical key of (b)u0 because rho
+    never hands a tape a u0 that leads with a, so any first syllable of u0
+    is a b syllable; the base coset's override is found by its key "e".
+    Every twisted translate of the base by a^m u0 reads this tape shifted
+    by m, so the translates share its reads, and the parenthesis matches
+    found on it, keyed by small ints.
     Positions low .. low + len(cells) - 1 have a cell, _UNREAD until read;
     widening the cells reads nothing.  The action keeps the tape, its cells
     and its matches until a point loop forgets the point
     (CylinderAction.forget).
     """
 
-    __slots__ = ("base", "u0", "coset", "spec", "a_part", "read_key", "tail",
+    __slots__ = ("base", "u0", "spec", "a_part", "read_key", "tail", "key0",
                  "low", "cells", "matches")
 
-    def __init__(self, base: Configuration, u0: tuple, coset: Callable,
-                 spec: GroupSpec, a_part: int):
+    def __init__(self, base: Configuration, u0: tuple, spec: GroupSpec, a_part: int):
         self.base = base
         self.u0 = u0
-        self.coset = coset
         self.spec = spec
         self.a_part = a_part
-        self.read_key = None
-        if isinstance(base, SeededConfiguration):
-            self.read_key = base.read_key
-            self.tail = "".join([" " + syllable_token(spec, s) for s in u0])
+        self.read_key = base.read_key
+        tokens = [syllable_token(spec, s) for s in u0]
+        self.tail = "".join([" " + t for t in tokens])
+        self.key0 = " ".join(tokens[1:]) or "e"
         self.low = 0
         self.cells = array("H")
         self.matches: dict = {}
@@ -744,11 +744,8 @@ class AxisTape:
             i = self._widen(k)
         v = self.cells[i]
         if v == _UNREAD:
-            if k and self.read_key is not None:
-                v = self.read_key(syllable_token(self.spec, ("g", self.a_part, k)) + self.tail)
-            else:
-                v = self.base.value(self.coset(k, self.u0))
-            self.cells[i] = v
+            v = self.cells[i] = self.read_key(
+                syllable_token(self.spec, ("g", self.a_part, k)) + self.tail if k else self.key0)
         return v
 
     def _widen(self, k: int) -> int:
@@ -799,8 +796,7 @@ class CylinderAction(LetterAction):
 
     The action memoizes its images (LetterAction) and keeps one a-axis tape
     per (base point key, u0); forget drops both when a point loop moves on
-    to the next point.  The a-axis cosets it keeps (one per offset n, the
-    coset (b)a^n) do not depend on the point, and scans bound their offsets.
+    to the next point.
     """
 
     def __init__(self, kappa: int, scan_radius: int = 64):
@@ -819,27 +815,10 @@ class CylinderAction(LetterAction):
         self.a_part, self.b_part = self.f2.part_index("a"), self.f2.part_index("b")
         self.base = coset(self.f2, "b", self.f2.identity())
         self.oracle = FirstReturnOracle(cyclic(kappa), scan_radius)
-        self._a_cosets: dict = {}
         self._tapes: dict = {}
-        self._axis_coset = self.axis_coset   # one bound method shared by the tapes
         self.b_parts = tuple(f"b{i}" for i in range(kappa))
 
     # -- plumbing ---------------------------------------------------------
-
-    def a_coset(self, n: int) -> Coset:
-        c = self._a_cosets.get(n)
-        if c is None:
-            c = coset(self.f2, "b", self.a0 ** n)
-            self._a_cosets[n] = c
-        return c
-
-    def axis_coset(self, k: int, u0: tuple) -> Coset:
-        """The coset (b)a^k u0, for u0 with no leading a syllable."""
-        if not u0:
-            return self.a_coset(k)
-        if k == 0:
-            return coset(self.f2, self.b_part, Word(self.f2, u0))
-        return Coset(self.b_part, Word(self.f2, (("g", self.a_part, k),) + u0))
 
     def forget(self) -> None:
         super().forget()
@@ -849,7 +828,7 @@ class CylinderAction(LetterAction):
         key = (base.point_key, u0)
         tape = self._tapes.get(key)
         if tape is None:
-            tape = AxisTape(base, u0, self._axis_coset, self.f2, self.a_part)
+            tape = AxisTape(base, u0, self.f2, self.a_part)
             self._tapes[key] = tape
         return tape
 
@@ -1108,6 +1087,15 @@ def match_measure_report(kappa: int, scan_radius: int, samples: int,
     return check.combine(reports, parameters={"coords": coords, "samples": samples})
 
 
+def _letters(spec: GroupSpec, key: str) -> dict[str, int]:
+    """|exponent| summed per generator name over the tokens of a free-group
+    coordinate key: Word.length of each part of the word it serializes."""
+    letters = {part.name: 0 for part in spec.parts}
+    for name, exp in spec.parse_tokens(key):
+        letters[name] += abs(exp)
+    return letters
+
+
 def dependency_radius_report(system: CylinderAction, max_grade: int, samples: int,
                              seed: int) -> VerificationReport:
     """Reads of the forward cocycle stay inside the declared window: the
@@ -1132,13 +1120,13 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
                 budget = 2 * g.length() * system.scan_radius
                 # in coordinate-key order, so a failure reports the least
                 # failing coset whatever the set's (hash-seeded) order
-                for c in sorted(log, key=recorder.space.coord_key):
-                    b_read = c.rep.length("b")
-                    a_read = c.rep.length("a")
+                for key in sorted(log):
+                    letters = _letters(system.f2, key)
+                    b_read, a_read = letters["b"], letters["a"]
                     worst = max(worst, a_read)
                     if b_read > grade or a_read > budget:
                         return check.fail(counterexample={
-                            "g": g, "coset": c.rep, "b_grade": b_read, "a_offset": a_read,
+                            "g": g, "coset": key, "b_grade": b_read, "a_offset": a_read,
                             "allowed_grade": grade, "allowed_offset": budget})
                 check.checked += 1
     return check.report(
@@ -1242,7 +1230,7 @@ def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
     down_spec = soe.forward.target.spec
     bern = BernoulliShift(down_spec, y_alphabet)
     window = ball(down_spec, 2)
-    x_window = [system.a_coset(n) for n in range(-2, 3)]
+    x_window = [coset(system.f2, "b", system.a0 ** n) for n in range(-2, 3)]
 
     def ext_apply(lam, x, y):
         w = soe.forward.target.word_part(soe.forward.evaluate(lam, x))

@@ -15,7 +15,8 @@ keyed BLAKE2b state (`keyed_state`), built once per seed, and a seeded
 read, a derived seed and a sampled window state all evaluate it.  A seeded
 point is read by coordinate (`value`, which caches what it reads) or by
 coordinate key (`read_key`, which leaves no cache entry); both return its
-override first.
+override first.  A recording point passes both reads to the point it wraps
+and logs the coordinate key of each.
 
 A finite window is one slot map (canonical coordinate -> index into a
 values tuple), shared by all of its states.  Exact cylinder distributions
@@ -256,7 +257,8 @@ class ExplicitConfiguration(Configuration):
 
 
 class RecordingConfiguration(Configuration):
-    """Pass-through wrapper that records every coordinate actually read."""
+    """Pass-through wrapper that logs the coordinate key of every read, by
+    coordinate or by key; `read_key` needs a base that reads by key."""
 
     _counter = itertools.count()
 
@@ -267,8 +269,12 @@ class RecordingConfiguration(Configuration):
         self._key = ("recording", next(self._counter))
 
     def value(self, coord) -> int:
-        self.log.add(self.space.index.canonicalize(coord))
+        self.log.add(self.space.coord_key(coord))
         return self.base.value(coord)
+
+    def read_key(self, key: str) -> int:
+        self.log.add(key)
+        return self.base.read_key(key)
 
     @property
     def point_key(self):

@@ -119,20 +119,21 @@ class GroupSpec:
 
     def word(self, text: str) -> "Word":
         """Parse the serialized token form (inverse of Word.tokens())."""
-        text = text.strip()
-        if text in ("", "e"):
-            return self.identity()
         out = self.identity()
+        for name, exp in self.parse_tokens(text):
+            out = out * (self.element(name) if exp is None else self.generator(name, exp))
+        return out
+
+    def parse_tokens(self, text: str) -> list[tuple]:
+        """(name, exponent) per token of the serialized form, 'e' skipped;
+        a finite element's exponent is None.  Builds no word."""
+        out = []
         for token in text.split():
-            if token == "e":
-                continue
-            if "^" in token:
-                name, _, exp = token.partition("^")
-                out = out * self.generator(name, int(exp))
-            elif token in self._gen_part:
-                out = out * self.generator(token, 1)
-            else:
-                out = out * self.element(token)
+            name, caret, exp = token.partition("^")
+            if caret or name in self._gen_part:
+                out.append((name, int(exp) if caret else 1))
+            elif token != "e":
+                out.append((token, None))
         return out
 
     def part_index(self, name: str) -> int:

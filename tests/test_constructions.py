@@ -31,7 +31,7 @@ from orbitlab.constructions import (AxisView, CylinderAction, FactorSetting,
                                     restriction_equivariance_report, restriction_family,
                                     section_report, star_conjugation_report,
                                     star_injectivity_report, star_orbit_report,
-                                    star_relation_report)
+                                    star_relation_report, _letters)
 from orbitlab.groups import cyclic, s3
 from orbitlab.spaces import (Configuration, ExplicitConfiguration, IntIndex,
                              RecordingConfiguration, SeededConfiguration, Space,
@@ -39,7 +39,7 @@ from orbitlab.spaces import (Configuration, ExplicitConfiguration, IntIndex,
 from orbitlab.verify import (UndeterminedError, coordinate_variable, homogeneity_mc,
                              independence_exact)
 from orbitlab.actions import check_coinduced_characterization
-from orbitlab.words import Word, ball, coset, extension_sphere, free_group
+from orbitlab.words import Word, ball, coset, cosets_ball, extension_sphere, free_group
 
 Z2 = cyclic(2)
 F2 = free_group("a", "b")
@@ -350,7 +350,7 @@ def test_cylinder_orbit_membership():
     system = CylinderAction(2, 64)
     om = system.omega()
     words = ball(system.spec_up, 1, parts=system.b_parts, exponent_bound=1)
-    window = [system.a_coset(n) for n in range(-3, 4)]
+    window = [_axis_coset(system, n) for n in range(-3, 4)]
     checked = 0
     for i in range(8):
         x = system.sample_in_cylinder(derive_seed(21, str(i)))
@@ -417,6 +417,12 @@ def test_eta_prime_inverts_returns():
             continue
 
 
+def _axis_coset(system, k, u0=()):
+    """The coset (b)a^k u0, built from the word a^k u0: the reference the
+    tapes' coordinate keys are compared with."""
+    return coset(system.f2, "b", system.a0 ** k * Word(system.f2, u0))
+
+
 class DirectAxis(Configuration):
     """value(n) = (twist + x at the coset of a^(n + shift)) mod kappa, read one
     coordinate at a time through x: the reference the tapes must agree with."""
@@ -429,7 +435,7 @@ class DirectAxis(Configuration):
         self.twist = twist
 
     def value(self, coord):
-        return (self.twist + self.x.value(self.system.a_coset(coord + self.shift))) \
+        return (self.twist + self.x.value(_axis_coset(self.system, coord + self.shift))) \
             % self.system.kappa
 
     @property
@@ -520,48 +526,38 @@ def _tape(system, x, u0):
     return system.rho(system.twisted.apply(Word(system.f2, u0), x)).tape
 
 
-def test_tape_reads_a_seeded_base_by_the_index_key():
+@pytest.mark.parametrize("recording", [False, True], ids=["seeded", "recording"])
+def test_tape_reads_every_cell_once_by_its_coordinate_key(recording):
+    # dependency_radius_report reads the log of a recording point, so a tape
+    # over one must log the keys it reads through it
     system = CylinderAction(2, 64)
     prefixes = _tape_prefixes(system)
     seed = derive_seed(44, "keys")
     plain = SeededConfiguration(system.space, seed)
     # the base coordinate (a k = 0 cell of two tapes) and two k != 0 cells
-    flipped = [system.base, system.axis_coset(3, prefixes[2]), system.axis_coset(-4, ())]
+    flipped = [system.base, _axis_coset(system, 3, prefixes[2]), _axis_coset(system, -4)]
     x = KeySpy(system.space, seed, {c: 1 - plain.value(c) for c in flipped})
-    cells = {}
+    log = set()
+    point = RecordingConfiguration(x, log) if recording else x
+    cells, keys = {}, set()
     for u0 in prefixes:
-        tape = _tape(system, x, u0)
-        assert tape.base is x and tape.u0 == u0
-        for k in range(-70, 71):
-            c = system.axis_coset(k, u0)
-            x.keys.clear()
-            cells[c] = tape.value(k)
-            if k:
-                assert x.keys == [system.space.coord_key(c)]
-    # only the k = 0 cells went through the point's cache, by coset
-    assert set(x._cache) == {system.space.index.canonicalize(system.axis_coset(0, u0))
-                             for u0 in prefixes}
-    assert len(cells) == 3 * 141 - 1  # the k = 0 cells of e and b are both (b)
+        tape = _tape(system, point, u0)
+        assert tape.base is point and tape.u0 == u0
+        for again in (False, True):  # a cell already read is not read again
+            for k in range(-70, 71):
+                c = _axis_coset(system, k, u0)
+                key = system.space.coord_key(c)
+                x.keys.clear()
+                cells[c] = tape.value(k)
+                assert x.keys == ([] if again else [key])
+                keys.add(key)
+    assert not x._cache   # no cell went through the point's cache
+    assert log == (keys if recording else set())
+    assert len(cells) == len(keys) == 3 * 141 - 1  # the k = 0 cells of e and b are both (b)
     for c, v in cells.items():
         assert v == x.value(c)
     for c in flipped:
         assert cells[c] == 1 - plain.value(c)
-
-
-def test_tape_over_a_recording_base_reads_every_cell_by_coset():
-    # dependency_radius_report reads the log: a tape must not read a
-    # recording base by key
-    system = CylinderAction(2, 64)
-    prefixes = _tape_prefixes(system)
-    log = set()
-    x = RecordingConfiguration(system.sample_in_cylinder(derive_seed(44, "log")), log)
-    for u0 in prefixes:
-        tape = _tape(system, x, u0)
-        assert tape.base is x
-        for k in range(-70, 71):
-            assert tape.value(k) == x.base.value(system.axis_coset(k, u0))
-    assert log == {system.space.index.canonicalize(system.axis_coset(k, u0))
-                   for u0 in prefixes for k in range(-70, 71)}
 
 
 # -- point-scoped memos ------------------------------------------------------------
@@ -597,6 +593,8 @@ def test_point_loops_keep_only_the_last_points_entries():
     omega = system.omega
     system.omega = lambda: made.append(omega()) or made[-1]
     dependency_radius_report(system, 2, 3, derive_seed(61, "dep"))
+    # tape cells are read by key, so the reads intern no a^k u0 word
+    assert len(system.f2._words) < 2_000
     # the recorder of the last (point, word) drew the last counter value
     last = ("recording", next(RecordingConfiguration._counter) - 1)
     _assert_scoped_to(last, system, made[0])
@@ -718,7 +716,17 @@ def test_dependency_radius_counterexample_ignores_the_hash_seed():
     assert outputs[0] == outputs[1]
     verdict, body = outputs[0].split(" ", 1)
     assert verdict == "fail"
-    assert json.loads(body)["coset"] == "a^-1 b^-1 a^1"   # least in coord_key order
+    # the least failing coset in coord_key order
+    assert json.loads(body) == {"a_offset": 2, "allowed_grade": 0, "allowed_offset": 256,
+                                "b_grade": 1, "coset": "a^-1 b^-1 a^1", "g": "a^-1 b0^-1"}
+
+
+def test_dependency_radius_counts_letters_from_coordinate_keys():
+    # the report reads each coset's b-grade and a-offset from its key
+    system = CylinderAction(2, 64)
+    for c in cosets_ball(system.f2, "b", 4):
+        letters = _letters(system.f2, system.space.coord_key(c))
+        assert (letters["a"], letters["b"]) == (c.rep.length("a"), c.rep.length("b"))
 
 
 def test_coset_freshness_small():

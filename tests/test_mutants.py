@@ -14,8 +14,9 @@ import pytest
 
 from orbitlab.cocycles import verify_inverse_pair
 from orbitlab.constructions import (CylinderAction, StableOE, build_cylinder_oe,
-                                    coset_freshness_report, extension_action_report,
-                                    extension_distinctness_report)
+                                    coset_freshness_report, dependency_radius_report,
+                                    extension_action_report,
+                                    extension_distinctness_report, parenthesis_match)
 from orbitlab.groups import cyclic
 from orbitlab.spaces import derive_seed, seed_stream
 from orbitlab.words import ball
@@ -96,7 +97,32 @@ def _fresh_coset_grades():
                                   derive_seed(SEED, "l2/fresh"))
 
 
+def _match_overruns_its_radius(monkeypatch):
+    """A parenthesis-match scan that runs on to 20 times the scan radius, so
+    the cocycle reads past the a-offset the check allows.  A 3x overrun
+    stays inside every word's bound (the largest a-offset it reads is 226)
+    and is not caught, so the row needs the longer one."""
+
+    def mutant(self, z, symbol, inverse=False):
+        return parenthesis_match(z, symbol, 20 * self.scan_radius, inverse)
+
+    monkeypatch.setattr(CylinderAction, "match", mutant)
+
+
+def _cocycle_dependency_radius():
+    # lemma-2's cocycle-dependency-radius: kappa 2, b-grade up to 2,
+    # min(samples, 10) points; the control run ends undetermined (3,290
+    # checked, 690 undetermined)
+    return dependency_radius_report(CylinderAction(2, SCAN_RADIUS), 2, min(SAMPLES, 10),
+                                    derive_seed(SEED, "l2/dep"))
+
+
 ROWS = {
+    "cocycle-dependency-radius": (_match_overruns_its_radius, _cocycle_dependency_radius,
+                                  {"g": "a^-1 b0^-1 a^-1 b0^-1 a^-1",
+                                   "coset": "a^-1 b^-1 a^1070 b^-1 a^240", "b_grade": 2,
+                                   "a_offset": 1311, "allowed_grade": 2,
+                                   "allowed_offset": 640}),
     "extension-action": (_b0_inverse_repeats_b0, _extension_action,
                          {"first": "b0^-1", "second": "b0^1"}),
     "extension-address-distinctness": (_partition_word_dropped, _extension_distinctness,

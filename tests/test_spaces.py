@@ -375,9 +375,8 @@ def test_budget_bounds_the_whole_window_of_a_declared_family():
 
 
 def assert_reads_only_declared(space, family, seeds=(3, 7, 11)):
-    canonicalize = space.index.canonicalize
     for v in family:
-        declared = {canonicalize(c) for c in v.coords}
+        declared = {space.coord_key(c) for c in v.coords}
         for seed in seeds:
             log: set = set()
             v.fn(RecordingConfiguration(sample(space, seed), log))
