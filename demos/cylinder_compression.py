@@ -39,7 +39,7 @@ om = system.omega()
 for tokens in ("a^1", "b0^1", "b1^1 a^-1"):
     g = system.spec_up.word(tokens)
     try:
-        print(f"omega({tokens}) at the sample:", om(g, x).tokens())
+        print(f"omega({tokens}) at the sample:", om.evaluate(g, x).tokens())
     except UndeterminedError as err:
         print(f"omega({tokens}) at the sample: undetermined ({err})")
 

@@ -105,9 +105,6 @@ class Cocycle:
         self._memo[key] = out
         return out
 
-    def __call__(self, g: Word, x):
-        return self.evaluate(g, x)
-
     def forget(self) -> None:
         """Drop the memo entries of the points seen so far, and the source
         action's (see Action.forget)."""

@@ -13,7 +13,6 @@ as explicit outcomes.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -695,9 +694,6 @@ def parenthesis_match(z: Configuration, target_symbol: int, max_radius: int,
     raise UndeterminedError(f"no match within radius {max_radius}")
 
 
-_UNREAD = 0xFFFF  # tape cells are unsigned 16-bit symbols
-
-
 class AxisTape:
     """The values of one point along its a-axis, read one coordinate at a
     time and kept.
@@ -712,14 +708,13 @@ class AxisTape:
     Every twisted translate of the base by a^m u0 reads this tape shifted
     by m, so the translates share its reads, and the parenthesis matches
     found on it, keyed by small ints.
-    Positions low .. low + len(cells) - 1 have a cell, _UNREAD until read;
-    widening the cells reads nothing.  The action keeps the tape, its cells
-    and its matches until a point loop forgets the point
-    (CylinderAction.forget).
+    cells maps each position read so far to its value.  The action keeps
+    the tape, its cells and its matches until a point loop forgets the
+    point (CylinderAction.forget).
     """
 
     __slots__ = ("base", "u0", "spec", "a_part", "read_key", "tail", "key0",
-                 "low", "cells", "matches")
+                 "cells", "matches")
 
     def __init__(self, base: Configuration, u0: tuple, spec: GroupSpec, a_part: int):
         self.base = base
@@ -730,8 +725,7 @@ class AxisTape:
         tokens = [syllable_token(spec, s) for s in u0]
         self.tail = "".join([" " + t for t in tokens])
         self.key0 = " ".join(tokens[1:]) or "e"
-        self.low = 0
-        self.cells = array("H")
+        self.cells: dict = {}
         self.matches: dict = {}
 
     @property
@@ -739,29 +733,11 @@ class AxisTape:
         return (self.base.point_key, self.u0)
 
     def value(self, k: int) -> int:
-        i = k - self.low
-        if not 0 <= i < len(self.cells):
-            i = self._widen(k)
-        v = self.cells[i]
-        if v == _UNREAD:
-            v = self.cells[i] = self.read_key(
+        v = self.cells.get(k)
+        if v is None:
+            v = self.cells[k] = self.read_key(
                 syllable_token(self.spec, ("g", self.a_part, k)) + self.tail if k else self.key0)
         return v
-
-    def _widen(self, k: int) -> int:
-        """Add unread cells, at least doubling, until position k has one;
-        returns its index."""
-        cells = self.cells
-        if not cells:
-            self.low = k
-        room = max(len(cells), 8)
-        if k < self.low:
-            pad = self.low - k + room
-            self.cells = array("H", [_UNREAD]) * pad + cells
-            self.low -= pad
-        else:
-            cells.extend(array("H", [_UNREAD]) * (k - self.low - len(cells) + room))
-        return k - self.low
 
 
 class AxisView(Configuration):

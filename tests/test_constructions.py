@@ -551,9 +551,14 @@ def test_tape_reads_every_cell_once_by_its_coordinate_key(recording):
                 cells[c] = tape.value(k)
                 assert x.keys == ([] if again else [key])
                 keys.add(key)
+        for k in (-1000, 1000):  # a far read holds its own cell, not a gap
+            c = _axis_coset(system, k, u0)
+            cells[c] = tape.value(k)
+            keys.add(system.space.coord_key(c))
+        assert set(tape.cells) == {*range(-70, 71), -1000, 1000}
     assert not x._cache   # no cell went through the point's cache
     assert log == (keys if recording else set())
-    assert len(cells) == len(keys) == 3 * 141 - 1  # the k = 0 cells of e and b are both (b)
+    assert len(cells) == len(keys) == 3 * 143 - 1  # the k = 0 cells of e and b are both (b)
     for c, v in cells.items():
         assert v == x.value(c)
     for c in flipped:

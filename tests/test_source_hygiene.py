@@ -1,6 +1,6 @@
 """Structural guards over the package source: no dead entry points, no
 dead options, no dead imports, one keyed PRF, one rule that counts an
-unresolved scan and one stream of per-point seeds.
+unresolved scan, one stream of per-point seeds and no dunder alias.
 
 An entry point is a top-level function or class, or a method of a
 top-level class, in `src/orbitlab/*.py`, public or private; dunders and
@@ -30,6 +30,22 @@ ALLOWED_UNNAMED = {
     "groups.FiniteGroup.element_order": "a group fact the group tests check",
     "words.Word.letters": "the independent recursion "
                           "test_omega_transfer_cross_module_equality peels words with",
+}
+
+
+# dunder method -> why the package defines it; the dead-entry-point guard
+# skips dunders, so a dunder outside this list could be a second name for a
+# named method
+ALLOWED_DUNDERS = {
+    "__init__": "constructors",
+    "__new__": "Word interns its instances and Coset is a (part, rep) tuple",
+    "__post_init__": "FactorSetting builds its spaces from its dataclass fields",
+    "__repr__": "groups, specs, spaces and words print by name in reports and errors",
+    "__str__": "a missing coordinate's error message",
+    "__mul__": "word products g * h, the group law the paper writes",
+    "__pow__": "word powers a^n, as the paper writes them",
+    "__enter__": "`with check.unresolved:` counts an unresolved scan",
+    "__exit__": "`with check.unresolved:` counts an unresolved scan",
 }
 
 
@@ -178,6 +194,14 @@ def test_allowlisted_entry_points_still_exist():
     names = {f"{path.stem}.{qualname}" for path in MODULES
              for qualname, _ in _entry_points(_parse(path))}
     assert set(ALLOWED_UNNAMED) <= names
+
+
+def test_every_dunder_method_is_allowlisted():
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    dunders = {node.name for path in MODULES for node in ast.walk(_parse(path))
+               if isinstance(node, defs) and node.name.startswith("__")
+               and node.name.endswith("__")}
+    assert dunders == set(ALLOWED_DUNDERS)
 
 
 def test_every_option_is_set_by_some_call():
