@@ -239,8 +239,9 @@ class LetterAction(Action):
     _letter_apply(letter, x), and apply peels the first letter of g, applies
     the rest first and memoizes every image on (g, point key).
 
-    Every check builds its own action, and a point loop forgets a point's
-    entries when it moves on to the next point."""
+    Every check builds its own action.  Only the point loops of
+    verify_identity, verify_inverse_pair, coset_freshness_report and
+    dependency_radius_report forget a point's entries at the next point."""
 
     def __init__(self):
         self._memo: dict = {}

@@ -61,8 +61,9 @@ class Cocycle:
     value function takes a point of the source space.
 
     evaluate memoizes every value on (word, point key).  Every check builds
-    its own cocycle, and a point loop forgets a point's entries when it moves
-    on to the next point.
+    its own cocycle.  Only the point loops of verify_identity, verify_inverse_pair,
+    coset_freshness_report and dependency_radius_report forget a point's
+    entries at the next point.
     """
 
     def __init__(self, source, target: CocycleTarget, entries: dict,
@@ -112,36 +113,17 @@ class Cocycle:
         self.source.forget()
 
 
-def homomorphism_cocycle(source, target: CocycleTarget,
-                         images: dict, name: str = "homomorphism") -> Cocycle:
-    """Constant cocycle w(g, x) = phi(g) for a homomorphism given on letters.
-
-    images maps generator names (value of the +1 letter) and finite element
-    names to target elements.
-    """
-    spec = source.group_spec
-    entries = {}
-    for token, value in images.items():
-        if token in spec._gen_part:
-            entries[("g", spec._gen_part[token])] = (lambda x, v=value: v)
-        else:
-            p, i = spec._elem_token[token]
-            entries[("f", p, i)] = (lambda x, v=value: v)
-    return Cocycle(source, target, entries, name)
-
-
 def identity_cocycle(source) -> Cocycle:
     """w(g, x) = g (the identity homomorphism into the acting group)."""
     spec = source.group_spec
-    target = CocycleTarget(spec=spec)
-    images = {}
+    entries = {}
     for w in spec.atomic_letters():
         kind, p, v = w.syllables[0]
-        if kind == "g" and v == 1:
-            images[spec.parts[p].name] = w
-        elif kind == "f":
-            images[spec.parts[p].group.names[v]] = w
-    return homomorphism_cocycle(source, target, images, "identity")
+        if kind == "f":
+            entries[("f", p, v)] = (lambda x, w=w: w)
+        elif v == 1:
+            entries[("g", p)] = (lambda x, w=w: w)
+    return Cocycle(source, CocycleTarget(spec=spec), entries, "identity")
 
 
 # -- verification --------------------------------------------------------------

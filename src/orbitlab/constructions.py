@@ -519,9 +519,6 @@ class StarAction(LetterAction):
         self.eta, self.eta_prime = system.solve_transport()
         self.quotient = QuotientByDiagonal(self.dot, system.actk, self.base)
 
-    def to_spec1(self, g: Word) -> Word:
-        return self.spec1.word(g.tokens())
-
     def rho(self, y: Configuration) -> int:
         return y.value(self.base)
 
@@ -533,7 +530,7 @@ class StarAction(LetterAction):
     def _letter_apply(self, letter: Word, y: Configuration) -> Configuration:
         kind, part, v = letter.syllables[0]
         if part == self.gamma0:
-            return self.dot.apply(self.to_spec1(letter), y)
+            return self.dot.apply(self.spec1.finite_element(self.gamma1, v), y)
         l1, k = self.eta[(v, self.rho(y))]
         return self.apply_pair((self.spec1.finite_element(self.lam1, l1), k), y)
 
@@ -922,13 +919,17 @@ class CylinderAction(LetterAction):
 
 @dataclass
 class StableOE:
-    """Record of a stable orbit equivalence between an action restricted to
-    a positive-measure subset and another group's action on it."""
+    """Record of a stable orbit equivalence: the action `system` on a
+    positive-measure subset, `sample(seed)` a seeded point of it, the cocycle
+    `forward` into another group's action on it, and the words
+    `partition_word(i, x)` of its `partition_count` cells (1-based:
+    `partition_word(1, x)` is the identity)."""
 
     system: object
+    sample: Callable
     forward: Cocycle
     partition_count: int
-    partition_word: Callable       # 1-based: partition_word(1, x) = identity
+    partition_word: Callable
 
     def address(self, i: int, lam: Word, x: Configuration) -> Word:
         """phi_i(lam * x) omega(lam, x): the fresh-coordinate address of the
@@ -941,21 +942,9 @@ class StableOE:
 def degenerate_stable_oe(action: Action) -> StableOE:
     """The whole-space degenerate record (compression 1, identity cocycle,
     one partition cell): turns any free action into extension input."""
-
-    class _Whole:
-        def __init__(self, inner: Action):
-            self.inner = inner
-            self.space = inner.space
-
-        def apply(self, g, x):
-            return self.inner.apply(g, x)
-
-        def sample_in_cylinder(self, seed: int):
-            return sample(self.space, seed)
-
-    ident = identity_cocycle(action)
     e = action.group_spec.identity()
-    return StableOE(system=_Whole(action), forward=ident, partition_count=1,
+    return StableOE(system=action, sample=lambda seed: sample(action.space, seed),
+                    forward=identity_cocycle(action), partition_count=1,
                     partition_word=lambda i, x: e)
 
 
@@ -967,7 +956,8 @@ def build_cylinder_oe(kappa: int, scan_radius: int = 64) -> StableOE:
     def partition_word(i: int, x: Configuration) -> Word:
         return system.phi_word(i - 1, x)
 
-    return StableOE(system=system, forward=system.omega(), partition_count=kappa,
+    return StableOE(system=system, sample=system.sample_in_cylinder,
+                    forward=system.omega(), partition_count=kappa,
                     partition_word=partition_word)
 
 
@@ -1175,9 +1165,8 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
     across (i, lambda) at sampled points (finite truncation of the
     exhaustive-enumeration property)."""
     check = Check("extension-address-distinctness", seed=seed)
-    system = soe.system
     for s in seed_stream(seed, "ext", samples):
-        x = system.sample_in_cylinder(s)
+        x = soe.sample(s)
         seen: dict = {}
         with check.unresolved:
             for i in range(1, soe.partition_count + 1):
@@ -1213,7 +1202,7 @@ def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
         return system.apply(lam, x), bern.apply(w, y)
 
     for sx, sy in zip(seed_stream(seed, "ea", samples), seed_stream(seed, "ea/y", samples)):
-        x = system.sample_in_cylinder(sx)
+        x = soe.sample(sx)
         y = sample(bern.space, sy)
         for l1 in words:
             for l2 in words:
@@ -1237,9 +1226,8 @@ def extension_independence_report(soe: StableOE, pairs: Sequence[tuple],
     y-window enumerated exactly).  At a point x the family selects
     phi_i(lam * x) omega(lam, x) for each (index, lambda) pair: words of the
     downstairs group, the fresh-coordinate addresses of the extension."""
-    system = soe.system
     names = [f"y@{i}|{lam.tokens()}" for i, lam in pairs]
-    points = [system.sample_in_cylinder(s) for s in seed_stream(seed, "ei", samples)]
+    points = [soe.sample(s) for s in seed_stream(seed, "ei", samples)]
     return selector_independence_on_samples(
         points, lambda x: [(None, soe.address(i, lam, x)) for i, lam in pairs],
         y_alphabet.size, lambda h, v: v, names, name="extension-independence",

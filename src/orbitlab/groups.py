@@ -35,9 +35,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def __repr__(self):
         return f"Alphabet({self.label}, size={self.size})"
 

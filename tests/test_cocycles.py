@@ -1,9 +1,8 @@
 import itertools
 
 from orbitlab.actions import BernoulliShift
-from orbitlab.cocycles import (Cocycle, CocycleTarget, homomorphism_cocycle,
-                               identity_cocycle, verify_identity,
-                               verify_inverse_pair)
+from orbitlab.cocycles import (Cocycle, CocycleTarget, identity_cocycle,
+                               verify_identity, verify_inverse_pair)
 from orbitlab.groups import cyclic
 from orbitlab.spaces import sample, sample_stream
 from orbitlab.words import ball, coset, free_group, free_product, omega_transfer
@@ -21,12 +20,18 @@ def sample_points(act, seed, n=5):
 
 
 def test_identity_cocycle_values():
-    act = bernoulli()
-    c = identity_cocycle(act)
-    x = sample(act.space, 1)
-    assert c.evaluate(F2.identity(), x) == F2.identity()
+    # the finite factors of Z/2 * Z/3 cover the ("f", part, element) entries
+    for spec in (F2, free_product(cyclic(2, "g"), cyclic(3, "h"))):
+        act = BernoulliShift(spec, Z2)
+        c = identity_cocycle(act)
+        x = sample(act.space, 1)
+        words = ball(spec, 2)
+        assert all(c.evaluate(w, x) is w for w in words)
+        pairs = list(itertools.product(words, words))
+        assert verify_identity(c, pairs, sample_points(act, 3)).verdict == "pass"
+    c = identity_cocycle(bernoulli())
     w = F2.word("a^2 b^-1")
-    assert c.evaluate(w, x) == w
+    assert c.evaluate(w, sample(c.source.space, 1)) == w
 
 
 def test_homomorphism_cocycle_multiplicative():
@@ -34,7 +39,8 @@ def test_homomorphism_cocycle_multiplicative():
     target = CocycleTarget(F2, cyclic(4))
     # a -> (a, 1), b -> (b, 2) in F2 x Z/4
     A, B = F2.generator("a"), F2.generator("b")
-    c = homomorphism_cocycle(act, target, {"a": (A, 1), "b": (B, 2)})
+    c = Cocycle(act, target, {("g", F2.part_index("a")): lambda x: (A, 1),
+                              ("g", F2.part_index("b")): lambda x: (B, 2)})
     x = sample(act.space, 2)
     assert c.evaluate(F2.word("a^1 b^1"), x) == (F2.word("a^1 b^1"), 3)
     assert c.evaluate(F2.word("a^-1"), x) == (F2.word("a^-1"), 3)
@@ -69,8 +75,9 @@ def test_cocycle_inverse_consequence():
 def test_verify_identity_homomorphism_passes():
     act = bernoulli()
     A, B = F2.generator("a"), F2.generator("b")
-    c = homomorphism_cocycle(act, CocycleTarget(F2, cyclic(3)),
-                             {"a": (A, 1), "b": (B, 2)})
+    c = Cocycle(act, CocycleTarget(F2, cyclic(3)),
+                {("g", F2.part_index("a")): lambda x: (A, 1),
+                 ("g", F2.part_index("b")): lambda x: (B, 2)})
     words = ball(F2, 2)
     pairs = list(itertools.product(words, words))
     report = verify_identity(c, pairs, sample_points(act, 5))

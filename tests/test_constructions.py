@@ -79,7 +79,7 @@ def test_increment_roundtrip_reports():
 def test_integrate_trivial_increments():
     codes = increment_alphabet(Z2, 2)
     vspace = Space(BernoulliShift(F2, Z2).space.index, codes)
-    v = ExplicitConfiguration(vspace, {g: codes.index("0|0") for g in ball(F2, 2)})
+    v = ExplicitConfiguration(vspace, {g: codes.names.index("0|0") for g in ball(F2, 2)})
     x = integrate_increments(v, 2, Z2)
     assert all(x.value(g) == Z2.identity for g in ball(F2, 2))
 
@@ -222,7 +222,7 @@ def test_star_conjugate_case_word_part_is_relabeling():
     for y in sample_stream(star.space, 15, 5):
         for g in ball(star.spec0, 2, mode="syllables"):
             w, _ = om.evaluate(g, y)
-            assert w == star.to_spec1(g.spec.word(g.tokens()))
+            assert w == star.spec1.word(g.tokens())
 
 
 def test_star_point_dependent_word_part():
@@ -828,6 +828,9 @@ def test_match_measure_with_no_resolved_scan_is_undetermined():
 def test_extension_degenerate_whole_space():
     shift = BernoulliShift(F2, Z2)
     soe = degenerate_stable_oe(shift)
+    assert soe.system is shift
+    for s in seed_stream(30, "ext", 3):
+        assert soe.sample(s).point_key == sample(shift.space, s).point_key
     lams = ball(F2, 1)
     report = extension_distinctness_report(soe, lams, 10, seed=30)
     assert report.verdict == "pass"
@@ -959,13 +962,13 @@ def test_star_trivial_pairing_reproduces_the_action():
     system = component_twist_system(lam, K, [((0, 1), [0, 0])])
     star = StarAction(cyclic(2, "c"), system)
     om = star.omega()
-    window = [star.base, star.base.translate(star.to_spec1(
-        star.spec0.finite_element(star.gamma0, 1)))]
+    window = [star.base,
+              star.base.translate(star.spec1.finite_element(star.gamma1, 1))]
     for y in sample_stream(star.space, 35, 5):
         for g in ball(star.spec0, 2, mode="syllables"):
             w, k = om.evaluate(g, y)
             assert k == K.identity
-            assert w == star.to_spec1(g)
+            assert w == star.spec1.word(g.tokens())
             assert agree_on(star.apply(g, y), star.dot.apply(w, y), window)
 
 

@@ -1,6 +1,7 @@
 """Structural guards over the package source: no dead entry points, no
 dead options, no dead imports, one keyed PRF, one rule that counts an
-unresolved scan, one stream of per-point seeds and no dunder alias.
+unresolved scan, one stream of per-point seeds, no dunder alias and no
+read of another module's private attribute.
 
 An entry point is a top-level function or class, or a method of a
 top-level class, in `src/orbitlab/*.py`, public or private; dunders and
@@ -273,3 +274,54 @@ def test_every_derive_seed_tag_is_a_literal():
             if not all(isinstance(t, ast.Constant) and isinstance(t.value, str) for t in tags):
                 computed.append(f"{path.name}:{call.lineno}")
     assert computed == []
+
+
+def _defined_private_names(tree) -> set:
+    """Names a module defines: a def, a class, an attribute
+    store, a class-level assignment or a `__slots__` entry."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            for target in targets:
+                if not isinstance(target, ast.Name):
+                    continue
+                defined.add(target.id)
+                if target.id == "__slots__":
+                    defined |= {n.value for n in ast.walk(stmt.value)
+                                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return defined
+
+
+def foreign_private_reads():
+    """file:line name of every load of an `_underscore` attribute, not a
+    dunder, off a receiver other than self or cls, that the loading module
+    does not define itself."""
+    reads = []
+    for path in MODULES:
+        tree = _parse(path)
+        defined = _defined_private_names(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            name = node.attr
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+                continue
+            if name not in defined:
+                reads.append(f"{path.name}:{node.lineno} {name}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    # a private name is read only in the module that defines it; another
+    # module goes through a public method or the syllable encoding
+    assert foreign_private_reads() == []
