@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .groups import Alphabet, FiniteGroup, cyclic
 from .spaces import (Configuration, CosetIndex, DEFAULT_BUDGET, GroupIndex,
-                     IntIndex, Space, derive_seed, sample_stream)
+                     IntIndex, Space, derive_seed, read_summaries, sample_stream)
 from .verify import (FAIL, PASS, Check, UndeterminedError, VerificationReport,
                      WindowFunction, family_window, generation_check,
                      independence_exact)
@@ -237,11 +237,14 @@ class Action:
 class LetterAction(Action):
     """An action given letter by letter: a subclass supplies
     _letter_apply(letter, x), and apply peels the first letter of g, applies
-    the rest first and memoizes every image on (g, point key).
+    the rest first and memoizes every image on (g, point key).  While a
+    read-summary frame is open, each image is stored with the maxima of
+    what computing it read (spaces.ReadSummaries).
 
     Every check builds its own action.  Only the point loops of
     verify_identity, verify_inverse_pair, coset_freshness_report and
-    dependency_radius_report forget a point's entries at the next point."""
+    dependency_radius_report forget a point's entries, once per point, when
+    they move on to the next point."""
 
     def __init__(self):
         self._memo: dict = {}
@@ -253,14 +256,17 @@ class LetterAction(Action):
         if g.is_identity:
             return x
         key = (g, x.point_key)
+        if read_summaries.frame is not None:
+            return read_summaries.entry(self._memo, key, self._apply, g, x)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        letter, rest = g.split_first_letter()
-        target = x if rest.is_identity else self.apply(rest, x)
-        out = self._letter_apply(letter, target)
-        self._memo[key] = out
+        out = self._memo[key] = self._apply(g, x)
         return out
+
+    def _apply(self, g: Word, x: Configuration) -> Configuration:
+        letter, rest = g.split_first_letter()
+        return self._letter_apply(letter, x if rest.is_identity else self.apply(rest, x))
 
 
 class ShiftAction(Action):

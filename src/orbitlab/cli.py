@@ -341,8 +341,9 @@ def _run_lemma_3(ctx: SuiteContext, params: dict) -> VerificationReport:
     pairs = [(1, system.spec_up.identity()), (2, system.spec_up.generator("b0"))]
     subs.append(extension_independence_report(soe, pairs, y_alphabet, samples,
                                               derive_seed(ctx.seed, "l3/ind")))
+    x_window = [coset(system.f2, "b", system.a0 ** n) for n in range(-2, 3)]
     subs.append(extension_action_report(soe, y_alphabet,
-                                        ball(system.spec_up, 1),
+                                        ball(system.spec_up, 1), x_window,
                                         min(samples, 10),
                                         derive_seed(ctx.seed, "l3/act")))
     # degenerate whole-space instance: the extension is the plain diagonal

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .groups import FiniteGroup
+from .spaces import read_summaries
 from .verify import PASS, Check, VerificationReport
 from .words import GroupSpec, Word
 
@@ -60,10 +61,12 @@ class Cocycle:
     letter and ("f", part, elem) to that of a finite-part element; every
     value function takes a point of the source space.
 
-    evaluate memoizes every value on (word, point key).  Every check builds
-    its own cocycle.  Only the point loops of verify_identity, verify_inverse_pair,
+    evaluate memoizes every value on (word, point key); while a read-summary
+    frame is open, each value is stored with the maxima of what computing
+    it read (spaces.ReadSummaries).  Every check builds its own cocycle.
+    Only the point loops of verify_identity, verify_inverse_pair,
     coset_freshness_report and dependency_radius_report forget a point's
-    entries at the next point.
+    entries, once per point, when they move on to the next point.
     """
 
     def __init__(self, source, target: CocycleTarget, entries: dict,
@@ -93,18 +96,20 @@ class Cocycle:
         if g.is_identity:
             return self.target.identity()
         key = (g, x.point_key)
+        if read_summaries.frame is not None:
+            return read_summaries.entry(self._memo, key, self._evaluate, g, x)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        out = self._memo[key] = self._evaluate(g, x)
+        return out
+
+    def _evaluate(self, g: Word, x):
         letter, rest = g.split_first_letter()
         if rest.is_identity:
-            out = self._letter_value(letter, x)
-        else:
-            tail = self.evaluate(rest, x)
-            out = self.target.mul(self._letter_value(letter, self.source.apply(rest, x)),
-                                  tail)
-        self._memo[key] = out
-        return out
+            return self._letter_value(letter, x)
+        tail = self.evaluate(rest, x)
+        return self.target.mul(self._letter_value(letter, self.source.apply(rest, x)), tail)
 
     def forget(self) -> None:
         """Drop the memo entries of the points seen so far, and the source

@@ -26,8 +26,9 @@ from .cocycles import Cocycle, CocycleTarget, identity_cocycle
 from .groups import Alphabet, FiniteGroup, cyclic
 from .spaces import (Configuration, DEFAULT_BUDGET, ExplicitConfiguration,
                      GroupIndex, IntIndex, RecordingConfiguration,
-                     SeededConfiguration, Space, agree_on, derive_seed,
-                     exact_distribution, sample, sample_stream, seed_stream)
+                     SeededConfiguration, Space, SummarizedConfiguration,
+                     agree_on, derive_seed, exact_distribution, read_summaries,
+                     sample, sample_stream, seed_stream)
 from .verify import (FAIL, PASS, Check, UndeterminedError, VerificationReport,
                      WindowFunction, coordinate_variable, homogeneity_mc,
                      independence_exact, selector_independence_on_samples)
@@ -708,10 +709,14 @@ class AxisTape:
     cells maps each position read so far to its value.  The action keeps
     the tape, its cells and its matches until a point loop forgets the
     point (CylinderAction.forget).
+    Every read, kept or not, folds its coset's b-grade and a-offset into
+    the open read-summary frame (spaces.ReadSummaries).  Position k != 0 is
+    (b of u0, |k| + a of u0), as u0 does not lead with a; position 0 is the
+    letter counts of key0, that is of u0 without its first syllable.
     """
 
     __slots__ = ("base", "u0", "spec", "a_part", "read_key", "tail", "key0",
-                 "cells", "matches")
+                 "b", "a", "b0", "cells", "matches")
 
     def __init__(self, base: Configuration, u0: tuple, spec: GroupSpec, a_part: int):
         self.base = base
@@ -722,6 +727,9 @@ class AxisTape:
         tokens = [syllable_token(spec, s) for s in u0]
         self.tail = "".join([" " + t for t in tokens])
         self.key0 = " ".join(tokens[1:]) or "e"
+        self.a = sum(abs(v) for _, p, v in u0 if p == a_part)
+        self.b = sum(abs(v) for _, p, v in u0 if p != a_part)
+        self.b0 = self.b - abs(u0[0][2]) if u0 else 0
         self.cells: dict = {}
         self.matches: dict = {}
 
@@ -730,6 +738,11 @@ class AxisTape:
         return (self.base.point_key, self.u0)
 
     def value(self, k: int) -> int:
+        if read_summaries.frame is not None:
+            if k:
+                read_summaries.fold(self.b, self.a + abs(k))
+            else:
+                read_summaries.fold(self.b0, self.a)
         v = self.cells.get(k)
         if v is None:
             v = self.cells[k] = self.read_key(
@@ -821,15 +834,22 @@ class CylinderAction(LetterAction):
         kappa = self.kappa
         key = (-z.t % kappa, (symbol - z.t) % kappa, z.m, inverse)
         matches = z.tape.matches
-        if key not in matches:
-            try:
-                matches[key] = parenthesis_match(z, symbol, self.scan_radius, inverse)
-            except UndeterminedError:
-                matches[key] = None
-        offset = matches[key]
+        if read_summaries.frame is not None:
+            offset = read_summaries.entry(matches, key, self._scan, z, symbol, inverse)
+        elif key in matches:
+            offset = matches[key]
+        else:
+            offset = matches[key] = self._scan(z, symbol, inverse)
         if offset is None:
             raise UndeterminedError(f"no match within radius {self.scan_radius}")
         return offset
+
+    def _scan(self, z: AxisView, symbol: int, inverse: bool) -> int | None:
+        """The match offset, or None for an unresolved scan."""
+        try:
+            return parenthesis_match(z, symbol, self.scan_radius, inverse)
+        except UndeterminedError:
+            return None
 
     def symbol_index(self, x: Configuration) -> int:
         return x.value(self.base)
@@ -1062,12 +1082,26 @@ def _letters(spec: GroupSpec, key: str) -> dict[str, int]:
     return letters
 
 
+def _grade_and_offset(spec: GroupSpec, key: str) -> tuple[int, int]:
+    """(b-grade, a-offset) of the coset whose coordinate key is `key`."""
+    letters = _letters(spec, key)
+    return letters["b"], letters["a"]
+
+
 def dependency_radius_report(system: CylinderAction, max_grade: int, samples: int,
                              seed: int) -> VerificationReport:
     """Reads of the forward cocycle stay inside the declared window: the
     cosets actually read while evaluating omega(g, .) have b-grade at most
     the b-grade of g, and a-offsets bounded by 2 * letters(g) * scan radius
-    (each b-letter chains two matching scans, each a-letter one return scan)."""
+    (each b-letter chains two matching scans, each a-letter one return scan).
+
+    Only the largest b-grade and a-offset read decide each (point, word),
+    so each word is evaluated in a read-summary frame (spaces.ReadSummaries)
+    on one summarized point per point, whose memos and tapes its words
+    share.  The frame's maxima are exactly those of the word's cold reads,
+    because a memoized value reads the same cosets however it is reached.
+    A violation re-evaluates only its (point, word) cold, on a recording
+    point, for the least failing coset in key order."""
     check = Check("cocycle-dependency-radius", seed=seed)
     om = system.omega()
     words = [w for w in ball(system.spec_up, max_grade, parts=system.b_parts,
@@ -1076,30 +1110,39 @@ def dependency_radius_report(system: CylinderAction, max_grade: int, samples: in
     worst = 0
     for s in seed_stream(seed, "dep", samples):
         base = system.sample_in_cylinder(s)
+        point = SummarizedConfiguration(base, lambda key: _grade_and_offset(system.f2, key))
+        om.forget()
         for g in words:
-            log: set = set()
-            recorder = RecordingConfiguration(base, log)
-            om.forget()  # each recorder is a new point
             with check.unresolved:
-                om.evaluate(g, recorder)
+                _, (b_read, a_read) = read_summaries.measure(om.evaluate, g, point)
                 grade = system.b_length_up(g)
                 budget = 2 * g.length() * system.scan_radius
-                # in coordinate-key order, so a failure reports the least
-                # failing coset whatever the set's (hash-seeded) order
-                for key in sorted(log):
-                    letters = _letters(system.f2, key)
-                    b_read, a_read = letters["b"], letters["a"]
-                    worst = max(worst, a_read)
-                    if b_read > grade or a_read > budget:
-                        return check.fail(counterexample={
-                            "g": g, "coset": key, "b_grade": b_read, "a_offset": a_read,
-                            "allowed_grade": grade, "allowed_offset": budget})
+                if b_read > grade or a_read > budget:
+                    return check.fail(counterexample=_least_violation(
+                        system, om, g, base, grade, budget))
+                worst = max(worst, a_read)
                 check.checked += 1
     return check.report(
         PASS, parameters={"max_grade": max_grade, "samples": samples,
                           "scan_radius": system.scan_radius},
         statistics={"checked": check.checked, "undetermined": check.undetermined,
                     "max_a_offset_seen": worst})
+
+
+def _least_violation(system: CylinderAction, om: Cocycle, g: Word, base: Configuration,
+                     grade: int, budget: int) -> dict:
+    """The least coset in coordinate-key order, whatever the log's
+    (hash-seeded) order, that omega(g, .) reads beyond the bounds when
+    evaluated cold on a recording point."""
+    log: set = set()
+    om.forget()
+    om.evaluate(g, RecordingConfiguration(base, log))
+    for key in sorted(log):
+        b_read, a_read = _grade_and_offset(system.f2, key)
+        if b_read > grade or a_read > budget:
+            return {"g": g, "coset": key, "b_grade": b_read, "a_offset": a_read,
+                    "allowed_grade": grade, "allowed_offset": budget}
+    raise RuntimeError(f"the read summary of {g.tokens()} exceeds its cold reads")
 
 
 def coset_freshness_report(system: CylinderAction, max_grade: int, samples: int,
@@ -1184,18 +1227,18 @@ def extension_distinctness_report(soe: StableOE, lam_words: Sequence[Word],
 
 
 def extension_action_report(soe: StableOE, y_alphabet: FiniteGroup,
-                            words: Sequence[Word], samples: int,
+                            words: Sequence[Word], x_window: Sequence, samples: int,
                             seed: int) -> VerificationReport:
     """The cocycle-twisted product extension lam * (x, y) = (lam * x,
     omega(lam, x) . y) is an action: the composition law holds exactly on
     sampled points (equivalently, the extension cocycle satisfies the
-    cocycle identity)."""
+    cocycle identity).  Images of x are compared on the coordinates of
+    x_window, images of y on the radius-2 ball."""
     check = Check("extension-action", seed=seed)
     system = soe.system
     down_spec = soe.forward.target.spec
     bern = BernoulliShift(down_spec, y_alphabet)
     window = ball(down_spec, 2)
-    x_window = [coset(system.f2, "b", system.a0 ** n) for n in range(-2, 3)]
 
     def ext_apply(lam, x, y):
         w = soe.forward.target.word_part(soe.forward.evaluate(lam, x))

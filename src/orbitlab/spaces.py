@@ -16,7 +16,9 @@ read, a derived seed and a sampled window state all evaluate it.  A seeded
 point is read by coordinate (`value`, which caches what it reads) or by
 coordinate key (`read_key`, which leaves no cache entry); both return its
 override first.  A recording point passes both reads to the point it wraps
-and logs the coordinate key of each.
+and logs the coordinate key of each.  A summarized point passes them on
+too, and folds what each read by coordinate measures into the open frame
+of `read_summaries`, which keeps only maxima, not a log.
 
 A finite window is one slot map (canonical coordinate -> index into a
 values tuple), shared by all of its states.  Exact cylinder distributions
@@ -275,6 +277,97 @@ class RecordingConfiguration(Configuration):
     def read_key(self, key: str) -> int:
         self.log.add(key)
         return self.base.read_key(key)
+
+    @property
+    def point_key(self):
+        return self._key
+
+
+# -- read summaries -----------------------------------------------------------
+
+
+class _Summarized:
+    """A memo entry stored while a read-summary frame is open: the value
+    and the maxima (b, a) of what computing it read."""
+
+    __slots__ = ("value", "b", "a")
+
+    def __init__(self, value, b: int, a: int):
+        self.value, self.b, self.a = value, b, a
+
+
+class ReadSummaries:
+    """Dynamic dependency tracking cut down to two maxima per evaluation.
+
+    `frame` is None, or the list [b, a] of the evaluation in progress: the
+    largest two measures (in lemma 2, the b-grade and the a-offset of a
+    coordinate key) over what it has read so far.  A reader folds each read
+    into the open frame.  While a frame is open, each memo entry keeps the
+    maxima of what computing it read, and a hit folds them, so a memoized
+    value counts the reads it was computed from however it is reached
+    (Acar, *Self-Adjusting Computation*, 2005; Hammer et al., "Adapton",
+    PLDI 2014).  With no frame open, memos keep plain values and a memo
+    pays one `frame is None` test.  The process is single-threaded and
+    `measure` closes every frame it opens, on every exit.
+    """
+
+    def __init__(self):
+        self.frame = None
+
+    def fold(self, b: int, a: int) -> None:
+        frame = self.frame
+        if b > frame[0]:
+            frame[0] = b
+        if a > frame[1]:
+            frame[1] = a
+
+    def measure(self, fn, *args):
+        """(fn(*args), [b, a]): the value and the maxima of what computing it
+        read, in a new frame; an enclosing frame folds them too."""
+        outer = self.frame
+        self.frame = frame = [0, 0]
+        try:
+            value = fn(*args)
+        finally:
+            self.frame = outer
+        if outer is not None:
+            self.fold(*frame)
+        return value, frame
+
+    def entry(self, memo: dict, key, fn, *args):
+        """memo[key] inside an open frame: a hit folds the entry's maxima; a
+        miss computes fn(*args) and stores its maxima with the value.  An
+        entry stored with no frame open has no maxima, and a hit on it
+        raises rather than fold nothing."""
+        hit = memo.get(key)
+        if hit is None:
+            value, (b, a) = self.measure(fn, *args)
+            memo[key] = _Summarized(value, b, a)
+            return value
+        if type(hit) is not _Summarized:
+            raise RuntimeError(f"memo entry {key!r} holds no read summary")
+        self.fold(hit.b, hit.a)
+        return hit.value
+
+
+read_summaries = ReadSummaries()
+
+
+class SummarizedConfiguration(Configuration):
+    """Pass-through wrapper whose reads by coordinate fold
+    `summarize(coordinate key)` into the open read-summary frame.  Reads by
+    key pass straight through: their reader (an a-axis tape) folds them."""
+
+    def __init__(self, base: Configuration, summarize):
+        self.space = base.space
+        self.base = base
+        self.summarize = summarize
+        self.read_key = base.read_key
+        self._key = ("summarized", base.point_key)
+
+    def value(self, coord) -> int:
+        read_summaries.fold(*self.summarize(self.space.coord_key(coord)))
+        return self.base.value(coord)
 
     @property
     def point_key(self):

@@ -31,11 +31,13 @@ from orbitlab.constructions import (AxisView, CylinderAction, FactorSetting,
                                     restriction_equivariance_report, restriction_family,
                                     section_report, star_conjugation_report,
                                     star_injectivity_report, star_orbit_report,
-                                    star_relation_report, _letters)
+                                    star_relation_report, _grade_and_offset, _letters)
 from orbitlab.groups import cyclic, s3
 from orbitlab.spaces import (Configuration, ExplicitConfiguration, IntIndex,
                              RecordingConfiguration, SeededConfiguration, Space,
-                             agree_on, derive_seed, sample, sample_stream, seed_stream)
+                             SummarizedConfiguration, _Summarized, agree_on,
+                             derive_seed, read_summaries, sample, sample_stream,
+                             seed_stream)
 from orbitlab.verify import (UndeterminedError, coordinate_variable, homogeneity_mc,
                              independence_exact)
 from orbitlab.actions import check_coinduced_characterization
@@ -565,15 +567,29 @@ def test_tape_reads_every_cell_once_by_its_coordinate_key(recording):
         assert cells[c] == 1 - plain.value(c)
 
 
+def test_a_tape_cell_folds_the_grade_and_offset_of_its_key():
+    # a tape folds each cell from u0's letter counts, not from the key it
+    # reads, and folds a kept cell again; cell 0 drops u0's first syllable
+    system = CylinderAction(2, 64)
+    x = system.sample_in_cylinder(derive_seed(44, "fold"))
+    for u0 in _tape_prefixes(system):
+        tape = _tape(system, x, u0)
+        for _ in range(2):
+            for k in range(-3, 4):
+                key = system.space.coord_key(_axis_coset(system, k, u0))
+                _, summary = read_summaries.measure(tape.value, k)
+                assert summary == list(_grade_and_offset(system.f2, key))
+
+
 # -- point-scoped memos ------------------------------------------------------------
 
 
 def _roots(key) -> set:
     """The point keys a memo or tape key is built on: its nested
-    ("seeded", ...) and ("recording", n) tuples."""
+    ("seeded", ...), ("recording", n) and ("summarized", ...) tuples."""
     if not isinstance(key, tuple):
         return set()
-    if key and key[0] in ("seeded", "recording"):
+    if key and key[0] in ("seeded", "recording", "summarized"):
         return {key}
     return set().union(*map(_roots, key))
 
@@ -597,11 +613,13 @@ def test_point_loops_keep_only_the_last_points_entries():
     made = []
     omega = system.omega
     system.omega = lambda: made.append(omega()) or made[-1]
-    dependency_radius_report(system, 2, 3, derive_seed(61, "dep"))
+    seed = derive_seed(61, "dep")
+    dependency_radius_report(system, 2, 3, seed)
     # tape cells are read by key, so the reads intern no a^k u0 word
     assert len(system.f2._words) < 2_000
-    # the recorder of the last (point, word) drew the last counter value
-    last = ("recording", next(RecordingConfiguration._counter) - 1)
+    # all words of a point read one summarized point, keyed on the point's own key
+    *_, s = seed_stream(seed, "dep", 3)
+    last = ("summarized", system.sample_in_cylinder(s).point_key)
     _assert_scoped_to(last, system, made[0])
 
 
@@ -734,6 +752,101 @@ def test_dependency_radius_counts_letters_from_coordinate_keys():
         assert (letters["a"], letters["b"]) == (c.rep.length("a"), c.rep.length("b"))
 
 
+def _dependency_words(system):
+    """The words dependency_radius_report checks at b-grade at most 2."""
+    return [w for w in ball(system.spec_up, 2, parts=system.b_parts, exponent_bound=1)
+            if not w.is_identity]
+
+
+def _cold_maxima(system, om, g, base):
+    """The largest b-grade and a-offset in the log of omega(g, .) evaluated
+    cold on a recording point."""
+    log = set()
+    om.forget()
+    om.evaluate(g, RecordingConfiguration(base, log))
+    letters = [_letters(system.f2, key) for key in log]
+    return [max((n["b"] for n in letters), default=0),
+            max((n["a"] for n in letters), default=0)]
+
+
+@pytest.mark.parametrize("kappa, radius", [(2, 8), (2, 16), (3, 8)])
+def test_read_summaries_equal_the_maxima_of_cold_reads(kappa, radius):
+    # dependency_radius_report decides each (point, word) by the maxima of
+    # a frame that memo entries and tapes of the point's earlier words fed;
+    # they must be those of the word's own cold reads, and a word must be
+    # undetermined both ways or neither
+    system = CylinderAction(kappa, radius)
+    om = system.omega()
+    words = _dependency_words(system)
+    outcomes = []
+    for seed in (1, 2, 3):
+        for s in seed_stream(seed, "dep", 4):
+            base = system.sample_in_cylinder(s)
+            point = SummarizedConfiguration(base, lambda key: _grade_and_offset(system.f2, key))
+            om.forget()
+            warm = [_outcome(lambda: read_summaries.measure(om.evaluate, g, point)[1])
+                    for g in words]
+            cold = [_outcome(lambda: _cold_maxima(system, om, g, base)) for g in words]
+            assert warm == cold
+            outcomes += warm
+    assert read_summaries.frame is None
+    assert "undetermined" in outcomes
+    assert len({tuple(m) for m in outcomes if m != "undetermined"}) > 3
+
+
+def test_a_passing_dependency_radius_report_evaluates_each_point_warm(monkeypatch):
+    # the report forgets the memos once per point, not once per word, and
+    # re-runs nothing cold when nothing fails
+    forgets, recorders = [], []
+    forget, record = Cocycle.forget, RecordingConfiguration.__init__
+    monkeypatch.setattr(Cocycle, "forget", lambda self: forgets.append(self) or forget(self))
+    monkeypatch.setattr(RecordingConfiguration, "__init__",
+                        lambda self, *args: recorders.append(args) or record(self, *args))
+    report = dependency_radius_report(CylinderAction(2, 32), 2, 3, derive_seed(61, "dep"))
+    assert report.verdict != "fail" and report.statistics["checked"] > 0
+    assert len(forgets) == 3
+    assert recorders == []
+
+
+def _plain_memo_entries(system, om):
+    return [*system._memo.values(), *om._memo.values(),
+            *(v for tape in system._tapes.values() for v in tape.matches.values())]
+
+
+def test_the_read_summary_frame_closes_on_every_exit(monkeypatch):
+    dependency_radius_report(CylinderAction(2, 16), 2, 2, 7)
+    assert read_summaries.frame is None
+
+    def broken(self, letter, x):
+        raise ValueError("broken letter")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CylinderAction, "_letter_apply", broken)
+        with pytest.raises(ValueError, match="broken letter"):
+            dependency_radius_report(CylinderAction(2, 16), 2, 2, 7)
+    assert read_summaries.frame is None
+    # a check run afterwards stores plain values, with no summaries
+    system = CylinderAction(2, 16)
+    om = system.omega()
+    words = ball(system.spec_up, 1)
+    points = [system.sample_in_cylinder(s) for s in seed_stream(7, "after", 2)]
+    verify_identity(om, list(itertools.product(words, words)), points)
+    entries = _plain_memo_entries(system, om)
+    assert entries and not any(isinstance(v, _Summarized) for v in entries)
+
+
+def test_a_memo_entry_without_a_summary_raises_inside_a_frame():
+    system = CylinderAction(2, 64)
+    om = system.omega()
+    x = system.sample_in_cylinder(derive_seed(61, "plain"))
+    g = system.spec_up.word("b0^1 a^1")
+    om.evaluate(g, x)
+    assert _plain_memo_entries(system, om)
+    with pytest.raises(RuntimeError, match="no read summary"):
+        read_summaries.measure(om.evaluate, g, x)
+    assert read_summaries.frame is None
+
+
 def test_coset_freshness_small():
     system = CylinderAction(2, 48)
     report = coset_freshness_report(system, 1, 5, seed=27)
@@ -852,13 +965,28 @@ def test_extension_over_cylinder_oe():
     assert report.counterexample is None
 
 
+def _axis_window(system):
+    """The five cosets (b)a^n, n in -2..2, that lemma-3 compares x on."""
+    return [coset(system.f2, "b", system.a0 ** n) for n in range(-2, 3)]
+
+
 def test_extension_action_axiom():
     soe = build_cylinder_oe(2, 64)
     words = ball(soe.system.spec_up, 1)
-    report = extension_action_report(soe, cyclic(2), words, 5, seed=34)
+    report = extension_action_report(soe, cyclic(2), words, _axis_window(soe.system), 5,
+                                     seed=34)
     assert report.verdict in ("pass", "undetermined")
     assert report.counterexample is None
     assert report.statistics["checked"] > 50
+
+
+def test_extension_action_on_the_degenerate_record():
+    # the whole-space record has no a-axis: its caller compares x on a ball
+    soe = degenerate_stable_oe(BernoulliShift(F2, cyclic(2)))
+    report = extension_action_report(soe, cyclic(2), ball(F2, 1), ball(F2, 2), 5,
+                                     seed=35)
+    assert report.verdict == "pass"
+    assert report.statistics == {"checked": 125, "undetermined": 0}
 
 
 
@@ -900,7 +1028,8 @@ def _small_independence():
 
 def _small_action():
     soe = build_cylinder_oe(2, 4)
-    return extension_action_report(soe, Z2, ball(soe.system.spec_up, 1), 3, 56)
+    return extension_action_report(soe, Z2, ball(soe.system.spec_up, 1),
+                                   _axis_window(soe.system), 3, 56)
 
 
 @pytest.mark.parametrize("run, outcome", [

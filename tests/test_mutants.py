@@ -3,8 +3,9 @@
 Each row names a leaf check and holds a mutant (a monkeypatch of the
 construction under test), the call of the leaf at the parameters and seed
 the shipped `standard` suite gives it, and the counterexample the FAIL must
-carry.  The same call without the mutant must not fail, so the FAIL is the
-mutant's doing.
+carry.  A leaf that fails with a note and no counterexample names the note
+in NOTES.  The same call without the mutant must not fail, so the FAIL is
+the mutant's doing.
 """
 
 import json
@@ -13,17 +14,45 @@ from pathlib import Path
 import pytest
 
 from orbitlab.cocycles import verify_inverse_pair
-from orbitlab.constructions import (CylinderAction, StableOE, build_cylinder_oe,
-                                    coset_freshness_report, dependency_radius_report,
-                                    extension_action_report,
-                                    extension_distinctness_report, parenthesis_match)
+from orbitlab.constructions import (CylinderAction, IncrementView, StableOE,
+                                    build_cylinder_oe, coset_freshness_report,
+                                    dependency_radius_report, extension_action_report,
+                                    extension_distinctness_report,
+                                    increment_equivariance_report,
+                                    increment_roundtrip_report, parenthesis_match)
 from orbitlab.groups import cyclic
 from orbitlab.spaces import derive_seed, seed_stream
-from orbitlab.words import ball
+from orbitlab.words import ball, coset, free_group
 
 ROOT = Path(__file__).resolve().parents[1]
 STANDARD = json.loads((ROOT / "src" / "orbitlab" / "suites" / "standard.cfg").read_text())
 SEED, SCAN_RADIUS, SAMPLES = STANDARD["seed"], STANDARD["scan_radius"], STANDARD["samples"]
+# theorem-b in `standard`: K = Z/2 on the free group of rank 2, the default
+# equivariance radius 2 and the roundtrip radius 3
+F2, K = free_group("a", "b"), cyclic(2)
+
+
+def _increment_reads_the_right_neighbour(monkeypatch):
+    """An increment along the edge g -> g a, not g -> a g: the view reads
+    x_{g a} where it should read x_{a g}."""
+
+    def mutant(self, coord):
+        g = self.space.index.canonicalize(coord)
+        row = self._table[self._inverse[self.base.value(g)]]
+        code = 0
+        for a in self.generators:
+            code = code * len(row) + row[self.base.value(g * a)]
+        return code
+
+    monkeypatch.setattr(IncrementView, "value", mutant)
+
+
+def _increment_equivariance():
+    return increment_equivariance_report(F2, K, 2, SAMPLES, derive_seed(SEED, "tb/equiv"))
+
+
+def _increment_roundtrip():
+    return increment_roundtrip_report(F2, K, 3, SAMPLES, derive_seed(SEED, "tb/round"))
 
 
 def _b0_inverse_repeats_b0(monkeypatch):
@@ -44,7 +73,9 @@ def _b0_inverse_repeats_b0(monkeypatch):
 def _extension_action():
     # lemma-3's extension-action: kappa 2, min(samples, 25, 10) points
     soe = build_cylinder_oe(2, SCAN_RADIUS)
-    return extension_action_report(soe, cyclic(2), ball(soe.system.spec_up, 1),
+    system = soe.system
+    x_window = [coset(system.f2, "b", system.a0 ** n) for n in range(-2, 3)]
+    return extension_action_report(soe, cyclic(2), ball(system.spec_up, 1), x_window,
                                    min(SAMPLES, 10), derive_seed(SEED, "l3/act"))
 
 
@@ -128,6 +159,10 @@ ROWS = {
     "extension-address-distinctness": (_partition_word_dropped, _extension_distinctness,
                                        {"address": "a^-2", "first": [1, "a^-1"],
                                         "second": [2, "a^-1"]}),
+    "increment-equivariance": (_increment_reads_the_right_neighbour,
+                               _increment_equivariance, {"h": "a^-1", "g": "a^-1"}),
+    "increment-roundtrip": (_increment_reads_the_right_neighbour, _increment_roundtrip,
+                            None),
     "fresh-coset-grades": (_witness_forgets_its_cylinder, _fresh_coset_grades,
                            {"coset": "a^-2 b^1 a^-1", "first": [0, 1, "a^-1", -2],
                             "second": [1, 1, "a^-1", -2]}),
@@ -138,6 +173,9 @@ ROWS = {
 }
 
 
+NOTES = {"increment-roundtrip": ["integrate(increments(x)) != normalized x"]}
+
+
 @pytest.mark.parametrize("leaf", sorted(ROWS))
 def test_leaf_check_catches_its_mutant(monkeypatch, leaf):
     install, run, counterexample = ROWS[leaf]
@@ -145,4 +183,7 @@ def test_leaf_check_catches_its_mutant(monkeypatch, leaf):
     install(monkeypatch)
     report = run()
     assert (report.name, report.verdict) == (leaf, "fail")
-    assert report.to_payload()["counterexample"] == counterexample
+    payload = report.to_payload()
+    assert payload.get("counterexample") == counterexample
+    if leaf in NOTES:
+        assert payload["notes"] == NOTES[leaf]

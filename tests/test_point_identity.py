@@ -48,7 +48,8 @@ def test_every_concrete_configuration_defines_its_point_key():
                 if cls is not Configuration and "value" in vars(cls)}
     assert set(concrete) == {
         "spaces.SeededConfiguration", "spaces.ExplicitConfiguration",
-        "spaces.RecordingConfiguration", "actions._ShiftView",
+        "spaces.RecordingConfiguration", "spaces.SummarizedConfiguration",
+        "actions._ShiftView",
         "actions._ValueTwistView", "constructions.IncrementView",
         "constructions.AxisView"}
     missing = [name for name, cls in concrete.items() if "point_key" not in vars(cls)]
